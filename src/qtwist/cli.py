@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import families, graphs, localdata, oracle
-from .exactnum import fmt_rat, is_squarefree, parse_rat
+from .exactnum import check_d, fmt_rat, parse_rat
 from .weierstrass import AInvariants, Signature, signature_of, twist_sig
 
 SCHEMA_VERSION = 1
@@ -33,12 +33,6 @@ def _sig_from_args(args) -> Signature:
             raise ValueError("--sig needs c4,c6,delta")
         return Signature(*parts)
     raise ValueError("one of --ainvs or --sig is required")
-
-
-def _check_d(d: int) -> int:
-    if d == 0 or not is_squarefree(d):
-        raise ValueError(f"d = {d} must be a nonzero square-free integer")
-    return d
 
 
 def _sig_json(s: Signature) -> dict:
@@ -65,7 +59,7 @@ def _cmd_minimal(args):
 
 def _cmd_twist(args):
     s = _sig_from_args(args)
-    d = _check_d(args.d)
+    d = check_d(args.d)
     tw = twist_sig(s, d)
     minimal, u = localdata.global_minimal(tw)
     return {"d": d, "twist": _sig_json(tw),
@@ -78,7 +72,7 @@ def _parse_t(args):
 
 def _cmd_faltings(args):
     t = _parse_t(args)
-    d = _check_d(args.d)
+    d = check_d(args.d)
     res = graphs.faltings_by_theorem(args.type, t, d)
     cross = graphs.faltings_by_volumes(args.type, t, d)
     if cross != res.vertex:
@@ -118,7 +112,7 @@ def _cmd_family(args):
 
 def _cmd_verify(args):
     t = _parse_t(args)
-    d = _check_d(args.d)
+    d = check_d(args.d)
     rep = oracle.verify_class(args.type, t, d, precision_bits=args.bits,
                               variant=args.variant)
     return {"type": args.type, "t": fmt_rat(t) if t is not None else None,

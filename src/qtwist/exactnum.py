@@ -1,5 +1,6 @@
 """Exact rational arithmetic helpers: p-adic valuations, unit residues,
-square-free tests.
+square-free tests, and the input checks shared by every module (the twist
+parameter d, and the ``CuspError`` of a hauptmodul value t).
 
 Rationals are plain ``fractions.Fraction`` (eagerly reduced, positive
 denominator), which is exactly the representation the valuation and table
@@ -16,6 +17,10 @@ Rat = Fraction
 RatLike = Union[Fraction, int]
 
 INFINITY = math.inf
+
+
+class CuspError(ValueError):
+    """t hits a cusp / excluded value of the parametrizing hauptmodul."""
 
 
 def _check_prime(p: int) -> None:
@@ -87,8 +92,8 @@ def is_squarefree(n: int) -> bool:
     return r * r != n
 
 
-def squarefree_part_sign(d: int) -> int:
-    """Sign-carrying check helper: raises unless d is square-free."""
+def check_d(d: int) -> int:
+    """d itself if it is a nonzero square-free integer, else ValueError."""
     if d == 0 or not is_squarefree(d):
         raise ValueError(f"d = {d} is not a nonzero square-free integer")
     return d

@@ -9,12 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import RatLike
+from .exactnum import CuspError, RatLike
+from .localdata import TableMissError
 from .weierstrass import AInvariants, Signature, signature_of
-
-
-class CuspError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +129,8 @@ def l211_class(variant: str) -> L211Class:
     except KeyError:
         raise ValueError("variant must be 'a' or 'b'") from None
     for c in cls.curves:
-        assert signature_of(c.ainvs) == c.sig
+        if signature_of(c.ainvs) != c.sig:
+            raise TableMissError(f"{c.label}: stored signature disagrees with its a-invariants")
     return cls
 
 

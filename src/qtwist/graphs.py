@@ -1,10 +1,17 @@
-"""Isogeny-graph types, their volume vectors and twist rescaling rules,
-and the closed-form Faltings decision.
+"""Isogeny-graph types and the closed-form Faltings decision.
+
+Each type is one ``GraphType`` spec in a single registry.  A spec holds
+the graph with its volume vector, one block per prime at which the
+branch or the twist matters (the branch classifier of the hauptmodul
+value t and the u-vector exponents of each branch), the literal decision
+rows keyed by the tuple of block branch keys, and the t values excluded
+besides the cusp t = 0.  Genus >= 1 types are the degenerate case: no t,
+one block, one branch.
 
 Two independent encodings coexist on purpose:
 
-* ``u_vectors`` + ``volume_vector`` + ``faltings_by_volumes`` re-derive
-  the winning vertex as the exact argmax of u~_i^2 u_i^2 v_i;
+* ``u_vectors`` + ``faltings_by_volumes`` re-derive the winning vertex
+  as the exact argmax of u~_i^2 u_i^2 v_i from the blocks' exponents;
 * ``faltings_by_theorem`` looks the answer up in the literal decision
   rows.
 
@@ -15,191 +22,129 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import product
+from typing import Callable, Optional
 
-from .exactnum import RatLike, is_squarefree, unit_residue, vp
-
-
-class CuspError(ValueError):
-    """t hits a cusp / excluded value of the parametrizing hauptmodul."""
+from .exactnum import CuspError, RatLike, check_d, unit_residue, vp
 
 
 class TieError(AssertionError):
     """Argmax tie: contradicts uniqueness of the minimal Faltings height."""
 
 
-GENUS0 = {
-    "L2_2", "L2_3", "L2_5", "L2_7", "L2_13",
-    "L3_9", "L3_25", "T4", "T6", "T8", "R4_6", "R4_10", "R6", "S8",
-}
-GENUS_GE1 = {
-    "L2_11", "L2_17", "L2_19", "L2_37", "L2_43", "L2_67", "L2_163",
-    "L4", "R4_14", "R4_15", "R4_21",
-}
-ALL_TYPES = sorted(GENUS0 | GENUS_GE1)
-
-
-def _chain(labels, p):
-    return [(labels[i], labels[i + 1], p) for i in range(len(labels) - 1)]
+def probability_of_branch(p: int, divisible: bool) -> Fraction:
+    """Lemma-1 density of square-free d with d = 0 (p), resp. d != 0 (p)."""
+    return Fraction(1, 1 + p) if divisible else Fraction(p, 1 + p)
 
 
 @dataclass(frozen=True)
+class DCondition:
+    """The condition on d of one decision row: every d (p is None), or
+    p | d (divisible) / p does not divide d."""
+    p: Optional[int] = None
+    divisible: bool = False
+
+    def __str__(self) -> str:
+        if self.p is None:
+            return "all"
+        return f"d=0({self.p})" if self.divisible else f"d!=0({self.p})"
+
+    @property
+    def probability(self) -> Fraction:
+        """Density of the square-free d that satisfy the condition."""
+        if self.p is None:
+            return Fraction(1)
+        return probability_of_branch(self.p, self.divisible)
+
+    def matches(self, d: int) -> bool:
+        return self.p is None or (d % self.p == 0) == self.divisible
+
+
+@dataclass(frozen=True)
+class PrimeBlock:
+    """One isogeny prime's share of the u-vectors.
+
+    ``classify`` maps t to a branch key; it is None for genus >= 1 types,
+    whose single branch is keyed "all".  ``rows`` maps each key to the
+    exponents of p in u(E), and in u(E^d) when p | d (None: u(E^d) is 1
+    at p for every d).  When p does not divide d, u(E^d) is 1 at p.
+    """
+    p: int
+    classify: Optional[Callable[[Fraction], str]]
+    rows: dict
+
+    def key(self, t: Optional[Fraction]) -> str:
+        return "all" if self.classify is None else self.classify(t)
+
+
+@dataclass(frozen=True, eq=False)
 class GraphType:
+    """One isogeny-graph type and every rule that decides its Faltings vertex."""
+
     kind: str
     vertices: tuple
-    volumes: tuple  # projective, first entry 1
-    edges: tuple    # (label, label, isogeny degree)
-    primes: tuple   # isogeny primes
+    volumes: tuple    # projective, first entry 1
+    edges: tuple      # (label, label, isogeny degree)
+    primes: tuple     # isogeny primes
+    blocks: tuple     # of PrimeBlock, by increasing prime
+    decisions: dict   # tuple of block keys -> ((DCondition, vertex), ...)
+    excluded: tuple = ()  # t values besides 0 where a branch is undefined
+
+    def __post_init__(self) -> None:
+        # every combination of block keys has rows, and each row set
+        # splits the square-free d on one prime exactly once
+        keys = set(product(*(b.rows for b in self.blocks)))
+        if set(self.decisions) != keys:
+            raise ValueError(f"{self.kind}: decision keys differ from the block branches "
+                             f"in {sorted(keys ^ set(self.decisions))}")
+        for key, rows in self.decisions.items():
+            conds = [cond for cond, _ in rows]
+            if (len({c.p for c in conds}) != 1 or len(set(conds)) != len(conds)
+                    or sum(c.probability for c in conds) != 1
+                    or any(v not in self.vertices for _, v in rows)):
+                raise ValueError(f"{self.kind} {key}: rows {[(str(c), v) for c, v in rows]} "
+                                 f"do not partition the square-free d")
 
     @property
     def genus_ge_1(self) -> bool:
-        return self.kind in GENUS_GE1
-
-
-def _L2(p):
-    return GraphType(f"L2_{p}", ("E_1", f"E_{p}"), (Fraction(1), Fraction(1, p)),
-                     ((f"E_1", f"E_{p}", p),), (p,))
-
-
-_TYPES = {f"L2_{p}": _L2(p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 37, 43, 67, 163)}
-_TYPES["L3_9"] = GraphType(
-    "L3_9", ("E_1", "E_3", "E_9"), (Fraction(1), Fraction(1, 3), Fraction(1, 9)),
-    tuple(_chain(("E_1", "E_3", "E_9"), 3)), (3,))
-_TYPES["L3_25"] = GraphType(
-    "L3_25", ("E_1", "E_5", "E_25"), (Fraction(1), Fraction(1, 5), Fraction(1, 25)),
-    tuple(_chain(("E_1", "E_5", "E_25"), 5)), (5,))
-_TYPES["L4"] = GraphType(
-    "L4", ("E_1", "E_3", "E_9", "E_27"),
-    (Fraction(1), Fraction(1, 3), Fraction(1, 9), Fraction(1, 27)),
-    tuple(_chain(("E_1", "E_3", "E_9", "E_27"), 3)), (3,))
-for _p, _q in ((2, 3), (2, 5), (2, 7), (3, 5), (3, 7)):
-    _TYPES[f"R4_{_p * _q}"] = GraphType(
-        f"R4_{_p * _q}",
-        ("E_1", f"E_{_p}", f"E_{_q}", f"E_{_p * _q}"),
-        (Fraction(1), Fraction(1, _p), Fraction(1, _q), Fraction(1, _p * _q)),
-        ((f"E_1", f"E_{_q}", _q), ("E_1", f"E_{_p}", _p),
-         (f"E_{_p}", f"E_{_p * _q}", _q), (f"E_{_q}", f"E_{_p * _q}", _p)),
-        (_p, _q))
-_TYPES["R6"] = GraphType(
-    "R6", ("E_1", "E_2", "E_3", "E_6", "E_9", "E_18"),
-    (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 6), Fraction(1, 9), Fraction(1, 18)),
-    (("E_1", "E_3", 3), ("E_3", "E_9", 3), ("E_2", "E_6", 3), ("E_6", "E_18", 3),
-     ("E_1", "E_2", 2), ("E_3", "E_6", 2), ("E_9", "E_18", 2)), (2, 3))
-_TYPES["T4"] = GraphType(
-    "T4", ("E_1", "E_2", "E_4", "E_12"),
-    (Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
-    (("E_1", "E_2", 2), ("E_2", "E_4", 2), ("E_2", "E_12", 2)), (2,))
-_TYPES["T6"] = GraphType(
-    "T6", ("E_1", "E_2", "E_12", "E_4", "E_8", "E_22"),
-    (Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)),
-    (("E_1", "E_2", 2), ("E_12", "E_2", 2), ("E_2", "E_4", 2),
-     ("E_4", "E_8", 2), ("E_4", "E_22", 2)), (2,))
-_TYPES["T8"] = GraphType(
-    "T8", ("E_1", "E_2", "E_21", "E_4", "E_41", "E_8", "E_81", "E_16"),
-    (Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 4),
-     Fraction(1, 8), Fraction(1, 8), Fraction(1, 16), Fraction(1, 16)),
-    (("E_1", "E_2", 2), ("E_21", "E_2", 2), ("E_2", "E_4", 2), ("E_4", "E_41", 2),
-     ("E_4", "E_8", 2), ("E_8", "E_81", 2), ("E_8", "E_16", 2)), (2,))
-_TYPES["S8"] = GraphType(
-    "S8", ("E_1", "E_3", "E_2", "E_6", "E_21", "E_12", "E_4", "E_31"),
-    (Fraction(1), Fraction(1, 3), Fraction(1, 2), Fraction(1, 6),
-     Fraction(1, 4), Fraction(1, 12), Fraction(1, 4), Fraction(1, 12)),
-    (("E_1", "E_3", 3), ("E_1", "E_2", 2), ("E_3", "E_6", 2), ("E_2", "E_6", 3),
-     ("E_2", "E_21", 2), ("E_2", "E_4", 2), ("E_6", "E_12", 2), ("E_6", "E_31", 2),
-     ("E_21", "E_12", 3), ("E_4", "E_31", 3)), (2, 3))
-
-
-def graph_type(kind: str) -> GraphType:
-    try:
-        return _TYPES[kind]
-    except KeyError:
-        raise ValueError(f"unknown graph type {kind!r}") from None
-
-
-def graph_structure(kind: str):
-    g = graph_type(kind)
-    return g.vertices, g.edges
-
-
-def volume_vector(kind: str) -> tuple:
-    return graph_type(kind).volumes
+        return self.blocks[0].classify is None
 
 
 # ---------------------------------------------------------------------------
-# t-condition helpers
-
-def _check_t(kind: str, t: Optional[Fraction]) -> Optional[Fraction]:
-    if kind in GENUS_GE1:
-        return None
-    if t is None:
-        raise ValueError(f"type {kind} needs a hauptmodul value t")
-    t = Fraction(t)
-    if t == 0:
-        raise CuspError("t = 0 is a cusp")
-    if kind == "L2_2" and t == -64:
-        raise CuspError("t = -64 is excluded for L2_2 (v_2(t+64) undefined)")
-    if kind == "L2_3" and t == -27:
-        raise CuspError("t = -27 is excluded for L2_3 (v_3(t+27) undefined)")
-    if kind == "L3_9" and (t * t + 9 * t + 27) == 0:
-        raise CuspError("t is a cusp of X_0(9)")  # unreachable over Q
-    return t
-
+# branch classifiers of t, one per prime block.  Each returns a key of its
+# block's rows; the keys of one block are exclusive and exhaustive.
 
 def _ures4(t: Fraction) -> int:
     # residue mod 4 of the odd part of t
     return unit_residue(t, 2, 2)
 
 
-# Each genus-0 type gets a branch classifier returning an opaque branch
-# key; the u-vector and decision tables below are keyed on it.  Branches
-# are mutually exclusive and exhaustive by construction.
-
-def _branch_L2_2(t):
-    v = vp(t, 2)
-    if v >= 8:
-        return "v>=8"
-    if v == 7 or (v == 6 and vp(t + 64, 2) % 4 in (2, 3)):
-        return "high"
-    if v == 5 or (v == 6 and vp(t + 64, 2) % 4 in (0, 1)):
-        return "low"
-    return "v<=4"
-
-
-def _branch_L2_3(t):
-    v = vp(t, 3)
-    if v >= 5:
-        return "v>=5"
-    if v == 4 or (v == 3 and vp(t + 27, 3) % 6 in (3, 4, 5)):
-        return "high"
-    if v == 2 or (v == 3 and vp(t + 27, 3) % 6 in (0, 1, 2)):
-        return "low"
-    return "v<=1"
-
-
-def _valuation_branch(p, cuts):
-    # cuts: list of (predicate over v, name)
-    def classify_t(t):
+def _by_valuation(p: int, cuts, below: str):
+    """Key of the first (k, key) in cuts with v_p(t) >= k, else below."""
+    def key(t):
         v = vp(t, p)
-        for pred, name in cuts:
-            if pred(v):
+        for k, name in cuts:
+            if v >= k:
                 return name
-        raise AssertionError("non-exhaustive t-branches")
+        return below
 
-    return classify_t
+    return key
 
 
-_BRANCH = {
-    "L2_2": _branch_L2_2,
-    "L2_3": _branch_L2_3,
-    "L2_5": _valuation_branch(5, [(lambda v: v >= 3, "v>=3"), (lambda v: v == 2, "v=2"),
-                                  (lambda v: v == 1, "v=1"), (lambda v: True, "v<=0")]),
-    "L2_7": _valuation_branch(7, [(lambda v: v >= 2, "v>=2"), (lambda v: v == 1, "v=1"),
-                                  (lambda v: True, "v<=0")]),
-    "L2_13": _valuation_branch(13, [(lambda v: v > 0, "v>0"), (lambda v: True, "v<=0")]),
-    "L3_9": _valuation_branch(3, [(lambda v: v >= 3, "v>=3"), (lambda v: v == 2, "v=2"),
-                                  (lambda v: v == 1, "v=1"), (lambda v: True, "v<=0")]),
-    "L3_25": _valuation_branch(5, [(lambda v: v >= 1, "v>=1"), (lambda v: True, "v<=0")]),
-}
+def _by_offset(p: int, c: int, m: int):
+    """L2_2 (p, c, m) = (2, 6, 4) and L2_3 (3, 3, 6): at v_p(t) = c the
+    branch is fixed by v_p(t + p^c) mod m; t = -p^c is excluded."""
+    def key(t):
+        v = vp(t, p)
+        if v == c:
+            return "high" if vp(t + p**c, p) % m >= m // 2 else "low"
+        if v >= c + 2:
+            return f"v>={c + 2}"
+        if v == c + 1:
+            return "high"
+        return "low" if v == c - 1 else f"v<={c - 2}"
+
+    return key
 
 
 def _branch_T4(t):
@@ -215,51 +160,23 @@ def _branch_T4(t):
     return "v<=2"
 
 
-def _branch_T6(t):
-    v = vp(t, 2)
-    if v >= 3:
-        return "v>=3"
-    if v == 2:
-        return "v=2,3(4)" if _ures4(t) == 3 else "v=2,1(4)"
-    return "v<=1"
+def _by_residue(mid: int):
+    """T6 (mid 2) and T8 (mid 1): at v_2(t) = mid, split on t's odd part mod 4."""
+    def key(t):
+        v = vp(t, 2)
+        if v > mid:
+            return f"v>={mid + 1}"
+        if v == mid:
+            return f"v={mid},3(4)" if _ures4(t) == 3 else f"v={mid},1(4)"
+        return f"v<={mid - 1}"
 
-
-def _branch_T8(t):
-    v = vp(t, 2)
-    if v >= 2:
-        return "v>=2"
-    if v == 1:
-        return "v=1,3(4)" if _ures4(t) == 3 else "v=1,1(4)"
-    return "v<=0"
-
-
-_BRANCH["T4"] = _branch_T4
-_BRANCH["T6"] = _branch_T6
-_BRANCH["T8"] = _branch_T8
-
-
-def _branch2_R4_6(t):
-    return "v2>=2" if vp(t, 2) >= 2 else "v2<=1"
-
-
-def _branch3_R4_6(t):
-    v = vp(t, 3)
-    return "v3>=2" if v >= 2 else "v3=1" if v == 1 else "v3<=0"
-
-
-def _branch2_R4_10(t):
-    v = vp(t, 2)
-    return "v2>1" if v > 1 else "v2=1" if v == 1 else "v2<=0"
+    return key
 
 
 def _branch5_R4_10(t):
     if vp(t, 5) == 0 and unit_residue(t, 5, 1) == 4:
         return "t=4(5)"
     return "other"
-
-
-def _branch2_R6(t):
-    return "v2>0" if vp(t, 2) > 0 else "v2<=0"
 
 
 def _branch3_R6(t):
@@ -272,129 +189,289 @@ def _branch2_S8(t):
     return "v2=0,3(4)" if _ures4(t) == 3 else "v2=0,1(4)"
 
 
-def _branch3_S8(t):
-    return "v3>=1" if vp(t, 3) >= 1 else "v3<=0"
-
-
 # ---------------------------------------------------------------------------
-# u-vector rule tables (per-prime exponent vectors; multi-prime types
-# multiply their blocks componentwise)
+# the registry
 #
-# block: prime -> branch key -> (uE exponents, uEd exponents by d-class)
-# d-classes: "all", or a ("div"/"ndiv") split on divisibility of d by p.
+# Block rows: branch key -> (exponents of p in u(E), in u(E^d) for p | d).
+# Decision rows: branch key (a tuple for two-prime types) -> the theorem's
+# rows for that branch, built by _every or _split.
+
+def _every(vertex):
+    """The one row of a branch whose winner does not depend on d."""
+    return ((DCondition(), vertex),)
+
+
+def _split(p, ndiv, div):
+    """Rows of a branch won by ndiv when p does not divide d, by div when it does."""
+    return ((DCondition(p, False), ndiv), (DCondition(p, True), div))
+
 
 _ONES2 = (0, 0)
 _ONES3 = (0, 0, 0)
 _ONES4 = (0, 0, 0, 0)
+_ONES6 = (0,) * 6
+_ONES8 = (0,) * 8
 
-_UTABLE = {
-    "L2_2": {2: {
-        "v>=8": ((0, 1), {"all": _ONES2}),
-        "high": ((0, 1), {"ndiv": _ONES2, "div": (1, 0)}),
-        "low": (_ONES2, {"ndiv": _ONES2, "div": (0, 1)}),
-        "v<=4": (_ONES2, {"all": _ONES2}),
-    }},
-    "L2_3": {3: {
-        "v>=5": ((0, 1), {"all": _ONES2}),
-        "high": ((0, 1), {"ndiv": _ONES2, "div": (1, 0)}),
-        "low": (_ONES2, {"ndiv": _ONES2, "div": (0, 1)}),
-        "v<=1": (_ONES2, {"all": _ONES2}),
-    }},
-    "L2_5": {5: {
-        "v>=3": ((0, 1), {"all": _ONES2}),
-        "v=2": ((0, 1), {"ndiv": _ONES2, "div": (1, 0)}),
-        "v=1": (_ONES2, {"ndiv": _ONES2, "div": (0, 1)}),
-        "v<=0": (_ONES2, {"all": _ONES2}),
-    }},
-    "L2_7": {7: {
-        "v>=2": ((0, 1), {"all": _ONES2}),
-        "v=1": (_ONES2, {"ndiv": _ONES2, "div": (0, 1)}),
-        "v<=0": (_ONES2, {"all": _ONES2}),
-    }},
-    "L2_13": {13: {
-        "v>0": ((0, 1), {"all": _ONES2}),
-        "v<=0": (_ONES2, {"all": _ONES2}),
-    }},
-    "L3_9": {3: {
-        "v>=3": ((0, 1, 2), {"all": _ONES3}),
-        "v=2": ((0, 1, 1), {"ndiv": _ONES3, "div": (0, 0, 1)}),
-        "v=1": (_ONES3, {"ndiv": _ONES3, "div": (0, 1, 1)}),
-        "v<=0": (_ONES3, {"all": _ONES3}),
-    }},
-    "L3_25": {5: {
-        "v>=1": ((0, 1, 2), {"all": _ONES3}),
-        "v<=0": (_ONES3, {"all": _ONES3}),
-    }},
-    "T4": {2: {
-        "v>=6": ((0, 1, 2, 0), {"all": _ONES4}),
-        "v=5": ((0, 1, 1, 1), {"ndiv": _ONES4, "div": (0, 0, 1, 0)}),
-        "v=4,1(4)": ((0, 1, 1, 1), {"ndiv": _ONES4, "div": (0, 0, 0, 1)}),
-        "v=4,3(4)": ((0, 1, 1, 2), {"all": _ONES4}),
-        "v=3": (_ONES4, {"ndiv": _ONES4, "div": (0, 1, 1, 1)}),
-        "v<=2": (_ONES4, {"all": _ONES4}),
-    }},
-    "T6": {2: {
-        "v>=3": ((0, 1, 2, 1, 1, 1), {"all": (0,) * 6}),
-        "v=2,3(4)": ((0, 1, 1, 2, 3, 2), {"all": (0,) * 6}),
-        "v=2,1(4)": ((0, 1, 1, 2, 2, 3), {"all": (0,) * 6}),
-        "v<=1": ((0,) * 6, {"all": (0,) * 6}),
-    }},
-    "T8": {2: {
-        "v>=2": ((0, 1, 2, 1, 1, 1, 1, 1), {"all": (0,) * 8}),
-        "v=1,3(4)": ((0, 1, 1, 2, 2, 3, 4, 3), {"all": (0,) * 8}),
-        "v=1,1(4)": ((0, 1, 1, 2, 2, 3, 3, 4), {"all": (0,) * 8}),
-        "v<=0": ((0, 1, 1, 1, 1, 1, 1, 1), {"all": (0,) * 8}),
-    }},
-    "R4_6": {
-        2: {"v2>=2": ((0, 1, 0, 1), {"all": _ONES4}),
-            "v2<=1": (_ONES4, {"all": _ONES4})},
-        3: {"v3>=2": ((0, 0, 1, 1), {"all": _ONES4}),
-            "v3=1": ((0, 0, 1, 1), {"ndiv": _ONES4, "div": (1, 1, 0, 0)}),
-            "v3<=0": (_ONES4, {"all": _ONES4})},
-    },
-    "R4_10": {
-        2: {"v2>1": ((0, 1, 0, 1), {"all": _ONES4}),
-            "v2=1": ((0, 1, 0, 1), {"ndiv": _ONES4, "div": (1, 0, 1, 0)}),
-            "v2<=0": (_ONES4, {"all": _ONES4})},
-        5: {"t=4(5)": ((0, 0, 1, 1), {"all": _ONES4}),
-            "other": (_ONES4, {"all": _ONES4})},
-    },
-    "R6": {
-        2: {"v2>0": ((0, 1, 0, 1, 0, 1), {"all": (0,) * 6}),
-            "v2<=0": ((0,) * 6, {"all": (0,) * 6})},
-        3: {"v3=0": ((0, 0, 1, 1, 2, 2), {"all": (0,) * 6}),
-            "v3!=0": ((0,) * 6, {"all": (0,) * 6})},
-    },
-    "S8": {
-        2: {"v2!=0": ((0,) * 8, {"all": (0,) * 8}),
-            "v2=0,3(4)": ((0, 0, 1, 1, 1, 2, 2, 1), {"all": (0,) * 8}),
-            "v2=0,1(4)": ((0, 0, 1, 1, 2, 1, 1, 2), {"all": (0,) * 8})},
-        3: {"v3>=1": ((0, 1, 0, 1, 0, 1, 0, 1), {"all": (0,) * 8}),
-            "v3<=0": ((0,) * 8, {"all": (0,) * 8})},
-    },
-}
+_TYPES: dict = {}
 
-# genus >= 1 types: no t, single branch; u(E) = ones except where noted
-_UTABLE_GENUS1 = {
-    "L2_11": (_ONES2, 11, (0, 1)),
-    "L2_17": (_ONES2, 17, (0, 1)),
-    "L2_19": (_ONES2, 19, (0, 1)),
-    "L2_37": (_ONES2, 37, None),
-    "L2_43": (_ONES2, 43, (0, 1)),
-    "L2_67": (_ONES2, 67, (0, 1)),
-    "L2_163": (_ONES2, 163, (0, 1)),
-    "L4": ((0, 1, 1, 1), 3, (0, 0, 1, 1)),
-    "R4_14": (_ONES4, 7, (0, 0, 1, 1)),
-    "R4_15": (_ONES4, 5, (0, 0, 1, 1)),
-    "R4_21": (_ONES4, 3, (0, 1, 0, 1)),
-}
 
-_PRIME_BLOCK_BRANCH = {
-    ("R4_6", 2): _branch2_R4_6, ("R4_6", 3): _branch3_R4_6,
-    ("R4_10", 2): _branch2_R4_10, ("R4_10", 5): _branch5_R4_10,
-    ("R6", 2): _branch2_R6, ("R6", 3): _branch3_R6,
-    ("S8", 2): _branch2_S8, ("S8", 3): _branch3_S8,
-}
+def _register(kind, vertices, inverse_volumes, edges, primes, blocks, decisions, excluded=()):
+    _TYPES[kind] = GraphType(
+        kind, tuple(vertices), tuple(Fraction(1, v) for v in inverse_volumes), tuple(edges),
+        tuple(primes), tuple(blocks),
+        {k if isinstance(k, tuple) else (k,): rows for k, rows in decisions.items()},
+        tuple(Fraction(x) for x in excluded))
+
+
+def _line(kind, p, length, blocks, decisions, excluded=()):
+    """Chain E_1 -- p -- E_p -- p -- ... of the given number of vertices."""
+    labels = [f"E_{p**i}" for i in range(length)]
+    _register(kind, labels, [p**i for i in range(length)],
+              [(labels[i], labels[i + 1], p) for i in range(length - 1)], (p,),
+              blocks, decisions, excluded)
+
+
+def _rect(p, q, blocks, decisions):
+    """The square E_1, E_p, E_q, E_pq of R4_pq."""
+    e1, ep, eq, epq = "E_1", f"E_{p}", f"E_{q}", f"E_{p * q}"
+    _register(f"R4_{p * q}", (e1, ep, eq, epq), (1, p, q, p * q),
+              ((e1, eq, q), (e1, ep, p), (ep, epq, q), (eq, epq, p)), (p, q),
+              blocks, decisions)
+
+
+_line("L2_2", 2, 2, [PrimeBlock(2, _by_offset(2, 6, 4), {
+    "v>=8": ((0, 1), None),
+    "high": ((0, 1), (1, 0)),
+    "low": (_ONES2, (0, 1)),
+    "v<=4": (_ONES2, None),
+})], {"v>=8": _every("E_2"),
+      "high": _split(2, "E_2", "E_1"),
+      "low": _split(2, "E_1", "E_2"),
+      "v<=4": _every("E_1")}, excluded=(-64,))
+
+_line("L2_3", 3, 2, [PrimeBlock(3, _by_offset(3, 3, 6), {
+    "v>=5": ((0, 1), None),
+    "high": ((0, 1), (1, 0)),
+    "low": (_ONES2, (0, 1)),
+    "v<=1": (_ONES2, None),
+})], {"v>=5": _every("E_3"),
+      "high": _split(3, "E_3", "E_1"),
+      "low": _split(3, "E_1", "E_3"),
+      "v<=1": _every("E_1")}, excluded=(-27,))
+
+_line("L2_5", 5, 2, [PrimeBlock(5, _by_valuation(5, [(3, "v>=3"), (2, "v=2"), (1, "v=1")],
+                                                   "v<=0"), {
+    "v>=3": ((0, 1), None),
+    "v=2": ((0, 1), (1, 0)),
+    "v=1": (_ONES2, (0, 1)),
+    "v<=0": (_ONES2, None),
+})], {"v>=3": _every("E_5"),
+      "v=2": _split(5, "E_5", "E_1"),
+      "v=1": _split(5, "E_1", "E_5"),
+      "v<=0": _every("E_1")})
+
+_line("L2_7", 7, 2, [PrimeBlock(7, _by_valuation(7, [(2, "v>=2"), (1, "v=1")], "v<=0"), {
+    "v>=2": ((0, 1), None),
+    "v=1": (_ONES2, (0, 1)),
+    "v<=0": (_ONES2, None),
+})], {"v>=2": _every("E_7"),
+      "v=1": _split(7, "E_1", "E_7"),
+      "v<=0": _every("E_1")})
+
+_line("L2_13", 13, 2, [PrimeBlock(13, _by_valuation(13, [(1, "v>0")], "v<=0"), {
+    "v>0": ((0, 1), None),
+    "v<=0": (_ONES2, None),
+})], {"v>0": _every("E_13"), "v<=0": _every("E_1")})
+
+_line("L3_9", 3, 3, [PrimeBlock(3, _by_valuation(3, [(3, "v>=3"), (2, "v=2"), (1, "v=1")],
+                                                   "v<=0"), {
+    "v>=3": ((0, 1, 2), None),
+    "v=2": ((0, 1, 1), (0, 0, 1)),
+    "v=1": (_ONES3, (0, 1, 1)),
+    "v<=0": (_ONES3, None),
+})], {"v>=3": _every("E_9"),
+      "v=2": _split(3, "E_3", "E_9"),
+      "v=1": _split(3, "E_1", "E_3"),
+      "v<=0": _every("E_1")})
+
+_line("L3_25", 5, 3, [PrimeBlock(5, _by_valuation(5, [(1, "v>=1")], "v<=0"), {
+    "v>=1": ((0, 1, 2), None),
+    "v<=0": (_ONES3, None),
+})], {"v>=1": _every("E_25"), "v<=0": _every("E_1")})
+
+_register("T4", ("E_1", "E_2", "E_4", "E_12"), (1, 2, 4, 4),
+          (("E_1", "E_2", 2), ("E_2", "E_4", 2), ("E_2", "E_12", 2)), (2,),
+          [PrimeBlock(2, _branch_T4, {
+              "v>=6": ((0, 1, 2, 0), None),
+              "v=5": ((0, 1, 1, 1), (0, 0, 1, 0)),
+              "v=4,1(4)": ((0, 1, 1, 1), (0, 0, 0, 1)),
+              "v=4,3(4)": ((0, 1, 1, 2), None),
+              "v=3": (_ONES4, (0, 1, 1, 1)),
+              "v<=2": (_ONES4, None),
+          })],
+          {"v>=6": _every("E_4"),
+           "v=5": _split(2, "E_2", "E_4"),
+           "v=4,1(4)": _split(2, "E_2", "E_12"),
+           "v=4,3(4)": _every("E_12"),
+           "v=3": _split(2, "E_1", "E_2"),
+           "v<=2": _every("E_1")})
+
+_register("T6", ("E_1", "E_2", "E_12", "E_4", "E_8", "E_22"), (1, 2, 4, 4, 8, 8),
+          (("E_1", "E_2", 2), ("E_12", "E_2", 2), ("E_2", "E_4", 2),
+           ("E_4", "E_8", 2), ("E_4", "E_22", 2)), (2,),
+          [PrimeBlock(2, _by_residue(2), {
+              "v>=3": ((0, 1, 2, 1, 1, 1), None),
+              "v=2,3(4)": ((0, 1, 1, 2, 3, 2), None),
+              "v=2,1(4)": ((0, 1, 1, 2, 2, 3), None),
+              "v<=1": (_ONES6, None),
+          })],
+          {"v>=3": _every("E_12"),
+           "v=2,3(4)": _every("E_8"),
+           "v=2,1(4)": _every("E_22"),
+           "v<=1": _every("E_1")})
+
+_register("T8", ("E_1", "E_2", "E_21", "E_4", "E_41", "E_8", "E_81", "E_16"),
+          (1, 2, 4, 4, 8, 8, 16, 16),
+          (("E_1", "E_2", 2), ("E_21", "E_2", 2), ("E_2", "E_4", 2), ("E_4", "E_41", 2),
+           ("E_4", "E_8", 2), ("E_8", "E_81", 2), ("E_8", "E_16", 2)), (2,),
+          [PrimeBlock(2, _by_residue(1), {
+              "v>=2": ((0, 1, 2, 1, 1, 1, 1, 1), None),
+              "v=1,3(4)": ((0, 1, 1, 2, 2, 3, 4, 3), None),
+              "v=1,1(4)": ((0, 1, 1, 2, 2, 3, 3, 4), None),
+              "v<=0": ((0, 1, 1, 1, 1, 1, 1, 1), None),
+          })],
+          {"v>=2": _every("E_21"),
+           "v=1,3(4)": _every("E_81"),
+           "v=1,1(4)": _every("E_16"),
+           "v<=0": _every("E_2")})
+
+_rect(2, 3, [
+    PrimeBlock(2, _by_valuation(2, [(2, "v2>=2")], "v2<=1"), {
+        "v2>=2": ((0, 1, 0, 1), None),
+        "v2<=1": (_ONES4, None)}),
+    PrimeBlock(3, _by_valuation(3, [(2, "v3>=2"), (1, "v3=1")], "v3<=0"), {
+        "v3>=2": ((0, 0, 1, 1), None),
+        "v3=1": ((0, 0, 1, 1), (1, 1, 0, 0)),
+        "v3<=0": (_ONES4, None)}),
+], {("v2>=2", "v3>=2"): _every("E_6"),
+    ("v2>=2", "v3=1"): _split(3, "E_6", "E_2"),
+    ("v2>=2", "v3<=0"): _every("E_2"),
+    ("v2<=1", "v3>=2"): _every("E_3"),
+    ("v2<=1", "v3=1"): _split(3, "E_3", "E_1"),
+    ("v2<=1", "v3<=0"): _every("E_1")})
+
+_rect(2, 5, [
+    PrimeBlock(2, _by_valuation(2, [(2, "v2>1"), (1, "v2=1")], "v2<=0"), {
+        "v2>1": ((0, 1, 0, 1), None),
+        "v2=1": ((0, 1, 0, 1), (1, 0, 1, 0)),
+        "v2<=0": (_ONES4, None)}),
+    PrimeBlock(5, _branch5_R4_10, {
+        "t=4(5)": ((0, 0, 1, 1), None),
+        "other": (_ONES4, None)}),
+], {("v2>1", "other"): _every("E_2"),
+    ("v2>1", "t=4(5)"): _every("E_10"),
+    ("v2=1", "other"): _split(2, "E_2", "E_1"),
+    ("v2=1", "t=4(5)"): _split(2, "E_10", "E_5"),
+    ("v2<=0", "other"): _every("E_1"),
+    ("v2<=0", "t=4(5)"): _every("E_5")})
+
+_register("R6", ("E_1", "E_2", "E_3", "E_6", "E_9", "E_18"), (1, 2, 3, 6, 9, 18),
+          (("E_1", "E_3", 3), ("E_3", "E_9", 3), ("E_2", "E_6", 3), ("E_6", "E_18", 3),
+           ("E_1", "E_2", 2), ("E_3", "E_6", 2), ("E_9", "E_18", 2)), (2, 3),
+          [PrimeBlock(2, _by_valuation(2, [(1, "v2>0")], "v2<=0"), {
+              "v2>0": ((0, 1, 0, 1, 0, 1), None),
+              "v2<=0": (_ONES6, None)}),
+           PrimeBlock(3, _branch3_R6, {
+               "v3=0": ((0, 0, 1, 1, 2, 2), None),
+               "v3!=0": (_ONES6, None)})],
+          {("v2>0", "v3!=0"): _every("E_2"),
+           ("v2>0", "v3=0"): _every("E_18"),
+           ("v2<=0", "v3!=0"): _every("E_1"),
+           ("v2<=0", "v3=0"): _every("E_9")})
+
+_register("S8", ("E_1", "E_3", "E_2", "E_6", "E_21", "E_12", "E_4", "E_31"),
+          (1, 3, 2, 6, 4, 12, 4, 12),
+          (("E_1", "E_3", 3), ("E_1", "E_2", 2), ("E_3", "E_6", 2), ("E_2", "E_6", 3),
+           ("E_2", "E_21", 2), ("E_2", "E_4", 2), ("E_6", "E_12", 2), ("E_6", "E_31", 2),
+           ("E_21", "E_12", 3), ("E_4", "E_31", 3)), (2, 3),
+          [PrimeBlock(2, _branch2_S8, {
+              "v2!=0": (_ONES8, None),
+              "v2=0,3(4)": ((0, 0, 1, 1, 1, 2, 2, 1), None),
+              "v2=0,1(4)": ((0, 0, 1, 1, 2, 1, 1, 2), None)}),
+           PrimeBlock(3, _by_valuation(3, [(1, "v3>=1")], "v3<=0"), {
+               "v3>=1": ((0, 1, 0, 1, 0, 1, 0, 1), None),
+               "v3<=0": (_ONES8, None)})],
+          {("v2!=0", "v3>=1"): _every("E_3"),
+           ("v2=0,3(4)", "v3>=1"): _every("E_12"),
+           ("v2=0,1(4)", "v3>=1"): _every("E_31"),
+           ("v2!=0", "v3<=0"): _every("E_1"),
+           ("v2=0,3(4)", "v3<=0"): _every("E_4"),
+           ("v2=0,1(4)", "v3<=0"): _every("E_21")})
+
+# genus >= 1: no t, one branch; u(E) = ones except for L4
+for _p in (11, 17, 19, 43, 67, 163):
+    _line(f"L2_{_p}", _p, 2, [PrimeBlock(_p, None, {"all": (_ONES2, (0, 1))})],
+          {"all": _split(_p, "E_1", f"E_{_p}")})
+_line("L2_37", 37, 2, [PrimeBlock(37, None, {"all": (_ONES2, None)})], {"all": _every("E_1")})
+_line("L4", 3, 4, [PrimeBlock(3, None, {"all": ((0, 1, 1, 1), (0, 0, 1, 1))})],
+      {"all": _split(3, "E_3", "E_9")})
+_rect(2, 7, [PrimeBlock(7, None, {"all": (_ONES4, (0, 0, 1, 1))})],
+      {"all": _split(7, "E_1", "E_7")})
+_rect(3, 5, [PrimeBlock(5, None, {"all": (_ONES4, (0, 0, 1, 1))})],
+      {"all": _split(5, "E_1", "E_5")})
+_rect(3, 7, [PrimeBlock(3, None, {"all": (_ONES4, (0, 1, 0, 1))})],
+      {"all": _split(3, "E_1", "E_3")})
+
+GENUS0 = {kind for kind, g in _TYPES.items() if not g.genus_ge_1}
+GENUS_GE1 = {kind for kind, g in _TYPES.items() if g.genus_ge_1}
+ALL_TYPES = sorted(_TYPES)
+
+
+def graph_type(kind: str) -> GraphType:
+    try:
+        return _TYPES[kind]
+    except KeyError:
+        raise ValueError(f"unknown graph type {kind!r}") from None
+
+
+# ---------------------------------------------------------------------------
+# lookups
+
+def check_t(kind: str, t: Optional[RatLike]) -> Optional[Fraction]:
+    """t as a Fraction for a genus-0 type, None for a genus >= 1 type.
+
+    Raises ValueError when a genus-0 type gets no t or a genus >= 1 type
+    gets one, and CuspError at the cusp t = 0 or an excluded value.
+    """
+    g = graph_type(kind)
+    if g.genus_ge_1:
+        if t is not None:
+            raise ValueError(f"type {kind} has no hauptmodul value t; omit it")
+        return None
+    if t is None:
+        raise ValueError(f"type {kind} needs a hauptmodul value t")
+    t = Fraction(t)
+    if t == 0:
+        raise CuspError("t = 0 is a cusp")
+    if t in g.excluded:
+        raise CuspError(f"t = {t} is excluded for {kind}")
+    return t
+
+
+def branches(kind: str) -> set:
+    """Every branch key of the type: tuples of one key per prime block."""
+    return set(graph_type(kind).decisions)
+
+
+def branch_key(kind: str, t: Optional[RatLike]) -> tuple:
+    """The branch of t: one key per prime block."""
+    t = check_t(kind, t)
+    return tuple(b.key(t) for b in graph_type(kind).blocks)
+
+
+def decision_rows(kind: str, t: Optional[RatLike]) -> tuple:
+    """The theorem's ((DCondition, vertex), ...) rows for the branch of t."""
+    return graph_type(kind).decisions[branch_key(kind, t)]
 
 
 @dataclass(frozen=True)
@@ -403,124 +480,24 @@ class UVectors:
     uEd: tuple
 
 
-def _check_d(d: int) -> int:
-    if d == 0 or not is_squarefree(d):
-        raise ValueError(f"d = {d} is not a nonzero square-free integer")
-    return d
-
-
 def u_vectors(kind: str, t: Optional[RatLike], d: int) -> UVectors:
-    """Table pair ([u(E)], [u(E^d)]) for the branch selected by (t, d)."""
+    """Table pair ([u(E)], [u(E^d)]) for the branch selected by (t, d):
+    the componentwise product of the prime blocks' powers of p."""
     g = graph_type(kind)
-    d = _check_d(d)
+    d = check_d(d)
+    t = check_t(kind, t)
     n = len(g.vertices)
-    if g.genus_ge_1:
-        uE_exp, p, uEd_exp = _UTABLE_GENUS1[kind]
-        uE = tuple(Fraction(p) ** e for e in uE_exp)
-        if uEd_exp is not None and d % p == 0:
-            uEd = tuple(Fraction(p) ** e for e in uEd_exp)
-        else:
-            uEd = (Fraction(1),) * n
-        return UVectors(uE, uEd)
-    t = _check_t(kind, t)
     uE = [Fraction(1)] * n
     uEd = [Fraction(1)] * n
-    for p, branches in _UTABLE[kind].items():
-        key = _PRIME_BLOCK_BRANCH.get((kind, p), _BRANCH.get(kind))(t)
-        uE_exp, by_class = branches[key]
-        if "all" in by_class:
-            uEd_exp = by_class["all"]
-        else:
-            uEd_exp = by_class["div" if d % p == 0 else "ndiv"]
+    for block in g.blocks:
+        uE_exp, uEd_exp = block.rows[block.key(t)]
+        p = Fraction(block.p)
         for i in range(n):
-            uE[i] *= Fraction(p) ** uE_exp[i]
-            uEd[i] *= Fraction(p) ** uEd_exp[i]
+            uE[i] *= p ** uE_exp[i]
+        if uEd_exp is not None and d % block.p == 0:
+            for i in range(n):
+                uEd[i] *= p ** uEd_exp[i]
     return UVectors(tuple(uE), tuple(uEd))
-
-
-# ---------------------------------------------------------------------------
-# decision rows (the theorem's table)
-#
-# kind -> branch key -> list of (d-condition, winning vertex); d-condition
-# is "all" or ("div"|"ndiv", p).
-
-_DECISION = {
-    "L2_2": {"v>=8": [("all", "E_2")],
-             "high": [(("ndiv", 2), "E_2"), (("div", 2), "E_1")],
-             "low": [(("ndiv", 2), "E_1"), (("div", 2), "E_2")],
-             "v<=4": [("all", "E_1")]},
-    "L2_3": {"v>=5": [("all", "E_3")],
-             "high": [(("ndiv", 3), "E_3"), (("div", 3), "E_1")],
-             "low": [(("ndiv", 3), "E_1"), (("div", 3), "E_3")],
-             "v<=1": [("all", "E_1")]},
-    "L2_5": {"v>=3": [("all", "E_5")],
-             "v=2": [(("ndiv", 5), "E_5"), (("div", 5), "E_1")],
-             "v=1": [(("ndiv", 5), "E_1"), (("div", 5), "E_5")],
-             "v<=0": [("all", "E_1")]},
-    "L2_7": {"v>=2": [("all", "E_7")],
-             "v=1": [(("ndiv", 7), "E_1"), (("div", 7), "E_7")],
-             "v<=0": [("all", "E_1")]},
-    "L2_13": {"v>0": [("all", "E_13")], "v<=0": [("all", "E_1")]},
-    "L3_9": {"v>=3": [("all", "E_9")],
-             "v=2": [(("ndiv", 3), "E_3"), (("div", 3), "E_9")],
-             "v=1": [(("ndiv", 3), "E_1"), (("div", 3), "E_3")],
-             "v<=0": [("all", "E_1")]},
-    "L3_25": {"v>=1": [("all", "E_25")], "v<=0": [("all", "E_1")]},
-    "T4": {"v>=6": [("all", "E_4")],
-           "v=5": [(("ndiv", 2), "E_2"), (("div", 2), "E_4")],
-           "v=4,1(4)": [(("ndiv", 2), "E_2"), (("div", 2), "E_12")],
-           "v=4,3(4)": [("all", "E_12")],
-           "v=3": [(("ndiv", 2), "E_1"), (("div", 2), "E_2")],
-           "v<=2": [("all", "E_1")]},
-    "T6": {"v>=3": [("all", "E_12")],
-           "v=2,3(4)": [("all", "E_8")],
-           "v=2,1(4)": [("all", "E_22")],
-           "v<=1": [("all", "E_1")]},
-    "T8": {"v>=2": [("all", "E_21")],
-           "v=1,3(4)": [("all", "E_81")],
-           "v=1,1(4)": [("all", "E_16")],
-           "v<=0": [("all", "E_2")]},
-}
-
-# multi-prime genus-0 types: keyed on the pair of per-prime branch keys
-_DECISION2 = {
-    "R4_6": {("v2>=2", "v3>=2"): [("all", "E_6")],
-             ("v2>=2", "v3=1"): [(("ndiv", 3), "E_6"), (("div", 3), "E_2")],
-             ("v2>=2", "v3<=0"): [("all", "E_2")],
-             ("v2<=1", "v3>=2"): [("all", "E_3")],
-             ("v2<=1", "v3=1"): [(("ndiv", 3), "E_3"), (("div", 3), "E_1")],
-             ("v2<=1", "v3<=0"): [("all", "E_1")]},
-    "R4_10": {("v2>1", "other"): [("all", "E_2")],
-              ("v2>1", "t=4(5)"): [("all", "E_10")],
-              ("v2=1", "other"): [(("ndiv", 2), "E_2"), (("div", 2), "E_1")],
-              ("v2=1", "t=4(5)"): [(("ndiv", 2), "E_10"), (("div", 2), "E_5")],
-              ("v2<=0", "other"): [("all", "E_1")],
-              ("v2<=0", "t=4(5)"): [("all", "E_5")]},
-    "R6": {("v2>0", "v3!=0"): [("all", "E_2")],
-           ("v2>0", "v3=0"): [("all", "E_18")],
-           ("v2<=0", "v3!=0"): [("all", "E_1")],
-           ("v2<=0", "v3=0"): [("all", "E_9")]},
-    "S8": {("v2!=0", "v3>=1"): [("all", "E_3")],
-           ("v2=0,3(4)", "v3>=1"): [("all", "E_12")],
-           ("v2=0,1(4)", "v3>=1"): [("all", "E_31")],
-           ("v2!=0", "v3<=0"): [("all", "E_1")],
-           ("v2=0,3(4)", "v3<=0"): [("all", "E_4")],
-           ("v2=0,1(4)", "v3<=0"): [("all", "E_21")]},
-}
-
-_DECISION_GENUS1 = {
-    "L2_11": [(("ndiv", 11), "E_1"), (("div", 11), "E_11")],
-    "L2_17": [(("ndiv", 17), "E_1"), (("div", 17), "E_17")],
-    "L2_19": [(("ndiv", 19), "E_1"), (("div", 19), "E_19")],
-    "L2_37": [("all", "E_1")],
-    "L2_43": [(("ndiv", 43), "E_1"), (("div", 43), "E_43")],
-    "L2_67": [(("ndiv", 67), "E_1"), (("div", 67), "E_67")],
-    "L2_163": [(("ndiv", 163), "E_1"), (("div", 163), "E_163")],
-    "L4": [(("ndiv", 3), "E_3"), (("div", 3), "E_9")],
-    "R4_14": [(("ndiv", 7), "E_1"), (("div", 7), "E_7")],
-    "R4_15": [(("ndiv", 5), "E_1"), (("div", 5), "E_5")],
-    "R4_21": [(("ndiv", 3), "E_1"), (("div", 3), "E_3")],
-}
 
 
 @dataclass(frozen=True)
@@ -530,51 +507,12 @@ class FaltingsResult:
     probability: Fraction
 
 
-def probability_of_branch(p: int, divisible: bool) -> Fraction:
-    """Lemma-1 density of square-free d with d = 0 (p), resp. d != 0 (p)."""
-    return Fraction(1, 1 + p) if divisible else Fraction(p, 1 + p)
-
-
-def _d_cond_str(cond) -> str:
-    if cond == "all":
-        return "all"
-    kind, p = cond
-    return f"d=0({p})" if kind == "div" else f"d!=0({p})"
-
-
-def _d_cond_prob(cond) -> Fraction:
-    if cond == "all":
-        return Fraction(1)
-    kind, p = cond
-    return probability_of_branch(p, kind == "div")
-
-
-def _d_cond_match(cond, d: int) -> bool:
-    if cond == "all":
-        return True
-    kind, p = cond
-    return (d % p == 0) == (kind == "div")
-
-
-def _decision_rows(kind: str, t: Optional[Fraction]):
-    g = graph_type(kind)
-    if g.genus_ge_1:
-        return _DECISION_GENUS1[kind]
-    t = _check_t(kind, t)
-    if kind in _DECISION2:
-        keys = tuple(_PRIME_BLOCK_BRANCH[(kind, p)](t) for p in sorted(_UTABLE[kind]))
-        return _DECISION2[kind][keys]
-    return _DECISION[kind][_BRANCH[kind](t)]
-
-
 def faltings_by_theorem(kind: str, t: Optional[RatLike], d: int) -> FaltingsResult:
     """The decision-table row matching (type, t, d)."""
-    d = _check_d(d)
-    t = _check_t(kind, Fraction(t) if t is not None else None)
-    for cond, vertex in _decision_rows(kind, t):
-        if _d_cond_match(cond, d):
-            return FaltingsResult(vertex, _d_cond_str(cond), _d_cond_prob(cond))
-    raise AssertionError("decision rows not exhaustive")  # pragma: no cover
+    d = check_d(d)
+    # the registry checked at import that each branch's rows partition d
+    cond, vertex = next(row for row in decision_rows(kind, t) if row[0].matches(d))
+    return FaltingsResult(vertex, str(cond), cond.probability)
 
 
 def faltings_by_volumes(kind: str, t: Optional[RatLike], d: int) -> str:
@@ -591,7 +529,4 @@ def faltings_by_volumes(kind: str, t: Optional[RatLike], d: int) -> str:
 
 def prob_table(kind: str, t: Optional[RatLike]) -> list[FaltingsResult]:
     """All d-branches for a fixed (type, t); probabilities sum to 1."""
-    rows = _decision_rows(kind, Fraction(t) if t is not None else None)
-    out = [FaltingsResult(v, _d_cond_str(c), _d_cond_prob(c)) for c, v in rows]
-    assert sum(r.probability for r in out) == 1
-    return out
+    return [FaltingsResult(v, str(c), c.probability) for c, v in decision_rows(kind, t)]

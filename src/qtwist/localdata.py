@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .exactnum import is_squarefree, unit_residue, vp
+from .exactnum import check_d, unit_residue, vp
 from .weierstrass import PSignature, Signature, p_signature, transform
 
 
@@ -356,7 +356,8 @@ def classify(s: Signature, p: int) -> LocalClassification:
         if outcome == "loop":
             k += 1
             sk = transform(s, Fraction(p) ** k)
-            assert realizable(sk, p), "rescaled model must stay realizable"
+            if not realizable(sk, p):
+                raise TableMissError(f"p={p}: rescaled model is not realizable")
             continue
         return LocalClassification(
             p=p,
@@ -386,7 +387,8 @@ def _make_row_pal(row, p: int):
 
 def row_pal_value(c: LocalClassification, d: int) -> Fraction:
     """The matched table row's printed u_p(E^d) entry for this d."""
-    assert c._row_pal is not None and c.minimal_sig is not None
+    if c._row_pal is None or c.minimal_sig is None:
+        raise ValueError("classification carries no matched table row")
     return c._row_pal(c.minimal_sig, d)
 
 
@@ -409,8 +411,7 @@ def global_minimal(s: Signature) -> tuple[Signature, Fraction]:
 
 def pal_u(c: LocalClassification, minimal_sig: Signature, d: int) -> Fraction:
     """Twist rescaling value u_p(E^d) of the minimal model, at p = c.p."""
-    if d == 0 or not is_squarefree(d):
-        raise ValueError(f"d = {d} is not square-free")
+    check_d(d)
     p = c.p
     if p != 2:
         if d % p == 0 and c.kodaira.starred:
@@ -444,8 +445,7 @@ def global_pal(minimal_sig: Signature, d: int) -> Fraction:
     """u(E^d): product of pal_u over primes dividing 2, d, and Delta."""
     from sympy import factorint
 
-    if d == 0 or not is_squarefree(d):
-        raise ValueError(f"d = {d} is not square-free")
+    check_d(d)
     primes = {2} | set(factorint(abs(d)).keys())
     primes |= set(factorint(abs(minimal_sig.delta.numerator)).keys())
     u = Fraction(1)

@@ -11,10 +11,9 @@ from fractions import Fraction
 from typing import Optional
 
 import mpmath as mp
-import numpy as np
 
 from . import families, graphs
-from .exactnum import RatLike
+from .exactnum import RatLike, _check_prime
 from .localdata import global_minimal
 from .weierstrass import Signature, twist_sig
 
@@ -100,6 +99,7 @@ def verify_class(kind: str, t: Optional[RatLike], d: int,
                  signatures=None) -> HeightReport:
     """Numeric argmin of Faltings heights over the twisted class vs the
     closed-form decision."""
+    graphs.check_t(kind, t)
     labelled = signatures or _class_signatures(kind, t, variant)
     rows = []
     for label, sig in labelled:
@@ -116,13 +116,15 @@ def verify_class(kind: str, t: Optional[RatLike], d: int,
 # ---------------------------------------------------------------------------
 # sieved densities
 
-def _squarefree_mask(n: int) -> np.ndarray:
-    """mask[i] for i in 0..n: i is square-free (mask[0] False)."""
-    mask = np.ones(n + 1, dtype=bool)
-    mask[0] = False
+def _squarefree_mask(n: int) -> bytearray:
+    """mask[i] = 1 for the square-free i in 0..n, else 0 (mask[0] = 0)."""
+    if n < 10**4:
+        raise ValueError("bound must be at least 10^4")
+    mask = bytearray(b"\x01") * (n + 1)
+    mask[0] = 0
     k = 2
     while k * k <= n:
-        mask[k * k:: k * k] = False
+        mask[k * k:: k * k] = bytes(n // (k * k))
         k += 1
     return mask
 
@@ -138,11 +140,10 @@ class DensityReport:
 def squarefree_density(p: int, bound: int) -> DensityReport:
     """Among square-free n <= bound: fraction divisible by p, plus the
     overall square-free density (expected 1/(1+p) and 6/pi^2)."""
-    if bound < 10**4:
-        raise ValueError("bound must be at least 10^4")
+    _check_prime(p)
     mask = _squarefree_mask(bound)
-    total_sf = int(mask.sum())
-    div = int(mask[p::p].sum())
+    total_sf = mask.count(1)
+    div = mask[p::p].count(1)
     return DensityReport(p, bound, div / total_sf, total_sf / bound)
 
 
@@ -154,16 +155,15 @@ def empirical_prob(kind: str, t: Optional[RatLike], bound: int) -> dict:
     primes, so each branch is counted with one sieve pass; counting
     positive d suffices because every condition is sign-blind.
     """
+    rows = graphs.decision_rows(kind, t)
     mask = _squarefree_mask(bound)
-    total = int(mask.sum())
+    total = mask.count(1)
     freq: dict = {}
-    for row in graphs.prob_table(kind, t):
-        cond = row.d_condition
-        if cond == "all":
+    for cond, vertex in rows:
+        if cond.p is None:
             count = total
         else:
-            p = int(cond.split("(")[1].rstrip(")"))
-            div = int(mask[p::p].sum())
-            count = div if cond.startswith("d=0") else total - div
-        freq[row.vertex] = freq.get(row.vertex, 0.0) + count / total
+            div = mask[cond.p::cond.p].count(1)
+            count = div if cond.divisible else total - div
+        freq[vertex] = freq.get(vertex, 0.0) + count / total
     return freq

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import RatLike, is_squarefree, vp
+from .exactnum import RatLike, check_d, vp
 
 
 @dataclass(frozen=True)
@@ -84,8 +84,7 @@ def transform(s: Signature, u: RatLike) -> Signature:
 
 def twist_sig(s: Signature, d: int) -> Signature:
     """Signature of the quadratic twist by Q(sqrt(d))."""
-    if d == 0 or not is_squarefree(d):
-        raise ValueError(f"d = {d} is not square-free")
+    check_d(d)
     return Signature(d**2 * s.c4, d**3 * s.c6, d**6 * s.delta)
 
 

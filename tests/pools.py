@@ -4,7 +4,7 @@ The sweep tests need, for every isogeny-graph type, a supply of
 hauptmodul values t hitting each decision branch, plus square-free
 twisting integers d in each residue class a branch splits on.  Branch
 keys are taken from the package's own classifiers; coverage is asserted
-against the decision tables, so a missing branch fails loudly.
+against the registry's branches, so a missing branch fails loudly.
 """
 
 from collections import defaultdict
@@ -15,22 +15,6 @@ from qtwist.exactnum import is_squarefree
 
 _UNITS = list(range(1, 100, 2))
 _DENS = [1, 7, 11, 17, 23, 29]
-
-
-def branch_key(kind, t):
-    """The composite key indexing this type's decision table."""
-    if kind in graphs._DECISION2:
-        return tuple(
-            graphs._PRIME_BLOCK_BRANCH[(kind, p)](t)
-            for p in sorted(graphs._UTABLE[kind])
-        )
-    return graphs._BRANCH[kind](t)
-
-
-def decision_branches(kind):
-    if kind in graphs._DECISION2:
-        return set(graphs._DECISION2[kind])
-    return set(graphs._DECISION[kind])
 
 
 def _candidates(kind):
@@ -75,13 +59,12 @@ def _candidates(kind):
 def pooled_ts(kind, per_branch):
     """{branch key: [t, ...]} with per_branch values per decision branch."""
     buckets = defaultdict(list)
-    want = decision_branches(kind)
+    want = graphs.branches(kind)
     for t in _candidates(kind):
         try:
-            graphs._check_t(kind, t)
+            key = graphs.branch_key(kind, t)
         except graphs.CuspError:
             continue
-        key = branch_key(kind, t)
         if key in want and len(buckets[key]) < per_branch:
             buckets[key].append(t)
         if len(buckets) == len(want) and all(
@@ -94,19 +77,12 @@ def pooled_ts(kind, per_branch):
 
 
 def squarefree_ds(cond, n):
-    """n square-free d matching a d-condition: 'all', ('div', p), ('ndiv', p)."""
+    """n square-free d matching a decision row's DCondition."""
     out = []
     d = 0
     while len(out) < n:
         d += 1
         for cand in (d, -d):
-            if not is_squarefree(cand):
-                continue
-            if cond == "all":
-                ok = True
-            else:
-                kind, p = cond
-                ok = (cand % p == 0) == (kind == "div")
-            if ok and len(out) < n:
+            if is_squarefree(cand) and cond.matches(cand) and len(out) < n:
                 out.append(cand)
     return out

@@ -33,7 +33,7 @@ def test_1_theorem_equals_volume_argmax_everywhere():
     for kind in sorted(graphs.GENUS0):
         for ts in pooled_ts(kind, 50).values():
             for t in ts:
-                for cond, vertex in graphs._decision_rows(kind, t):
+                for cond, vertex in graphs.decision_rows(kind, t):
                     for d in squarefree_ds(cond, 20):
                         r = graphs.faltings_by_theorem(kind, t, d)
                         assert r.vertex == vertex
@@ -41,7 +41,7 @@ def test_1_theorem_equals_volume_argmax_everywhere():
                             (kind, t, d)
                         checked += 1
     for kind in sorted(graphs.GENUS_GE1):
-        for cond, vertex in graphs._decision_rows(kind, None):
+        for cond, vertex in graphs.decision_rows(kind, None):
             for d in squarefree_ds(cond, 20):
                 r = graphs.faltings_by_theorem(kind, None, d)
                 assert r.vertex == vertex

@@ -8,39 +8,40 @@ from qtwist.cli import run
 
 
 def invoke(*args, capsys=None):
-    """Run the CLI in-process; returns (exit_code, parsed JSON or raw text)."""
+    """Run the CLI in-process; returns (exit_code, parsed JSON or raw text,
+    stderr)."""
     code = run(list(args))
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
     try:
-        return code, json.loads(out)
+        return code, json.loads(captured.out), captured.err
     except json.JSONDecodeError:
-        return code, out
+        return code, captured.out, captured.err
 
 
 class TestGoldenExamples:
     def test_faltings(self, capsys):
-        code, out = invoke("faltings", "--type", "L3_9", "--t", "45", "--d", "3",
-                           capsys=capsys)
+        code, out, _ = invoke("faltings", "--type", "L3_9", "--t", "45", "--d", "3",
+                              capsys=capsys)
         assert code == 0
         assert out["vertex"] == "E_9"
         assert out["probability"] == "1/4"
 
     def test_classify(self, capsys):
-        code, out = invoke("classify", "--ainvs", "1,1,1,-30,-76", "--p", "11",
-                           capsys=capsys)
+        code, out, _ = invoke("classify", "--ainvs", "1,1,1,-30,-76", "--p", "11",
+                              capsys=capsys)
         assert code == 0
         assert out["kodaira"] == "II"
         assert out["u_p"] == "1"
 
     def test_cusp_exit_2(self, capsys):
-        code, _ = invoke("faltings", "--type", "L3_9", "--t", "0", "--d", "5",
-                         capsys=capsys)
+        code, _, err = invoke("faltings", "--type", "L3_9", "--t", "0", "--d", "5",
+                              capsys=capsys)
         assert code == 2
-        assert "cusp" in capsys.readouterr().err.lower() or True
+        assert "cusp" in json.loads(err)["error"]
 
     def test_twist(self, capsys):
-        code, out = invoke("twist", "--ainvs", "1,1,1,-30,-76", "--d", "11",
-                           capsys=capsys)
+        code, out, _ = invoke("twist", "--ainvs", "1,1,1,-30,-76", "--d", "11",
+                              capsys=capsys)
         assert code == 0
         assert out["twist"]["c4"] == "174361"
         assert out["twist"]["c6"] == "72809693"
@@ -49,9 +50,23 @@ class TestGoldenExamples:
 
 class TestValidation:
     def test_non_squarefree_d(self, capsys):
-        code, _ = invoke("faltings", "--type", "L3_9", "--t", "45", "--d", "12",
-                         capsys=capsys)
+        code, _, _ = invoke("faltings", "--type", "L3_9", "--t", "45", "--d", "12",
+                            capsys=capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["empirical", "--type", "L3_9", "--t", "3", "--n", "10"],
+        ["empirical", "--type", "L3_9", "--t", "3", "--n", "-5"],
+        ["density", "--p", "4", "--n", "10000"],
+        ["faltings", "--type", "L2_11", "--t", "45", "--d", "1"],
+        ["prob", "--type", "L2_11", "--t", "45"],
+        ["verify", "--type", "L2_11", "--t", "45", "--d", "1"],
+    ])
+    def test_bad_input_exit_2(self, argv, capsys):
+        code, out, err = invoke(*argv, capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]
 
     def test_unknown_type(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -59,7 +74,7 @@ class TestValidation:
         assert exc.value.code == 2
 
     def test_schema_version(self, capsys):
-        code, out = invoke("prob", "--type", "L2_11", capsys=capsys)
+        code, out, _ = invoke("prob", "--type", "L2_11", capsys=capsys)
         assert code == 0
         assert out["schema_version"] == 1
 
@@ -67,51 +82,59 @@ class TestValidation:
 class TestSubcommands:
     def test_minimal(self, capsys):
         # non-minimal input scaled by u = 1/6 comes back with u = 6
-        code, out = invoke("minimal", "--sig",
-                           "642816,933493248,-350572971995136", capsys=capsys)
+        code, out, _ = invoke("minimal", "--sig",
+                              "642816,933493248,-350572971995136", capsys=capsys)
         assert code == 0
         assert out["u"] == "6"
         assert out["minimal"]["c4"] == "496"
 
     def test_prob_rows_sum(self, capsys):
-        code, out = invoke("prob", "--type", "L3_9", "--t", "3", capsys=capsys)
+        code, out, _ = invoke("prob", "--type", "L3_9", "--t", "3", capsys=capsys)
         assert code == 0
         from fractions import Fraction
         total = sum(Fraction(r["probability"]) for r in out["branches"])
         assert total == 1
 
     def test_family_l39(self, capsys):
-        code, out = invoke("family", "l39", "--t", "45", capsys=capsys)
+        code, out, _ = invoke("family", "l39", "--t", "45", capsys=capsys)
         assert code == 0
 
     def test_family_l211(self, capsys):
-        code, out = invoke("family", "l211", "--variant", "b", capsys=capsys)
+        code, out, _ = invoke("family", "l211", "--variant", "b", capsys=capsys)
         assert code == 0
 
     def test_verify(self, capsys):
-        code, out = invoke("verify", "--type", "L3_9", "--t", "45", "--d", "3",
-                           "--bits", "64", capsys=capsys)
+        code, out, _ = invoke("verify", "--type", "L3_9", "--t", "45", "--d", "3",
+                              "--bits", "64", capsys=capsys)
         assert code == 0
         assert out["match"] is True
 
     def test_density(self, capsys):
-        code, out = invoke("density", "--p", "3", "--n", "10000",
-                           capsys=capsys)
+        code, out, _ = invoke("density", "--p", "3", "--n", "10000",
+                              capsys=capsys)
         assert code == 0
 
     def test_empirical(self, capsys):
-        code, out = invoke("empirical", "--type", "L3_9", "--t", "3",
-                           "--n", "10000", capsys=capsys)
+        code, out, _ = invoke("empirical", "--type", "L3_9", "--t", "3",
+                              "--n", "10000", capsys=capsys)
         assert code == 0
 
     def test_pretty(self, capsys):
-        code, out = invoke("--pretty", "faltings", "--type", "L3_9", "--t", "45",
-                           "--d", "3", capsys=capsys)
+        code, out, _ = invoke("--pretty", "faltings", "--type", "L3_9", "--t", "45",
+                              "--d", "3", capsys=capsys)
         assert code == 0
         assert isinstance(out, str) and "E_9" in out
 
 
 class TestEntryPoint:
+    def test_import_leaves_numpy_out(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, qtwist.cli; print('numpy' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "False"
+
     def test_console_script(self):
         proc = subprocess.run(
             [sys.executable, "-m", "qtwist.cli", "faltings", "--type", "L2_11",

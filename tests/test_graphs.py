@@ -7,6 +7,9 @@ from qtwist.graphs import (
     GENUS0,
     GENUS_GE1,
     CuspError,
+    DCondition,
+    GraphType,
+    PrimeBlock,
     faltings_by_theorem,
     faltings_by_volumes,
     graph_type,
@@ -14,7 +17,7 @@ from qtwist.graphs import (
     probability_of_branch,
     u_vectors,
 )
-from qtwist import graphs
+from qtwist import families, graphs
 
 from pools import pooled_ts, squarefree_ds
 
@@ -66,13 +69,49 @@ class TestCusps:
         # fine for other types
         assert u_vectors("L2_5", -64, 1)
 
+    def test_one_cusp_error(self):
+        assert CuspError is families.CuspError
+
     def test_missing_t(self):
         with pytest.raises(ValueError):
             faltings_by_theorem("L3_9", None, 1)
 
+    def test_t_for_genus_ge1(self):
+        for fn in (faltings_by_theorem, faltings_by_volumes, u_vectors):
+            with pytest.raises(ValueError, match="no hauptmodul"):
+                fn("L2_11", 45, 1)
+        with pytest.raises(ValueError, match="no hauptmodul"):
+            prob_table("L2_11", 45)
+
     def test_bad_d(self):
         with pytest.raises(ValueError):
             faltings_by_theorem("L3_9", 3, 12)
+
+
+class TestSpecValidation:
+    """Each spec checks at construction that its decision rows cover every
+    branch and split the square-free d exactly once."""
+
+    @staticmethod
+    def spec(decisions):
+        block = PrimeBlock(3, None, {"all": ((0, 0), (0, 1))})
+        return GraphType("L2_3x", ("E_1", "E_3"), (Fraction(1), Fraction(1, 3)),
+                         (("E_1", "E_3", 3),), (3,), (block,), decisions)
+
+    def test_well_formed(self):
+        assert self.spec({("all",): ((DCondition(3, False), "E_1"),
+                                     (DCondition(3, True), "E_3"))})
+
+    @pytest.mark.parametrize("decisions", [
+        {},                                                       # branch without rows
+        {("all",): ((DCondition(3, False), "E_1"),)},             # p | d uncovered
+        {("all",): ((DCondition(3, False), "E_1"), (DCondition(2, True), "E_3"))},
+        {("all",): ((DCondition(), "E_1"), (DCondition(), "E_3"))},
+        {("all",): ((DCondition(), "E_9"),)},                     # no such vertex
+    ])
+    def test_broken_spec_raises(self, decisions):
+        with pytest.raises(ValueError):
+            self.spec(decisions)
 
 
 class TestProbabilities:
@@ -126,7 +165,7 @@ class TestBranchSweep:
     def test_theorem_equals_volumes(self, kind):
         for key, ts in pooled_ts(kind, 5).items():
             for t in ts:
-                for cond, vertex in graphs._decision_rows(kind, t):
+                for cond, vertex in graphs.decision_rows(kind, t):
                     for d in squarefree_ds(cond, 4):
                         r = faltings_by_theorem(kind, t, d)
                         assert r.vertex == vertex
