@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -195,8 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", required=True, choices=["L3_9", "L2_11"])
     p.add_argument("--t")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--bits", type=int,
-                   default=int(os.environ.get("QTWIST_BITS", "128")))
+    p.add_argument("--bits", type=int, default=128)
     p.add_argument("--variant", default="a", choices=["a", "b"])
     p.set_defaults(fn=_cmd_verify)
 

@@ -1,13 +1,15 @@
 """Per-prime reduction engine.
 
 Covers: realizability of a (c4, c6) pair by a p-integral Weierstrass model
-(Kraus-style congruence search at p = 2, 3), the minimal-model scale u_p
-and Kodaira symbol via the signature classification tables for p >= 5,
-p = 3 and p = 2, and the per-prime twist rescaling values u_p(E^d).
+(Kraus' criterion: Kraus 1989, Acta Arith. 54; Cremona, Algorithms for
+Modular Elliptic Curves, section 3.2), the minimal-model scale u_p and
+Kodaira symbol via the signature classification tables for p >= 5, p = 3
+and p = 2, and the per-prime twist rescaling values u_p(E^d).
 
-The tables are stored as literal row data.  Rows are matched top to
-bottom; a "loop" outcome means the model is not p-minimal, the signature
-is rescaled by u = p, and the search restarts.
+The tables are stored as literal row data and matched top to bottom
+against the p-signature at the largest realizable scale.  That model is
+p-minimal by construction, so no row rescales; a row's 2f/2g condition
+(which would mean "not minimal" when false) always holds there.
 """
 
 from __future__ import annotations
@@ -149,31 +151,18 @@ _CONDITIONS = {
 # realizability by an integral model (Kraus)
 
 def realizable(s: Signature, p: int) -> bool:
-    """Does the p-integral pair (c4, c6) come from a p-integral model?"""
+    """Does the p-integral pair (c4, c6) come from a p-integral model?
+
+    Kraus' local criterion: always at p >= 5; at p = 3 iff v3(c6) != 2; at
+    p = 2 iff c6 = 3 mod 4, or 16 | c4 and c6 = 0 or 8 mod 32.
+    """
     if any(v < 0 for v in p_signature(s, p).as_tuple() if v != math.inf):
         raise ValueError("signature not p-integral")
     if p >= 5:
         return True
     if p == 3:
-        for b2 in range(81):
-            b4 = (Fraction(b2) ** 2 - s.c4) / 24
-            if vp(b4, 3) < 0:
-                continue
-            b6 = (-(Fraction(b2) ** 3) + 36 * b2 * b4 - s.c6) / 216
-            if vp(b6, 3) >= 0:
-                return True
-        return False
-    # p = 2: search a1, a3 in {0,1} and b2 = a1^2 mod 4 (window mod 2^7)
-    for a1 in (0, 1):
-        for a3 in (0, 1):
-            for b2 in range(a1 * a1, 128, 4):
-                b4 = (Fraction(b2) ** 2 - s.c4) / 24
-                if vp(b4, 2) < 0 or _res(b4, 2, 1) != a1 * a3 % 2:
-                    continue
-                b6 = (-(Fraction(b2) ** 3) + 36 * b2 * b4 - s.c6) / 216
-                if vp(b6, 2) >= 0 and _res(b6, 2, 2) == a3 * a3 % 4:
-                    return True
-    return False
+        return vp(s.c6, 3) != 2
+    return _res(s.c6, 2, 2) == 3 or (vp(s.c4, 2) >= 4 and _res(s.c6, 2, 5) in (0, 8))
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +173,8 @@ def realizable(s: Signature, p: int) -> bool:
 #            ("e", k) exact, ("g", k) at least k
 #   outcome: list of (condition label or None, symbol factory) tried in
 #            order -- factories take v(Delta) of the scaled signature, so
-#            "6+n"-style rows recover n; "loop" forces a u = p rescaling
+#            "6+n"-style rows recover n; a row whose conditions all fail
+#            is a table miss
 #   pal:     printed u_p(E^d) columns: for p != 2 a pair of exponents of p
 #            for (d = 0 mod p, d != 0 mod p); for p = 2 a value triple
 #            keyed on d mod 4 (entries may be callables of (sig, d))
@@ -215,7 +205,6 @@ TABLE_P_GE5 = [
     ((("g", 3), ("e", 4), ("e", 8)), [(None, _fix("IV*"))], (1, 0)),
     ((("e", 3), ("g", 5), ("e", 9)), [(None, _fix("III*"))], (1, 0)),
     ((("g", 4), ("e", 5), ("e", 10)), [(None, _fix("II*"))], (1, 0)),
-    ((("g", 4), ("g", 6), ("g", 12)), "loop", None),
 ]
 
 TABLE_P3 = [
@@ -234,14 +223,11 @@ TABLE_P3 = [
     ((("g", 4), ("e", 6), ("e", 9)), [("3b", _fix("III*")), (None, _fix("IV*"))], (1, 0)),
     ((("e", 4), ("e", 6), ("e", 10)), [(None, _fix("IV*"))], (1, 0)),
     ((("e", 4), ("e", 6), ("e", 11)), [(None, _fix("II*"))], (1, 0)),
-    ((("e", 4), ("e", 6), ("g", 12)), "loop", None),
     ((("e", 4), ("e", 7), ("e", 9)), [(None, _fix("IV*"))], (1, 0)),
     ((("e", 4), ("g", 8), ("e", 9)), [(None, _fix("III*"))], (1, 0)),
     ((("g", 5), ("e", 7), ("e", 11)), [(None, _fix("IV*"))], (1, 0)),
     ((("e", 5), ("e", 8), ("e", 12)), [(None, _fix("II*"))], (1, 0)),
-    ((("e", 5), ("g", 9), ("e", 12)), "loop", None),
     ((("g", 6), ("e", 8), ("e", 13)), [(None, _fix("II*"))], (1, 0)),
-    ((("g", 6), ("g", 9), ("g", 15)), "loop", None),
 ]
 
 
@@ -269,7 +255,7 @@ TABLE_P2 = [
     ((("e", 4), ("e", 6), ("e", 9)), [(None, _fix("In*", 0))], (1, 1, 1)),
     ((("e", 4), ("e", 6), ("e", 10)), [("2d", _fix("In*", 2)), (None, _fix("III*"))], (1, 1, 1)),
     ((("e", 4), ("e", 6), ("e", 11)), [("2d", _fix("In*", 3)), (None, _fix("II*"))], (1, 1, 1)),
-    ((("e", 4), ("e", 6), ("g", 12)), [("2f", _Instar(-8)), (None, "loop")], (1, 1, 2)),
+    ((("e", 4), ("e", 6), ("g", 12)), [("2f", _Instar(-8))], (1, 1, 2)),
     ((("e", 5), ("e", 5), ("e", 4)), [("2a", _fix("II")), (None, _fix("III"))], (1, 1, 1)),
     ((("e", 5), ("e", 6), ("e", 6)), [(None, _fix("II"))], (1, 1, 1)),
     ((("g", 6), ("e", 6), ("e", 6)), [(None, _fix("II"))], (1, _pal_666, 1)),
@@ -289,9 +275,8 @@ TABLE_P2 = [
     ((("e", 7), ("e", 9), ("e", 12)), [(None, _fix("III*"))], (1, 2, 1)),
     ((("e", 7), ("e", 10), ("e", 14)), [(None, _fix("III*"))], (1, 2, 1)),
     ((("e", 7), ("g", 11), ("e", 15)), [(None, _fix("III*"))], (1, 2, 1)),
-    ((("g", 8), ("e", 9), ("e", 12)), [("2g", _fix("II*")), (None, "loop")], (1, 2, 2)),
+    ((("g", 8), ("e", 9), ("e", 12)), [("2g", _fix("II*"))], (1, 2, 2)),
     ((("g", 8), ("e", 10), ("e", 14)), [(None, _fix("II*"))], (1, 2, 1)),
-    ((("g", 8), ("g", 11), ("g", 16)), "loop", None),
 ]
 
 
@@ -316,59 +301,38 @@ def _table_for(p: int):
 def classify(s: Signature, p: int) -> LocalClassification:
     """Minimal-model scale u_p = p^k, Kodaira symbol, and condition trace.
 
-    Starts from the largest k keeping transform(s, p^k) p-integral, backs
-    off while the scaled pair is not realizable by an integral model, then
-    matches the table; rescaling rows bump k by one (each pass strictly
-    drops v_p(Delta) by 12, so the loop is bounded).
+    k is the largest scale whose model is realizable: the largest k keeping
+    transform(s, p^k) p-integral, or one less when Kraus' criterion fails
+    there.  One step back always suffices: it raises v3(c6) by 6, and at
+    p = 2 it makes 16 | c4 and 64 | c6.  The p-signature at that k matches
+    one table row, whose conditions are tried in order; every condition
+    evaluated is recorded in conditions_fired.
     """
     vals = p_signature(s, p).as_tuple()
-    k = min(
-        v // (4, 6, 12)[i]
-        for i, v in enumerate(vals)
-        if v != math.inf
-    )
+    k = min(v // w for v, w in zip(vals, (4, 6, 12)) if v != math.inf)
     sk = transform(s, Fraction(p) ** k)
-    for _ in range(8):  # in practice one step of scaling up suffices
-        if realizable(sk, p):
-            break
+    if not realizable(sk, p):
         k -= 1
         sk = transform(s, Fraction(p) ** k)
-    else:
-        raise TableMissError(f"no realizable rescaling at p={p}")
-
-    table = _table_for(p)
+    psig = p_signature(sk, p)
+    row = _match_row(_table_for(p), psig)
+    if row is None:
+        raise TableMissError(f"p={p}: no row for sig_p = {psig.as_tuple()}")
     fired: set[str] = set()
-    cap = 2 + int(vp(sk.delta, p)) // 12
-    for _ in range(cap):
-        psig = p_signature(sk, p)
-        row = _match_row(table, psig)
-        if row is None:
-            raise TableMissError(f"p={p}: no row for sig_p = {psig.as_tuple()}")
-        outcome = "loop"
-        if row[1] != "loop":
-            for label, sym in row[1]:
-                if label is None or _CONDITIONS[label](sk):
-                    if label is not None:
-                        fired.add(label)
-                    outcome = sym
-                    break
-                fired.add(label)
-        if outcome == "loop":
-            k += 1
-            sk = transform(s, Fraction(p) ** k)
-            if not realizable(sk, p):
-                raise TableMissError(f"p={p}: rescaled model is not realizable")
-            continue
-        return LocalClassification(
-            p=p,
-            u_p=Fraction(p) ** k,
-            minimal_psig=psig,
-            kodaira=outcome(int(psig.vdelta)),
-            conditions_fired=frozenset(fired),
-            minimal_sig=sk,
-            _row_pal=_make_row_pal(row, p),
-        )
-    raise TableMissError(f"p={p}: rescaling loop did not terminate")
+    for label, sym in row[1]:
+        if label is not None:
+            fired.add(label)
+        if label is None or _CONDITIONS[label](sk):
+            return LocalClassification(
+                p=p,
+                u_p=Fraction(p) ** k,
+                minimal_psig=psig,
+                kodaira=sym(int(psig.vdelta)),
+                conditions_fired=frozenset(fired),
+                minimal_sig=sk,
+                _row_pal=_make_row_pal(row, p),
+            )
+    raise TableMissError(f"p={p}: no condition of the row for sig_p = {psig.as_tuple()} holds")
 
 
 def _make_row_pal(row, p: int):
@@ -393,16 +357,19 @@ def row_pal_value(c: LocalClassification, d: int) -> Fraction:
 
 
 def global_minimal(s: Signature) -> tuple[Signature, Fraction]:
-    """(minimal signature, u) with u the product of the per-prime scales."""
+    """(minimal signature, u) with u the product of the per-prime scales.
+
+    Only 2, 3, the primes of the denominators and those dividing both
+    numerators can scale: at any other p >= 5, v_p(c4) or v_p(c6) is 0, so
+    u_p = 1.  Delta is never factored.
+    """
     from sympy import factorint
 
     # 2 and 3 always: a pair coprime to p can still fail realizability
     # there, forcing a scale-up (e.g. odd c4 with c6 = 1 mod 4)
-    primes: set[int] = {2, 3}
-    for x in (s.c4, s.c6, s.delta):
-        if x != 0:
-            primes |= set(factorint(abs(x.numerator)).keys())
-            primes |= set(factorint(x.denominator).keys())
+    primes = {2, 3}
+    primes |= set(factorint(math.gcd(s.c4.numerator, s.c6.numerator)))
+    primes |= set(factorint(s.c4.denominator * s.c6.denominator))
     u = Fraction(1)
     for p in sorted(primes):
         u *= classify(s, p).u_p
@@ -442,12 +409,12 @@ def pal_u(c: LocalClassification, minimal_sig: Signature, d: int) -> Fraction:
 
 
 def global_pal(minimal_sig: Signature, d: int) -> Fraction:
-    """u(E^d): product of pal_u over primes dividing 2, d, and Delta."""
+    """u(E^d): product of pal_u over the primes dividing 2d (pal_u is 1 at
+    every odd p not dividing d)."""
     from sympy import factorint
 
     check_d(d)
-    primes = {2} | set(factorint(abs(d)).keys())
-    primes |= set(factorint(abs(minimal_sig.delta.numerator)).keys())
+    primes = {2} | set(factorint(abs(d)))
     u = Fraction(1)
     for p in sorted(primes):
         u *= pal_u(classify(minimal_sig, p), minimal_sig, d)

@@ -64,6 +64,8 @@ def _volume_once(s: Signature) -> mp.mpf:
 
 
 def lattice_volume(s: Signature, precision_bits: int = 128) -> LatticeApprox:
+    if not 64 <= precision_bits <= 4096:
+        raise ValueError(f"precision_bits = {precision_bits} is outside 64..4096")
     with mp.workprec(2 * precision_bits + 30):
         check = _volume_once(s)
     with mp.workprec(precision_bits + 30):
@@ -117,9 +119,11 @@ def verify_class(kind: str, t: Optional[RatLike], d: int,
 # sieved densities
 
 def _squarefree_mask(n: int) -> bytearray:
-    """mask[i] = 1 for the square-free i in 0..n, else 0 (mask[0] = 0)."""
-    if n < 10**4:
-        raise ValueError("bound must be at least 10^4")
+    """mask[i] = 1 for the square-free i in 0..n, else 0 (mask[0] = 0).
+
+    The mask takes n + 1 bytes, hence the upper bound."""
+    if not 10**4 <= n <= 10**8:
+        raise ValueError(f"bound = {n} is outside 10^4..10^8")
     mask = bytearray(b"\x01") * (n + 1)
     mask[0] = 0
     k = 2

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -61,6 +62,10 @@ class TestValidation:
         ["faltings", "--type", "L2_11", "--t", "45", "--d", "1"],
         ["prob", "--type", "L2_11", "--t", "45"],
         ["verify", "--type", "L2_11", "--t", "45", "--d", "1"],
+        *(["verify", "--type", "L3_9", "--t", "45", "--d", "3", "--bits", bits]
+          for bits in ("-5", "0", "16", "5000")),
+        ["density", "--p", "3", "--n", "10000000000"],
+        ["empirical", "--type", "L3_9", "--t", "3", "--n", "10000000000"],
     ])
     def test_bad_input_exit_2(self, argv, capsys):
         code, out, err = invoke(*argv, capsys=capsys)
@@ -134,6 +139,13 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.strip() == "False"
+
+    def test_environment_is_ignored(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qtwist.cli", "faltings", "--type", "L3_9",
+             "--t", "45", "--d", "3"],
+            capture_output=True, text=True, env={**os.environ, "QTWIST_BITS": "abc"})
+        assert proc.returncode == 0, proc.stderr
 
     def test_console_script(self):
         proc = subprocess.run(

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from qtwist.localdata import (
     global_minimal,
     global_pal,
     pal_u,
+    realizable,
     row_pal_value,
 )
 from qtwist.weierstrass import AInvariants, Signature, signature_of, transform, twist_sig
@@ -135,3 +137,73 @@ class TestPal:
                 c = classify(s, p)
                 for d in (1, -1, 2, 3, -5, 6, 11, -11):
                     assert row_pal_value(c, d) == pal_u(c, c.minimal_sig, d), (s, p, d)
+
+
+def _mod(x: Fraction, m: int) -> int:
+    """Residue mod m of a rational whose denominator is prime to m."""
+    return x.numerator * pow(x.denominator, -1, m) % m
+
+
+def _realizable_by_search(s: Signature, p: int) -> bool:
+    """Reference for Kraus' criterion: search the b-invariants of a
+    p-integral model with these (c4, c6), with b2 below 81 at p = 3, and at
+    p = 2 with a1, a3 in {0, 1} and b2 = a1^2 mod 4 below 128."""
+    if p == 3:
+        for b2 in range(81):
+            b4 = (Fraction(b2) ** 2 - s.c4) / 24
+            if b4.denominator % 3 == 0:
+                continue
+            b6 = (-(Fraction(b2) ** 3) + 36 * b2 * b4 - s.c6) / 216
+            if b6.denominator % 3:
+                return True
+        return False
+    for a1 in (0, 1):
+        for a3 in (0, 1):
+            for b2 in range(a1 * a1, 128, 4):
+                b4 = (Fraction(b2) ** 2 - s.c4) / 24
+                if b4.denominator % 2 == 0 or _mod(b4, 2) != a1 * a3 % 2:
+                    continue
+                b6 = (-(Fraction(b2) ** 3) + 36 * b2 * b4 - s.c6) / 216
+                if b6.denominator % 2 and _mod(b6, 4) == a3 * a3 % 4:
+                    return True
+    return False
+
+
+def _p_integral_pairs(p: int, count: int, rng: random.Random):
+    """Signatures with p-integral c4, c6 and Delta, denominators prime to
+    p, c4 = 0 in about one in eight."""
+    q = 64 if p == 2 else 27  # Delta is p-integral iff c4^3 = c6^2 mod q
+    dens = (1, 5, 7) if p == 3 else (1, 3, 5)
+    while count:
+        c6 = rng.choice((1, -1)) * rng.randrange(1, 10**6) * p ** rng.randrange(11)
+        roots = [r for r in range(q) if (r**3 - c6**2) % q == 0]
+        if not roots:
+            continue
+        if 0 in roots and rng.random() < 0.125:
+            c4 = 0
+        else:
+            c4 = rng.choice(roots) + q * rng.randrange(-10**4, 10**4)
+        den = rng.choice(dens)
+        c4, c6 = Fraction(c4, den**2), Fraction(c6, den**3)
+        delta = (c4**3 - c6**2) / 1728
+        if delta != 0:
+            count -= 1
+            yield Signature(c4, c6, delta)
+
+
+class TestRealizable:
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_kraus_equals_search(self, p):
+        rng = random.Random(1989 + p)
+        outcomes = {True: 0, False: 0}
+        c4_zero = 0
+        for s in _p_integral_pairs(p, 2000, rng):
+            got = realizable(s, p)
+            assert got == _realizable_by_search(s, p), (p, s)
+            outcomes[got] += 1
+            c4_zero += s.c4 == 0
+        assert min(outcomes.values()) >= 100 and c4_zero >= 100, (outcomes, c4_zero)
+
+    def test_rejects_non_integral(self):
+        with pytest.raises(ValueError):
+            realizable(transform(S11, 2), 2)
