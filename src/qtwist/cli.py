@@ -17,7 +17,7 @@ from . import families, graphs, localdata, oracle
 from .exactnum import check_d, fmt_rat, parse_rat
 from .weierstrass import AInvariants, Signature, signature_of, twist_sig
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _sig_from_args(args) -> Signature:
@@ -115,13 +115,14 @@ def _cmd_verify(args):
     rep = oracle.verify_class(args.type, t, d, precision_bits=args.bits,
                               variant=args.variant)
     return {"type": args.type, "t": fmt_rat(t) if t is not None else None,
-            "d": d,
+            "d": d, "bits": rep.bits,
             "vertices": [{"label": v.label,
                           "neron_volume": mp_str(v.neron_volume),
-                          "faltings_height": mp_str(v.faltings_height)}
+                          "faltings_height": mp_str(v.faltings_height),
+                          "claimed_error": mp_str(v.claimed_error)}
                          for v in rep.vertices],
             "argmin": rep.argmin_label, "theorem": rep.theorem_label,
-            "match": rep.match}
+            "match": rep.match, "margin": mp_str(rep.margin)}
 
 
 def mp_str(x) -> str:

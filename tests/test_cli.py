@@ -66,6 +66,7 @@ class TestValidation:
           for bits in ("-5", "0", "16", "5000")),
         ["density", "--p", "3", "--n", "10000000000"],
         ["empirical", "--type", "L3_9", "--t", "3", "--n", "10000000000"],
+        ["faltings", "--type", "L3_9", "--t", "45", "--d", str(10**24 + 7)],
     ])
     def test_bad_input_exit_2(self, argv, capsys):
         code, out, err = invoke(*argv, capsys=capsys)
@@ -81,7 +82,7 @@ class TestValidation:
     def test_schema_version(self, capsys):
         code, out, _ = invoke("prob", "--type", "L2_11", capsys=capsys)
         assert code == 0
-        assert out["schema_version"] == 1
+        assert out["schema_version"] == 2
 
 
 class TestSubcommands:
@@ -113,6 +114,10 @@ class TestSubcommands:
                               "--bits", "64", capsys=capsys)
         assert code == 0
         assert out["match"] is True
+        assert out["bits"] == 64
+        assert float(out["margin"]) >= 3 - 1e-9
+        for v in out["vertices"]:
+            assert 0 < float(v["claimed_error"]) <= 2.0 ** (8 - 64)
 
     def test_density(self, capsys):
         code, out, _ = invoke("density", "--p", "3", "--n", "10000",

@@ -6,6 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qtwist.exactnum import (
+    D_MAX,
+    check_d,
     fmt_rat,
     is_squarefree,
     parse_rat,
@@ -78,6 +80,20 @@ class TestSquarefree:
            st.integers(min_value=1, max_value=1000))
     def test_square_multiples_rejected(self, k, m):
         assert not is_squarefree(k * k * m)
+
+
+class TestCheckD:
+    def test_size_limit(self):
+        # 2 * 223 * 208513 * 10753058401, square-free, just inside the limit
+        assert check_d(-(D_MAX - 2)) == -(D_MAX - 2)
+        for d in (D_MAX + 1, -(10**24 + 7)):  # 10^24 + 7 is prime
+            with pytest.raises(ValueError, match="exceeds 10\\^18"):
+                check_d(d)
+
+    def test_not_squarefree(self):
+        for d in (0, 12, -D_MAX):
+            with pytest.raises(ValueError, match="square-free"):
+                check_d(d)
 
 
 class TestRatIO:
