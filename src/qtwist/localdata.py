@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .exactnum import check_d, unit_residue, vp
+from .exactnum import check_d, prime_factors, unit_residue, vp
 from .weierstrass import PSignature, Signature, p_signature, transform
 
 
@@ -361,15 +361,14 @@ def global_minimal(s: Signature) -> tuple[Signature, Fraction]:
 
     Only 2, 3, the primes of the denominators and those dividing both
     numerators can scale: at any other p >= 5, v_p(c4) or v_p(c6) is 0, so
-    u_p = 1.  Delta is never factored.
+    u_p = 1.  Delta is never factored.  ValueError if those numbers do not
+    split within ``exactnum.RHO_MAX_STEPS`` (see ``prime_factors``).
     """
-    from sympy import factorint
-
     # 2 and 3 always: a pair coprime to p can still fail realizability
     # there, forcing a scale-up (e.g. odd c4 with c6 = 1 mod 4)
     primes = {2, 3}
-    primes |= set(factorint(math.gcd(s.c4.numerator, s.c6.numerator)))
-    primes |= set(factorint(s.c4.denominator * s.c6.denominator))
+    primes |= prime_factors(math.gcd(s.c4.numerator, s.c6.numerator))
+    primes |= prime_factors(s.c4.denominator * s.c6.denominator)
     u = Fraction(1)
     for p in sorted(primes):
         u *= classify(s, p).u_p
@@ -411,10 +410,8 @@ def pal_u(c: LocalClassification, minimal_sig: Signature, d: int) -> Fraction:
 def global_pal(minimal_sig: Signature, d: int) -> Fraction:
     """u(E^d): product of pal_u over the primes dividing 2d (pal_u is 1 at
     every odd p not dividing d)."""
-    from sympy import factorint
-
     check_d(d)
-    primes = {2} | set(factorint(abs(d)))
+    primes = {2} | prime_factors(d)
     u = Fraction(1)
     for p in sorted(primes):
         u *= pal_u(classify(minimal_sig, p), minimal_sig, d)

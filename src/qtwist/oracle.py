@@ -14,7 +14,7 @@ from typing import Optional
 import mpmath as mp
 
 from . import families, graphs
-from .exactnum import RatLike, _check_prime
+from .exactnum import RatLike, check_prime
 from .localdata import global_minimal
 from .weierstrass import Signature, twist_sig
 
@@ -179,7 +179,7 @@ class DensityReport:
 def squarefree_density(p: int, bound: int) -> DensityReport:
     """Among square-free n <= bound: fraction divisible by p, plus the
     overall square-free density (expected 1/(1+p) and 6/pi^2)."""
-    _check_prime(p)
+    check_prime(p)
     mask = _squarefree_mask(bound)
     total_sf = mask.count(1)
     div = mask[p::p].count(1)

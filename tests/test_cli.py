@@ -8,6 +8,10 @@ import pytest
 from qtwist.cli import run
 
 
+# nextprime(10^22) * nextprime(3 * 10^22)
+N_HARD = 10000000000000000000009 * 30000000000000000000029
+
+
 def invoke(*args, capsys=None):
     """Run the CLI in-process; returns (exit_code, parsed JSON or raw text,
     stderr)."""
@@ -67,6 +71,10 @@ class TestValidation:
         ["density", "--p", "3", "--n", "10000000000"],
         ["empirical", "--type", "L3_9", "--t", "3", "--n", "10000000000"],
         ["faltings", "--type", "L3_9", "--t", "45", "--d", str(10**24 + 7)],
+        # the curve 11a1 scaled by u = 1/n, n a product of two 23-digit
+        # primes: global_minimal must split n, beyond the factoring budget
+        ["minimal", "--sig", ",".join(str(c * N_HARD**k) for c, k in
+                                      ((496, 4), (20008, 6), (-161051, 12)))],
     ])
     def test_bad_input_exit_2(self, argv, capsys):
         code, out, err = invoke(*argv, capsys=capsys)
@@ -144,6 +152,23 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.strip() == "False"
+
+    def test_runs_leave_sympy_out(self):
+        # sympy is a test-only oracle; factoring and primality are exactnum's
+        script = """if True:
+            import sys
+            from qtwist import cli
+            for argv in (["faltings", "--type", "L3_9", "--t", "45", "--d", "3"],
+                         ["minimal", "--sig", "642816,933493248,-350572971995136"],
+                         ["twist", "--ainvs", "1,1,1,-30,-76", "--d", "11"],
+                         ["classify", "--ainvs", "1,1,1,-30,-76", "--p", "11"]):
+                if cli.run(argv) != 0:
+                    sys.exit(1)
+            print("sympy" in sys.modules)
+        """
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
     def test_environment_is_ignored(self):
         proc = subprocess.run(
