@@ -5,8 +5,10 @@ precision and confirms that the height argmin is the vertex the decision
 table names.  The winning volume always beats the runner-up by at least
 the isogeny degree, so 128 bits is far more than needed.
 
-Run:  python3 demos/height_verification.py
+Run:  python3 demos/height_verification.py   (exit status 1 on a mismatch)
 """
+
+import sys
 
 from qtwist import oracle
 
@@ -31,7 +33,8 @@ def main():
         for d in (1, 11, -11):
             ok &= show("L2_11", None, d, variant=variant)
     print("all matched" if ok else "SOME MISMATCHES")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

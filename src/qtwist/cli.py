@@ -236,7 +236,7 @@ def run(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as e:
         print(json.dumps({"error": str(e)}), file=sys.stderr)
         return 2
-    except (localdata.TableMissError, graphs.TieError, AssertionError) as e:
+    except (localdata.TableMissError, graphs.TieError) as e:
         print(json.dumps({"error": f"internal: {e}"}), file=sys.stderr)
         return 3
     out = {"schema_version": SCHEMA_VERSION, "command": args.command}

@@ -11,11 +11,14 @@ Primality and factoring are pure Python.  ``is_prime`` looks primes below
 1000 up in a set, runs deterministic Miller-Rabin with the thirteen prime
 bases 2..41 below 3.317*10^24 (Sorenson and Webster 2015), and the
 Baillie-PSW test (a base-2 strong test plus a strong Lucas test) above,
-which has no known counterexample.  ``prime_factors`` trial-divides by the
+which has no known counterexample; it refuses numbers of more than
+``PRIME_MAX_DIGITS`` digits.  ``prime_factors`` trial-divides by the
 primes below 1000, takes roots of perfect powers and splits what is left
 with Brent's variant of Pollard's rho (Brent 1980) within a fixed budget,
-``RHO_MAX_STEPS``; past it it raises ``ValueError``, so that factoring
-never runs for more than a few seconds.
+``RHO_MAX_STEPS``.  Past either limit they raise ``ValueError``, so that
+neither runs for more than a few seconds.  ``prime_factors`` is the only
+routine that takes an integer apart: ``is_squarefree`` factors, then
+checks that no p^2 divides n.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import math
 from fractions import Fraction
 from typing import Union
 
-Rat = Fraction
 RatLike = Union[Fraction, int]
 
 INFINITY = math.inf
@@ -32,11 +34,21 @@ INFINITY = math.inf
 _PRIMES_BELOW_1000 = tuple(p for p in range(2, 1000)
                            if all(p % q for q in range(2, math.isqrt(p) + 1)))
 _PRIME_SET = frozenset(_PRIMES_BELOW_1000)
+_PRIMORIAL_1000 = math.prod(_PRIMES_BELOW_1000)
 
 # Miller-Rabin with these bases is deterministic below _PSI_13, the least
-# strong pseudoprime to all of them (Sorenson and Webster 2015)
+# strong pseudoprime to all of them (Sorenson and Webster 2015), and with
+# the first four below _PSI_4 (Jaeschke 1993)
 _MR_BASES = _PRIMES_BELOW_1000[:13]  # 2, 3, 5, ..., 41
+_PSI_4 = 3215031751
 _PSI_13 = 3317044064679887385961981
+
+# is_prime refuses longer numbers, because its cost grows about as digits^3
+# (2-core Xeon, Python 3.11): at 1000 digits 0.1 s for a composite and
+# 0.5 s for the prime 10^999 + 7, at 3376 digits 6 s for the prime
+# 2^11213 - 1, at 4300 digits 8.2 s for a composite
+PRIME_MAX_DIGITS = 1000
+_PRIME_LIMIT = 10**PRIME_MAX_DIGITS
 
 
 class CuspError(ValueError):
@@ -111,11 +123,22 @@ def _strong_lucas(n: int) -> bool:
     return False
 
 
+def _digits(n: int) -> int:
+    """Decimal digits of n > 0, without str() (which refuses more than
+    4300 digits)."""
+    e = int(n.bit_length() * math.log10(2))
+    return e + (n >= 10**e)
+
+
 def is_prime(n: int) -> bool:
     """True iff n is prime: proven below 3.317*10^24; above, n passed the
-    Baillie-PSW test, which no composite is known to pass."""
+    Baillie-PSW test, which no composite is known to pass.  ValueError if
+    n has more than ``PRIME_MAX_DIGITS`` digits."""
     if n < 1000:
         return n in _PRIME_SET
+    if n >= _PRIME_LIMIT:
+        raise ValueError(f"a {_digits(n)}-digit number is past the "
+                         f"{PRIME_MAX_DIGITS}-digit limit of the primality test")
     for p in _MR_BASES:
         if n % p == 0:
             return False
@@ -124,7 +147,8 @@ def is_prime(n: int) -> bool:
         d //= 2
         s += 1
     if n < _PSI_13:
-        return all(_strong_probable_prime(n, a, d, s) for a in _MR_BASES)
+        bases = _MR_BASES[:4] if n < _PSI_4 else _MR_BASES
+        return all(_strong_probable_prime(n, a, d, s) for a in bases)
     if not _strong_probable_prime(n, 2, d, s):
         return False
     r = math.isqrt(n)
@@ -174,33 +198,14 @@ def unit_residue(x: RatLike, p: int, k: int = 1) -> int:
     return num * pow(den, -1, m) % m
 
 
-def is_squarefree(n: int) -> bool:
-    """True iff no prime square divides n (sign ignored)."""
-    if n == 0:
-        raise ValueError("0 is neither square-free nor square-full")
-    n = abs(n)
-    # trial divide up to the cube root; the remaining cofactor has at most
-    # two prime factors, so it is square-full only if a perfect square
-    d = 2
-    while d * d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return False
-        d += 1
-    if n == 1:
-        return True
-    r = math.isqrt(n)
-    return r * r != n
-
-
-# is_squarefree trial-divides up to |d|^(1/3): about 0.14 s at 10^18
+# largest |d| that check_d accepts: the second-largest prime of such a d is
+# below 10^9, so prime_factors splits it within about 6*10^4 rho steps
+# (test_every_d_splits), at most about 12 ms
 D_MAX = 10**18
 
 # Pollard-rho steps prime_factors may take on one number of up to 160 bits
 # (about 3 s at 45 digits on a 2-core Xeon, Python 3.11): far more than any
-# |d| <= D_MAX needs (its second-largest prime is below 10^9; at most
-# 6*10^4 steps seen), and enough for nearly every cofactor whose
+# |d| <= D_MAX needs, and enough for nearly every cofactor whose
 # second-largest prime is below 10^12 (median 1.6*10^6 steps, largest seen
 # 3.3*10^6).  A step costs about (bits/160)^1.5 times more on a larger
 # number, so it is charged (bits/160)^2 rounded up: at most a few seconds
@@ -269,19 +274,20 @@ def prime_factors(n: int) -> set:
 
     Trial division by the primes below 1000, then a primality test, a
     perfect-power check and Pollard-Brent rho on what is left.  ValueError
-    if n is 0, or if rho needs more than ``RHO_MAX_STEPS`` steps in all
-    (steps on numbers above 160 bits count more; see ``RHO_MAX_STEPS``).
+    if n is 0, if rho needs more than ``RHO_MAX_STEPS`` steps in all
+    (steps on numbers above 160 bits count more; see ``RHO_MAX_STEPS``),
+    or if a cofactor is past the digit limit of ``is_prime``.
     """
     if n == 0:
         raise ValueError("0 has no prime factorization")
     n = abs(n)
     primes = set()
+    g = math.gcd(n, _PRIMORIAL_1000)  # the primes below 1000 that divide n
     for p in _PRIMES_BELOW_1000:
-        if p * p > n:
-            if n > 1:
-                primes.add(n)
-            return primes
-        if n % p == 0:
+        if g == 1 or p * p > n:
+            break
+        if g % p == 0:
+            g //= p
             primes.add(p)
             n //= p
             while n % p == 0:
@@ -290,7 +296,8 @@ def prime_factors(n: int) -> set:
     todo = [n] if n > 1 else []
     while todo:
         m = todo.pop()
-        if is_prime(m):
+        # m has no prime factor below 1000, and the next prime is 1009
+        if m < 1009 * 1009 or is_prime(m):
             primes.add(m)
             continue
         r = _prime_power_root(m)
@@ -303,14 +310,21 @@ def prime_factors(n: int) -> set:
             g, left = _rho(m, c, steps // cost)
             steps = left * cost
             if g == 1:
-                e = int(m.bit_length() * math.log10(2))
-                raise ValueError(f"no factor of a {e + (m >= 10**e)}-digit number found "
+                raise ValueError(f"no factor of a {_digits(m)}-digit number found "
                                  "within the Pollard-rho budget")
             if g != m:
                 break
             c += 1
         todo += [g, m // g]
     return primes
+
+
+def is_squarefree(n: int) -> bool:
+    """True iff no prime square divides n (sign ignored).  ValueError if n
+    is 0 or if ``prime_factors`` cannot split n."""
+    if n == 0:
+        raise ValueError("0 is neither square-free nor square-full")
+    return all(n % (p * p) for p in prime_factors(n))
 
 
 def check_d(d: int) -> int:

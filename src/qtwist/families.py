@@ -51,9 +51,7 @@ def _check_l39_t(t: RatLike) -> Fraction:
     t = Fraction(t)
     if t == 0:
         raise CuspError("t = 0 is a cusp")
-    # t^2+9t+27 has no rational roots; guard anyway
-    if t * t + 9 * t + 27 == 0:  # pragma: no cover
-        raise CuspError("t is a cusp")
+    # the other cusps, the roots of t^2+9t+27 (discriminant -27), are not rational
     return t
 
 

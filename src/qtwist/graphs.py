@@ -28,7 +28,7 @@ from typing import Callable, Optional
 from .exactnum import CuspError, RatLike, check_d, unit_residue, vp
 
 
-class TieError(AssertionError):
+class TieError(Exception):
     """Argmax tie: contradicts uniqueness of the minimal Faltings height."""
 
 

@@ -15,9 +15,8 @@ p-minimal by construction, so no row rescales; a row's 2f/2g condition
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
 
 from .exactnum import check_d, prime_factors, unit_residue, vp
 from .weierstrass import PSignature, Signature, p_signature, transform
@@ -56,11 +55,11 @@ class LocalClassification:
     u_p: Fraction  # p^k, k in Z
     minimal_psig: PSignature
     kodaira: KodairaSymbol
-    conditions_fired: frozenset = field(default_factory=frozenset)
-    minimal_sig: Optional[Signature] = None
-    # the matched table row's printed u_p(E^d) columns, as a callable of
-    # (minimal signature, d); cross-checked against pal_u in the tests
-    _row_pal: Optional[Callable] = None
+    conditions_fired: frozenset
+    minimal_sig: Signature
+    # the matched table row's printed u_p(E^d) columns (its pal entry, see
+    # the row format); cross-checked against pal_u in the tests
+    row_pal: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -330,30 +329,17 @@ def classify(s: Signature, p: int) -> LocalClassification:
                 kodaira=sym(int(psig.vdelta)),
                 conditions_fired=frozenset(fired),
                 minimal_sig=sk,
-                _row_pal=_make_row_pal(row, p),
+                row_pal=row[2],
             )
     raise TableMissError(f"p={p}: no condition of the row for sig_p = {psig.as_tuple()} holds")
 
 
-def _make_row_pal(row, p: int):
-    pal = row[2]
-
-    def row_pal(sig: Signature, d: int) -> Fraction:
-        if p != 2:
-            return Fraction(p) ** (pal[0] if d % p == 0 else pal[1])
-        entry = pal[{1: 0, 2: 1, 3: 2}[d % 4]]
-        if callable(entry):
-            return entry(sig, d)
-        return Fraction(entry)
-
-    return row_pal
-
-
 def row_pal_value(c: LocalClassification, d: int) -> Fraction:
     """The matched table row's printed u_p(E^d) entry for this d."""
-    if c._row_pal is None or c.minimal_sig is None:
-        raise ValueError("classification carries no matched table row")
-    return c._row_pal(c.minimal_sig, d)
+    if c.p != 2:
+        return Fraction(c.p) ** (c.row_pal[0] if d % c.p == 0 else c.row_pal[1])
+    entry = c.row_pal[{1: 0, 2: 1, 3: 2}[d % 4]]
+    return entry(c.minimal_sig, d) if callable(entry) else Fraction(entry)
 
 
 def global_minimal(s: Signature) -> tuple[Signature, Fraction]:

@@ -125,25 +125,22 @@ def _class_signatures(kind: str, t: Optional[RatLike], variant: str):
     if kind == "L2_11":
         cls = families.l211_class(variant)
         return [("E_1", cls.curves[0].sig), ("E_11", cls.curves[1].sig)]
-    raise ValueError(
-        f"no model-level family for {kind}; pass explicit signatures")
+    raise ValueError(f"no model-level family for {kind}; verify_class takes L3_9 or L2_11")
 
 
 def verify_class(kind: str, t: Optional[RatLike], d: int,
-                 precision_bits: int = 128, variant: str = "a",
-                 signatures=None) -> HeightReport:
+                 precision_bits: int = 128, variant: str = "a") -> HeightReport:
     """Numeric argmin of Faltings heights over the twisted class vs the
     closed-form decision."""
     graphs.check_t(kind, t)
-    labelled = signatures or _class_signatures(kind, t, variant)
     rows = []
     with mp.workprec(precision_bits + 30):
-        for label, sig in labelled:
+        for label, sig in _class_signatures(kind, t, variant):
             lat = neron_volume(twist_sig(sig, d), precision_bits)
             rows.append(VertexHeight(label, lat.volume, -mp.log(lat.volume) / 2,
                                      lat.claimed_error / lat.volume))
         vols = sorted((r.neron_volume for r in rows), reverse=True)
-        margin = vols[0] / vols[1] if len(vols) > 1 else mp.inf
+        margin = vols[0] / vols[1]
     argmin = min(rows, key=lambda r: r.faltings_height).label
     theorem = graphs.faltings_by_theorem(kind, t, d).vertex
     return HeightReport(tuple(rows), argmin, theorem, argmin == theorem,

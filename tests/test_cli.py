@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -10,6 +11,8 @@ from qtwist.cli import run
 
 # nextprime(10^22) * nextprime(3 * 10^22)
 N_HARD = 10000000000000000000009 * 30000000000000000000029
+# a Mersenne prime of 1332 digits, past is_prime's 1000-digit limit
+M4423 = 2**4423 - 1
 
 
 def invoke(*args, capsys=None):
@@ -43,6 +46,15 @@ class TestGoldenExamples:
                               capsys=capsys)
         assert code == 2
         assert "cusp" in json.loads(err)["error"]
+
+    def test_faltings_near_d_max(self, capsys):
+        # d = -999999937 * 1000000007, the hardest square-free test below 10^18
+        d = -999999937 * 1000000007
+        code, out, _ = invoke("faltings", "--type", "L3_9", "--t", "45", "--d", str(d),
+                              capsys=capsys)
+        assert code == 0
+        assert (out["d"], out["vertex"], out["d_condition"], out["probability"]) == (
+            d, "E_3", "d!=0(3)", "3/4")
 
     def test_twist(self, capsys):
         code, out, _ = invoke("twist", "--ainvs", "1,1,1,-30,-76", "--d", "11",
@@ -81,6 +93,21 @@ class TestValidation:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"]
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--ainvs", "1,1,1,-30,-76", "--p", str(M4423)],
+        ["classify", "--ainvs", "1,1,1,-30,-76", "--p", str(2**11213 - 1)],
+        # c4 = 1/M4423, c6 = 0: global_minimal must test the denominator
+        ["minimal", "--sig", f"1/{M4423},0,1/{1728 * M4423**3}"],
+        ["twist", "--sig", f"1/{M4423},0,1/{1728 * M4423**3}", "--d", "5"],
+    ], ids=["p_1332_digits", "p_3376_digits", "minimal_sig", "twist_sig"])
+    def test_past_digit_limit_exit_2(self, argv, capsys):
+        start = time.perf_counter()
+        code, out, err = invoke(*argv, capsys=capsys)
+        assert time.perf_counter() - start < 5
+        assert code == 2
+        assert out == ""
+        assert "past the 1000-digit limit" in json.loads(err)["error"]
 
     def test_unknown_type(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -148,6 +148,39 @@ class TestSquarefree:
     def test_square_multiples_rejected(self, k, m):
         assert not is_squarefree(k * k * m)
 
+    def test_below_2e5(self):
+        for n in range(1, 2 * 10**5):
+            assert is_squarefree(n) == _sympy_squarefree(n), n
+
+    def test_corpus(self):
+        for n in CORPUS:
+            assert is_squarefree(n) == _sympy_squarefree(n), n
+
+    def test_near_d_max(self):
+        p, q = sympy.prevprime(10**9), sympy.nextprime(10**9)
+        a, b = sympy.prevprime(10**6), sympy.nextprime(10**6)
+        cases = {
+            p * q: True,  # 999999937 * 1000000007, the hardest split below D_MAX
+            sympy.prevprime(D_MAX): True,
+            D_MAX - 2: True,  # 2 * 223 * 208513 * 10753058401
+            a * a * b: False,
+            a * b * b: False,
+            p * p: False,
+        }
+        for n, want in cases.items():
+            assert n < D_MAX and _sympy_squarefree(n) == want, n
+            for m in (n, -n):
+                assert is_squarefree(m) == want, m
+                if want:
+                    assert check_d(m) == m
+                else:
+                    with pytest.raises(ValueError, match="square-free"):
+                        check_d(m)
+
+
+def _sympy_squarefree(n: int) -> bool:
+    return all(e == 1 for e in sympy.factorint(n).values())
+
 
 class TestIsPrime:
     def test_below_2e5(self):
@@ -212,6 +245,14 @@ class TestPrimeFactors:
         with pytest.raises(ValueError):
             prime_factors(0)
 
+    def test_just_past_trial_division(self):
+        # cofactors around 1009^2, the least with no prime factor below 1000
+        # that is not prime
+        primes = list(sympy.primerange(990, 1100))
+        for n in {p * q for p in primes for q in primes} | set(range(1009**2 - 50, 1009**2 + 50)):
+            assert prime_factors(n) == set(sympy.factorint(n)), n
+            assert is_squarefree(n) == _sympy_squarefree(n), n
+
     def test_every_d_splits(self):
         # the hardest |d| <= D_MAX for rho: two primes near 10^9
         p = sympy.prevprime(10**9)
@@ -232,6 +273,31 @@ class TestPrimeFactors:
         with pytest.raises(ValueError, match="301-digit"):
             prime_factors(n)
         assert time.perf_counter() - start < 20
+
+
+class TestDigitLimit:
+    # Mersenne primes of 969, 1332 and 3376 digits
+    M3217, M4423, M11213 = 2**3217 - 1, 2**4423 - 1, 2**11213 - 1
+
+    def test_below_the_limit(self):
+        assert is_prime(self.M3217)
+        assert not is_prime(10**1000 - 1)  # 1000 digits, divisible by 3
+        assert prime_factors(3 * self.M3217) == {3, self.M3217}
+
+    def test_past_the_limit(self):
+        start = time.perf_counter()
+        for n in (10**1000, 10**1000 + 1, self.M4423, self.M11213):
+            message = f"a {len(str(n))}-digit number is past the 1000-digit limit"
+            for f in (is_prime, check_prime):
+                with pytest.raises(ValueError, match=message):
+                    f(n)
+        for n in (self.M4423, self.M11213):
+            # trial division strips the 7 first; the prime cofactor is refused
+            for m in (n, -7 * n):
+                with pytest.raises(ValueError, match=f"a {len(str(n))}-digit number"):
+                    prime_factors(m)
+        # at 3376 digits the primality test alone would take about 6 s
+        assert time.perf_counter() - start < 5
 
 
 class TestCheckD:
