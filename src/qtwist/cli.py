@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import families, graphs, localdata, oracle
-from .exactnum import check_d, fmt_rat, parse_rat
+from .exactnum import fmt_rat, parse_rat
 from .weierstrass import AInvariants, Signature, signature_of, twist_sig
 
 SCHEMA_VERSION = 2
@@ -58,10 +58,9 @@ def _cmd_minimal(args):
 
 def _cmd_twist(args):
     s = _sig_from_args(args)
-    d = check_d(args.d)
-    tw = twist_sig(s, d)
+    tw = twist_sig(s, args.d)
     minimal, u = localdata.global_minimal(tw)
-    return {"d": d, "twist": _sig_json(tw),
+    return {"d": args.d, "twist": _sig_json(tw),
             "twist_minimal": _sig_json(minimal), "u": fmt_rat(u)}
 
 
@@ -71,14 +70,13 @@ def _parse_t(args):
 
 def _cmd_faltings(args):
     t = _parse_t(args)
-    d = check_d(args.d)
-    res = graphs.faltings_by_theorem(args.type, t, d)
-    cross = graphs.faltings_by_volumes(args.type, t, d)
+    res = graphs.faltings_by_theorem(args.type, t, args.d)
+    cross = graphs.faltings_by_volumes(args.type, t, args.d)
     if cross != res.vertex:
         raise graphs.TieError(
             f"volume argmax {cross} disagrees with decision table {res.vertex}")
     return {"type": args.type, "t": fmt_rat(t) if t is not None else None,
-            "d": d, "vertex": res.vertex, "d_condition": res.d_condition,
+            "d": args.d, "vertex": res.vertex, "d_condition": res.d_condition,
             "probability": fmt_rat(res.probability)}
 
 
@@ -111,11 +109,10 @@ def _cmd_family(args):
 
 def _cmd_verify(args):
     t = _parse_t(args)
-    d = check_d(args.d)
-    rep = oracle.verify_class(args.type, t, d, precision_bits=args.bits,
+    rep = oracle.verify_class(args.type, t, args.d, precision_bits=args.bits,
                               variant=args.variant)
     return {"type": args.type, "t": fmt_rat(t) if t is not None else None,
-            "d": d, "bits": rep.bits,
+            "d": args.d, "bits": rep.bits,
             "vertices": [{"label": v.label,
                           "neron_volume": mp_str(v.neron_volume),
                           "faltings_height": mp_str(v.faltings_height),

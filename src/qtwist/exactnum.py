@@ -29,8 +29,6 @@ from typing import Union
 
 RatLike = Union[Fraction, int]
 
-INFINITY = math.inf
-
 _PRIMES_BELOW_1000 = tuple(p for p in range(2, 1000)
                            if all(p % q for q in range(2, math.isqrt(p) + 1)))
 _PRIME_SET = frozenset(_PRIMES_BELOW_1000)
@@ -175,7 +173,7 @@ def vp(x: RatLike, p: int) -> Union[int, float]:
     check_prime(p)
     x = Fraction(x)
     if x == 0:
-        return INFINITY
+        return math.inf
     return vp_int(x.numerator, p) - vp_int(x.denominator, p)
 
 

@@ -32,11 +32,6 @@ class TieError(Exception):
     """Argmax tie: contradicts uniqueness of the minimal Faltings height."""
 
 
-def probability_of_branch(p: int, divisible: bool) -> Fraction:
-    """Lemma-1 density of square-free d with d = 0 (p), resp. d != 0 (p)."""
-    return Fraction(1, 1 + p) if divisible else Fraction(p, 1 + p)
-
-
 @dataclass(frozen=True)
 class DCondition:
     """The condition on d of one decision row: every d (p is None), or
@@ -51,10 +46,11 @@ class DCondition:
 
     @property
     def probability(self) -> Fraction:
-        """Density of the square-free d that satisfy the condition."""
+        """Density of the square-free d that satisfy the condition: by
+        Lemma 1, 1/(1+p) for d = 0 (p) and p/(1+p) for d != 0 (p)."""
         if self.p is None:
             return Fraction(1)
-        return probability_of_branch(self.p, self.divisible)
+        return Fraction(1 if self.divisible else self.p, 1 + self.p)
 
     def matches(self, d: int) -> bool:
         return self.p is None or (d % self.p == 0) == self.divisible
@@ -112,19 +108,27 @@ class GraphType:
 
 # ---------------------------------------------------------------------------
 # branch classifiers of t, one per prime block.  Each returns a key of its
-# block's rows; the keys of one block are exclusive and exhaustive.
-
-def _ures4(t: Fraction) -> int:
-    # residue mod 4 of the odd part of t
-    return unit_residue(t, 2, 2)
-
+# block's rows; the keys of one block are exclusive and exhaustive.  Every
+# classifier is a threshold list on v_p(t) (_by_valuation), at one
+# valuation split by the residue of t's p-free part; _by_offset, which
+# reads v_p(t + p^c), is the one exception.
 
 def _by_valuation(p: int, cuts, below: str):
-    """Key of the first (k, key) in cuts with v_p(t) >= k, else below."""
+    """Key of the first (k, key) in cuts with v_p(t) >= k, else below.
+
+    A key may be a dict from the residue of t's p-free part (mod 4 at
+    p = 2, mod p otherwise) to a key.  It is read only when v_p(t) = k;
+    at a larger valuation the search goes on to the next cut.
+    """
+    k_res = 2 if p == 2 else 1
+
     def key(t):
         v = vp(t, p)
         for k, name in cuts:
-            if v >= k:
+            if isinstance(name, dict):
+                if v == k:
+                    return name[unit_residue(t, p, k_res)]
+            elif v >= k:
                 return name
         return below
 
@@ -145,48 +149,6 @@ def _by_offset(p: int, c: int, m: int):
         return "low" if v == c - 1 else f"v<={c - 2}"
 
     return key
-
-
-def _branch_T4(t):
-    v = vp(t, 2)
-    if v >= 6:
-        return "v>=6"
-    if v == 5:
-        return "v=5"
-    if v == 4:
-        return "v=4,1(4)" if _ures4(t) == 1 else "v=4,3(4)"
-    if v == 3:
-        return "v=3"
-    return "v<=2"
-
-
-def _by_residue(mid: int):
-    """T6 (mid 2) and T8 (mid 1): at v_2(t) = mid, split on t's odd part mod 4."""
-    def key(t):
-        v = vp(t, 2)
-        if v > mid:
-            return f"v>={mid + 1}"
-        if v == mid:
-            return f"v={mid},3(4)" if _ures4(t) == 3 else f"v={mid},1(4)"
-        return f"v<={mid - 1}"
-
-    return key
-
-
-def _branch5_R4_10(t):
-    if vp(t, 5) == 0 and unit_residue(t, 5, 1) == 4:
-        return "t=4(5)"
-    return "other"
-
-
-def _branch3_R6(t):
-    return "v3=0" if vp(t, 3) == 0 else "v3!=0"
-
-
-def _branch2_S8(t):
-    if vp(t, 2) != 0:
-        return "v2!=0"
-    return "v2=0,3(4)" if _ures4(t) == 3 else "v2=0,1(4)"
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +263,9 @@ _line("L3_25", 5, 3, [PrimeBlock(5, _by_valuation(5, [(1, "v>=1")], "v<=0"), {
 
 _register("T4", ("E_1", "E_2", "E_4", "E_12"), (1, 2, 4, 4),
           (("E_1", "E_2", 2), ("E_2", "E_4", 2), ("E_2", "E_12", 2)), (2,),
-          [PrimeBlock(2, _branch_T4, {
+          [PrimeBlock(2, _by_valuation(2, [(6, "v>=6"), (5, "v=5"),
+                                           (4, {1: "v=4,1(4)", 3: "v=4,3(4)"}), (3, "v=3")],
+                                        "v<=2"), {
               "v>=6": ((0, 1, 2, 0), None),
               "v=5": ((0, 1, 1, 1), (0, 0, 1, 0)),
               "v=4,1(4)": ((0, 1, 1, 1), (0, 0, 0, 1)),
@@ -319,7 +283,8 @@ _register("T4", ("E_1", "E_2", "E_4", "E_12"), (1, 2, 4, 4),
 _register("T6", ("E_1", "E_2", "E_12", "E_4", "E_8", "E_22"), (1, 2, 4, 4, 8, 8),
           (("E_1", "E_2", 2), ("E_12", "E_2", 2), ("E_2", "E_4", 2),
            ("E_4", "E_8", 2), ("E_4", "E_22", 2)), (2,),
-          [PrimeBlock(2, _by_residue(2), {
+          [PrimeBlock(2, _by_valuation(2, [(3, "v>=3"), (2, {1: "v=2,1(4)", 3: "v=2,3(4)"})],
+                                        "v<=1"), {
               "v>=3": ((0, 1, 2, 1, 1, 1), None),
               "v=2,3(4)": ((0, 1, 1, 2, 3, 2), None),
               "v=2,1(4)": ((0, 1, 1, 2, 2, 3), None),
@@ -334,7 +299,8 @@ _register("T8", ("E_1", "E_2", "E_21", "E_4", "E_41", "E_8", "E_81", "E_16"),
           (1, 2, 4, 4, 8, 8, 16, 16),
           (("E_1", "E_2", 2), ("E_21", "E_2", 2), ("E_2", "E_4", 2), ("E_4", "E_41", 2),
            ("E_4", "E_8", 2), ("E_8", "E_81", 2), ("E_8", "E_16", 2)), (2,),
-          [PrimeBlock(2, _by_residue(1), {
+          [PrimeBlock(2, _by_valuation(2, [(2, "v>=2"), (1, {1: "v=1,1(4)", 3: "v=1,3(4)"})],
+                                        "v<=0"), {
               "v>=2": ((0, 1, 2, 1, 1, 1, 1, 1), None),
               "v=1,3(4)": ((0, 1, 1, 2, 2, 3, 4, 3), None),
               "v=1,1(4)": ((0, 1, 1, 2, 2, 3, 3, 4), None),
@@ -365,7 +331,9 @@ _rect(2, 5, [
         "v2>1": ((0, 1, 0, 1), None),
         "v2=1": ((0, 1, 0, 1), (1, 0, 1, 0)),
         "v2<=0": (_ONES4, None)}),
-    PrimeBlock(5, _branch5_R4_10, {
+    PrimeBlock(5, _by_valuation(5, [(1, "other"),
+                                     (0, {1: "other", 2: "other", 3: "other", 4: "t=4(5)"})],
+                                "other"), {
         "t=4(5)": ((0, 0, 1, 1), None),
         "other": (_ONES4, None)}),
 ], {("v2>1", "other"): _every("E_2"),
@@ -381,7 +349,7 @@ _register("R6", ("E_1", "E_2", "E_3", "E_6", "E_9", "E_18"), (1, 2, 3, 6, 9, 18)
           [PrimeBlock(2, _by_valuation(2, [(1, "v2>0")], "v2<=0"), {
               "v2>0": ((0, 1, 0, 1, 0, 1), None),
               "v2<=0": (_ONES6, None)}),
-           PrimeBlock(3, _branch3_R6, {
+           PrimeBlock(3, _by_valuation(3, [(1, "v3!=0"), (0, "v3=0")], "v3!=0"), {
                "v3=0": ((0, 0, 1, 1, 2, 2), None),
                "v3!=0": (_ONES6, None)})],
           {("v2>0", "v3!=0"): _every("E_2"),
@@ -394,7 +362,8 @@ _register("S8", ("E_1", "E_3", "E_2", "E_6", "E_21", "E_12", "E_4", "E_31"),
           (("E_1", "E_3", 3), ("E_1", "E_2", 2), ("E_3", "E_6", 2), ("E_2", "E_6", 3),
            ("E_2", "E_21", 2), ("E_2", "E_4", 2), ("E_6", "E_12", 2), ("E_6", "E_31", 2),
            ("E_21", "E_12", 3), ("E_4", "E_31", 3)), (2, 3),
-          [PrimeBlock(2, _branch2_S8, {
+          [PrimeBlock(2, _by_valuation(2, [(1, "v2!=0"),
+                                            (0, {1: "v2=0,1(4)", 3: "v2=0,3(4)"})], "v2!=0"), {
               "v2!=0": (_ONES8, None),
               "v2=0,3(4)": ((0, 0, 1, 1, 1, 2, 2, 1), None),
               "v2=0,1(4)": ((0, 0, 1, 1, 2, 1, 1, 2), None)}),

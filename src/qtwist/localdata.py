@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import check_d, prime_factors, unit_residue, vp
+from .exactnum import check_d, prime_factors, vp
 from .weierstrass import PSignature, Signature, p_signature, transform
 
 
@@ -68,14 +68,10 @@ class LocalClassification:
 def _res(x, p: int, k: int) -> int:
     """Residue mod p^k of a p-integral rational (0 if v_p(x) >= k)."""
     x = Fraction(x)
-    if x == 0:
-        return 0
-    v = vp(x, p)
-    if v < 0:
+    if x.denominator % p == 0:
         raise ValueError("not p-integral")
-    if v >= k:
-        return 0
-    return (p**v * unit_residue(x, p, k)) % p**k
+    m = p**k
+    return x.numerator * pow(x.denominator, -1, m) % m
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +357,7 @@ def global_minimal(s: Signature) -> tuple[Signature, Fraction]:
     return transform(s, u), u
 
 
-def pal_u(c: LocalClassification, minimal_sig: Signature, d: int) -> Fraction:
+def pal_u(c: LocalClassification, d: int) -> Fraction:
     """Twist rescaling value u_p(E^d) of the minimal model, at p = c.p."""
     check_d(d)
     p = c.p
@@ -369,8 +365,8 @@ def pal_u(c: LocalClassification, minimal_sig: Signature, d: int) -> Fraction:
         if d % p == 0 and c.kodaira.starred:
             return Fraction(p)
         return Fraction(1)
-    vc4, vc6, vd = p_signature(minimal_sig, 2).as_tuple()
-    c6 = minimal_sig.c6
+    vc4, vc6, vd = c.minimal_psig.as_tuple()
+    c6 = c.minimal_sig.c6
     if d % 4 == 1:
         return Fraction(1)
     if d % 4 == 2:  # square-free even d; d/2 is an odd integer
@@ -400,5 +396,5 @@ def global_pal(minimal_sig: Signature, d: int) -> Fraction:
     primes = {2} | prime_factors(d)
     u = Fraction(1)
     for p in sorted(primes):
-        u *= pal_u(classify(minimal_sig, p), minimal_sig, d)
+        u *= pal_u(classify(minimal_sig, p), d)
     return u

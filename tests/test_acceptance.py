@@ -182,7 +182,7 @@ def test_7_pal_table_cross_checks():
                 for d in ds_by_p[p]:
                     assert is_squarefree(d)
                     got = localdata.row_pal_value(c, d)
-                    want = localdata.pal_u(c, c.minimal_sig, d)
+                    want = localdata.pal_u(c, d)
                     assert got == want, (block, p, s, d, got, want)
                 # Kodaira idempotence on the same corpus
                 again = localdata.classify(c.minimal_sig, p)

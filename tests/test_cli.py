@@ -94,6 +94,19 @@ class TestValidation:
         assert out == ""
         assert json.loads(err)["error"]
 
+    @pytest.mark.parametrize("d", [12, 0, 10**24 + 7])
+    @pytest.mark.parametrize("argv", [
+        ["faltings", "--type", "L3_9", "--t", "45"],
+        ["twist", "--ainvs", "1,1,1,-30,-76"],
+        ["verify", "--type", "L3_9", "--t", "45"],
+    ], ids=["faltings", "twist", "verify"])
+    def test_bad_d_exit_2(self, argv, d, capsys):
+        # the library checks d; the CLI passes it through unchecked
+        code, out, err = invoke(*argv, "--d", str(d), capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert f"d = {d} " in json.loads(err)["error"]
+
     @pytest.mark.parametrize("argv", [
         ["classify", "--ainvs", "1,1,1,-30,-76", "--p", str(M4423)],
         ["classify", "--ainvs", "1,1,1,-30,-76", "--p", str(2**11213 - 1)],

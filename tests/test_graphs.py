@@ -13,8 +13,9 @@ from qtwist.graphs import (
     faltings_by_theorem,
     faltings_by_volumes,
     graph_type,
+    branch_key,
+    branches,
     prob_table,
-    probability_of_branch,
     u_vectors,
 )
 from qtwist import families, graphs
@@ -88,6 +89,73 @@ class TestCusps:
             faltings_by_theorem("L3_9", 3, 12)
 
 
+# (type, t, branch key) worked out by hand from the paper's branch
+# conditions, one key per prime block (a plain string for one-block types).
+# At least one t per genus-0 branch, plus the boundary cases of the
+# residue splits.
+BRANCH_TABLE = [
+    # L2_2: v2(t) = 6 splits on v2(t + 64) mod 4
+    ("L2_2", 256, "v>=8"), ("L2_2", 128, "high"), ("L2_2", 64, "high"),
+    ("L2_2", 192, "low"), ("L2_2", 32, "low"), ("L2_2", 16, "v<=4"), ("L2_2", 1, "v<=4"),
+    # L2_3: v3(t) = 3 splits on v3(t + 27) mod 6
+    ("L2_3", 243, "v>=5"), ("L2_3", 81, "high"), ("L2_3", 27, "high"),
+    ("L2_3", 702, "low"), ("L2_3", 9, "low"), ("L2_3", 3, "v<=1"),
+    ("L2_5", 125, "v>=3"), ("L2_5", 25, "v=2"), ("L2_5", 5, "v=1"),
+    ("L2_5", Fraction(1, 5), "v<=0"),
+    ("L2_7", 49, "v>=2"), ("L2_7", 7, "v=1"), ("L2_7", 1, "v<=0"),
+    ("L2_13", 13, "v>0"), ("L2_13", Fraction(1, 13), "v<=0"),
+    ("L3_9", 27, "v>=3"), ("L3_9", 9, "v=2"), ("L3_9", 3, "v=1"), ("L3_9", 1, "v<=0"),
+    ("L3_25", 5, "v>=1"), ("L3_25", 2, "v<=0"),
+    # T4, T6, T8: at one v2(t), the odd part of t mod 4
+    ("T4", 64, "v>=6"), ("T4", 32, "v=5"), ("T4", 16, "v=4,1(4)"),
+    ("T4", 48, "v=4,3(4)"), ("T4", -16, "v=4,3(4)"), ("T4", Fraction(16, 3), "v=4,3(4)"),
+    ("T4", 8, "v=3"), ("T4", 4, "v<=2"),
+    ("T6", 8, "v>=3"), ("T6", 4, "v=2,1(4)"), ("T6", 12, "v=2,3(4)"),
+    ("T6", -4, "v=2,3(4)"), ("T6", 2, "v<=1"), ("T6", Fraction(1, 2), "v<=1"),
+    ("T8", 4, "v>=2"), ("T8", 2, "v=1,1(4)"), ("T8", 6, "v=1,3(4)"),
+    ("T8", Fraction(2, 3), "v=1,3(4)"), ("T8", 1, "v<=0"), ("T8", 3, "v<=0"),
+    ("R4_6", 36, ("v2>=2", "v3>=2")), ("R4_6", 12, ("v2>=2", "v3=1")),
+    ("R4_6", 4, ("v2>=2", "v3<=0")), ("R4_6", 9, ("v2<=1", "v3>=2")),
+    ("R4_6", 3, ("v2<=1", "v3=1")), ("R4_6", 1, ("v2<=1", "v3<=0")),
+    # R4_10 at 5: t a 5-adic unit = 4 mod 5
+    ("R4_10", 4, ("v2>1", "t=4(5)")), ("R4_10", 8, ("v2>1", "other")),
+    ("R4_10", 14, ("v2=1", "t=4(5)")), ("R4_10", 2, ("v2=1", "other")),
+    ("R4_10", -1, ("v2<=0", "t=4(5)")), ("R4_10", 9, ("v2<=0", "t=4(5)")),
+    ("R4_10", Fraction(2, 3), ("v2=1", "t=4(5)")), ("R4_10", 1, ("v2<=0", "other")),
+    ("R4_10", 20, ("v2>1", "other")), ("R4_10", Fraction(4, 5), ("v2>1", "other")),
+    ("R6", 2, ("v2>0", "v3=0")), ("R6", 6, ("v2>0", "v3!=0")),
+    ("R6", 1, ("v2<=0", "v3=0")), ("R6", 3, ("v2<=0", "v3!=0")),
+    ("R6", Fraction(1, 3), ("v2<=0", "v3!=0")),
+    # S8 at 2: t a 2-adic unit, mod 4
+    ("S8", 2, ("v2!=0", "v3<=0")), ("S8", Fraction(1, 2), ("v2!=0", "v3<=0")),
+    ("S8", 6, ("v2!=0", "v3>=1")), ("S8", 1, ("v2=0,1(4)", "v3<=0")),
+    ("S8", 9, ("v2=0,1(4)", "v3>=1")), ("S8", 3, ("v2=0,3(4)", "v3>=1")),
+    ("S8", 7, ("v2=0,3(4)", "v3<=0")), ("S8", -1, ("v2=0,3(4)", "v3<=0")),
+    ("S8", Fraction(1, 3), ("v2=0,3(4)", "v3<=0")),
+]
+
+
+class TestBranchTable:
+    """The classifiers against the hand-written table, not against
+    themselves (the pools in pools.py take their keys from the classifiers)."""
+
+    @staticmethod
+    def key(k):
+        return k if isinstance(k, tuple) else (k,)
+
+    @pytest.mark.parametrize("kind,t,key", BRANCH_TABLE)
+    def test_branch_key(self, kind, t, key):
+        assert branch_key(kind, t) == self.key(key)
+
+    def test_table_covers_every_branch(self):
+        covered = {}
+        for kind, _, key in BRANCH_TABLE:
+            covered.setdefault(kind, set()).add(self.key(key))
+        assert set(covered) == GENUS0
+        for kind in GENUS0:
+            assert covered[kind] == branches(kind), kind
+
+
 class TestSpecValidation:
     """Each spec checks at construction that its decision rows cover every
     branch and split the square-free d exactly once."""
@@ -116,9 +184,10 @@ class TestSpecValidation:
 
 class TestProbabilities:
     def test_branch_densities(self):
-        assert probability_of_branch(3, True) == Fraction(1, 4)
-        assert probability_of_branch(3, False) == Fraction(3, 4)
-        assert probability_of_branch(11, True) == Fraction(1, 12)
+        assert DCondition(3, True).probability == Fraction(1, 4)
+        assert DCondition(3, False).probability == Fraction(3, 4)
+        assert DCondition(11, True).probability == Fraction(1, 12)
+        assert DCondition().probability == 1
 
     def test_tables_sum_to_one(self):
         for kind in ALL_TYPES:

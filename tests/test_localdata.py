@@ -109,17 +109,17 @@ class TestPal:
     def test_rejects_bad_d(self):
         c = classify(S11, 11)
         with pytest.raises(ValueError):
-            pal_u(c, S11, 12)
+            pal_u(c, 12)
         with pytest.raises(ValueError):
-            pal_u(c, S11, 0)
+            pal_u(c, 0)
 
     def test_odd_p_values(self):
         c = classify(S121A2, 11)  # II, unstarred
-        assert pal_u(c, S121A2, 11) == 1
-        assert pal_u(c, S121A2, 5) == 1
+        assert pal_u(c, 11) == 1
+        assert pal_u(c, 5) == 1
         cstar = classify(S121A1, 11)  # II*, starred
-        assert pal_u(cstar, S121A1, 11) == 11
-        assert pal_u(cstar, S121A1, 5) == 1
+        assert pal_u(cstar, 11) == 11
+        assert pal_u(cstar, 5) == 1
 
     def test_predicts_minimality_scale_of_twist(self):
         # global_pal(s, d) must be exactly the rescaling that minimizes
@@ -131,12 +131,20 @@ class TestPal:
                 mini, u = global_minimal(twist_sig(s, d))
                 assert global_pal(s, d) == u, (s, d)
 
+    def test_reads_the_minimal_model(self):
+        # pal_u reads the p-minimal model that c was classified to, so any
+        # model of the curve gives the minimal model's u(E^d)
+        for s in (S11, S121A2, S32):
+            for u in (2, 3, 6, Fraction(1, 2), Fraction(1, 6)):
+                for d in (-1, 2, 3, -6, 7, 10):
+                    assert global_pal(transform(s, u), d) == global_pal(s, d), (s, u, d)
+
     def test_row_pal_matches_table_one(self):
         for s in (S11, S121A2, S121B1, S32):
             for p in (2, 3, 11):
                 c = classify(s, p)
                 for d in (1, -1, 2, 3, -5, 6, 11, -11):
-                    assert row_pal_value(c, d) == pal_u(c, c.minimal_sig, d), (s, p, d)
+                    assert row_pal_value(c, d) == pal_u(c, d), (s, p, d)
 
 
 def _mod(x: Fraction, m: int) -> int:

@@ -1,0 +1,40 @@
+"""Rules on the package source, checked on each module's syntax tree.
+
+* ``python -O`` strips ``assert``, so no check in the package may rely on one.
+* sympy is a test-only oracle: no module of the package may import it.
+"""
+
+import ast
+from pathlib import Path
+
+import qtwist
+
+TREES = {path.name: ast.parse(path.read_text(), filename=str(path))
+         for path in sorted(Path(qtwist.__file__).parent.glob("*.py"))}
+
+
+def _offending(rule):
+    """The "module:line" of every node of the package for which rule holds."""
+    return [f"{name}:{node.lineno}"
+            for name, tree in TREES.items()
+            for node in ast.walk(tree) if rule(node)]
+
+
+def _imports_sympy(node):
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        names = [node.module or ""]
+    else:
+        return False
+    return any(name.split(".")[0] == "sympy" for name in names)
+
+
+def test_package_has_no_assert():
+    assert TREES
+    assert _offending(lambda node: isinstance(node, ast.Assert)) == []
+
+
+def test_package_does_not_import_sympy():
+    assert TREES
+    assert _offending(_imports_sympy) == []
