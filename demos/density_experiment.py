@@ -9,7 +9,7 @@ Run:  python3 demos/density_experiment.py [--bound N]
 
 import argparse
 
-from qtwist import graphs, oracle
+from qtwist import graphs, sieve
 
 
 def main():
@@ -19,16 +19,16 @@ def main():
 
     print(f"square-free divisibility densities (bound {args.bound}):")
     for p in (2, 3, 5, 7, 11):
-        rep = oracle.squarefree_density(p, args.bound)
+        rep = sieve.squarefree_density(p, args.bound)
         print(f"  p={p:>2}: observed {rep.divisible_fraction:.5f}, "
               f"exact 1/{1 + p} = {1 / (1 + p):.5f}")
-    rep = oracle.squarefree_density(2, args.bound)
+    rep = sieve.squarefree_density(2, args.bound)
     print(f"  overall square-free density {rep.squarefree_density:.5f} "
           f"(6/pi^2 = {6 / 3.14159265358979**2:.5f})\n")
 
     cells = (("L3_9", 3), ("L3_9", 45), ("T4", 8), ("L2_5", 5), ("L2_11", None))
     for kind, t in cells:
-        freqs = oracle.empirical_prob(kind, t, args.bound)
+        freqs = sieve.empirical_prob(kind, t, args.bound)
         tag = f"{kind}, t={t}" if t is not None else kind
         print(f"{tag}:")
         for row in graphs.prob_table(kind, t):

@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import families, graphs, localdata, oracle
+from . import families, graphs, localdata, sieve
 from .exactnum import fmt_rat, parse_rat
 from .weierstrass import AInvariants, Signature, signature_of, twist_sig
 
@@ -108,6 +108,9 @@ def _cmd_family(args):
 
 
 def _cmd_verify(args):
+    # the only subcommand that needs mpmath, so the only one that loads it
+    from . import oracle
+
     t = _parse_t(args)
     rep = oracle.verify_class(args.type, t, args.d, precision_bits=args.bits,
                               variant=args.variant)
@@ -127,7 +130,7 @@ def mp_str(x) -> str:
 
 
 def _cmd_density(args):
-    rep = oracle.squarefree_density(args.p, args.n)
+    rep = sieve.squarefree_density(args.p, args.n)
     return {"p": rep.p, "bound": rep.bound,
             "divisible_fraction": rep.divisible_fraction,
             "squarefree_density": rep.squarefree_density}
@@ -135,7 +138,7 @@ def _cmd_density(args):
 
 def _cmd_empirical(args):
     t = _parse_t(args)
-    freq = oracle.empirical_prob(args.type, t, args.n)
+    freq = sieve.empirical_prob(args.type, t, args.n)
     return {"type": args.type, "t": fmt_rat(t) if t is not None else None,
             "bound": args.n, "frequencies": freq}
 

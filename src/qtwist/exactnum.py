@@ -24,6 +24,7 @@ checks that no p^2 divides n.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Union
 
@@ -340,9 +341,28 @@ def parse_rat(s: str) -> Fraction:
     return Fraction(s.strip())
 
 
+def _decimal_digits(n: int) -> int:
+    """The number of decimal digits of |n| >= 1, found without str()."""
+    n = abs(n)
+    k = int(math.log10(n))  # floor(log10 n), perhaps off by one
+    while 10**k > n:
+        k -= 1
+    while 10 ** (k + 1) <= n:
+        k += 1
+    return k + 1
+
+
 def fmt_rat(x: RatLike) -> str:
-    """Serialize as "num/den" (or plain integer) for JSON output."""
+    """Serialize as "num/den" (or plain integer) for JSON output.
+
+    ValueError if a part is longer than Python prints an integer
+    (``sys.get_int_max_str_digits()``, 4300 digits by default)."""
     x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        if x.denominator == 1:
+            return str(x.numerator)
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        digits = max(_decimal_digits(x.numerator), _decimal_digits(x.denominator))
+        raise ValueError(f"the output has a {digits}-digit number, which is past the "
+                         f"{sys.get_int_max_str_digits()}-digit print limit") from None

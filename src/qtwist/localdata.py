@@ -360,6 +360,11 @@ def global_minimal(s: Signature) -> tuple[Signature, Fraction]:
 def pal_u(c: LocalClassification, d: int) -> Fraction:
     """Twist rescaling value u_p(E^d) of the minimal model, at p = c.p."""
     check_d(d)
+    return _pal_u(c, d)
+
+
+def _pal_u(c: LocalClassification, d: int) -> Fraction:
+    """pal_u for a d already checked to be a square-free integer."""
     p = c.p
     if p != 2:
         if d % p == 0 and c.kodaira.starred:
@@ -396,5 +401,5 @@ def global_pal(minimal_sig: Signature, d: int) -> Fraction:
     primes = {2} | prime_factors(d)
     u = Fraction(1)
     for p in sorted(primes):
-        u *= pal_u(classify(minimal_sig, p), d)
+        u *= _pal_u(classify(minimal_sig, p), d)
     return u

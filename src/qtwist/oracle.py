@@ -1,8 +1,8 @@
 """Independent numeric verification of the exact decision machinery:
 period-lattice volumes (closed-form cubic roots and the real AGM for both
 signs of Δ; error from a p+60 re-run), Néron volumes and Faltings heights,
-argmin cross-checks against the rule tables, and sieved density /
-probability estimates.
+and argmin cross-checks against the rule tables. The only module of the
+package that imports mpmath.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Optional
 import mpmath as mp
 
 from . import families, graphs
-from .exactnum import RatLike, check_prime
+from .exactnum import RatLike
 from .localdata import global_minimal
 from .weierstrass import Signature, twist_sig
 
@@ -145,61 +145,3 @@ def verify_class(kind: str, t: Optional[RatLike], d: int,
     theorem = graphs.faltings_by_theorem(kind, t, d).vertex
     return HeightReport(tuple(rows), argmin, theorem, argmin == theorem,
                         precision_bits, margin)
-
-
-# ---------------------------------------------------------------------------
-# sieved densities
-
-def _squarefree_mask(n: int) -> bytearray:
-    """mask[i] = 1 for the square-free i in 0..n, else 0 (mask[0] = 0).
-
-    The mask takes n + 1 bytes, hence the upper bound."""
-    if not 10**4 <= n <= 10**8:
-        raise ValueError(f"bound = {n} is outside 10^4..10^8")
-    mask = bytearray(b"\x01") * (n + 1)
-    mask[0] = 0
-    k = 2
-    while k * k <= n:
-        mask[k * k:: k * k] = bytes(n // (k * k))
-        k += 1
-    return mask
-
-
-@dataclass(frozen=True)
-class DensityReport:
-    p: int
-    bound: int
-    divisible_fraction: float
-    squarefree_density: float
-
-
-def squarefree_density(p: int, bound: int) -> DensityReport:
-    """Among square-free n <= bound: fraction divisible by p, plus the
-    overall square-free density (expected 1/(1+p) and 6/pi^2)."""
-    check_prime(p)
-    mask = _squarefree_mask(bound)
-    total_sf = mask.count(1)
-    div = mask[p::p].count(1)
-    return DensityReport(p, bound, div / total_sf, total_sf / bound)
-
-
-def empirical_prob(kind: str, t: Optional[RatLike], bound: int) -> dict:
-    """Frequencies, over square-free |d| <= bound, of the vertex chosen
-    by the closed-form decision.
-
-    The decision depends on d only through divisibility by the table's
-    primes, so each branch is counted with one sieve pass; counting
-    positive d suffices because every condition is sign-blind.
-    """
-    rows = graphs.decision_rows(kind, t)
-    mask = _squarefree_mask(bound)
-    total = mask.count(1)
-    freq: dict = {}
-    for cond, vertex in rows:
-        if cond.p is None:
-            count = total
-        else:
-            div = mask[cond.p::cond.p].count(1)
-            count = div if cond.divisible else total - div
-        freq[vertex] = freq.get(vertex, 0.0) + count / total
-    return freq

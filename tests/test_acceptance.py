@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from qtwist import families, graphs, localdata, oracle
+from qtwist import families, graphs, localdata, oracle, sieve
 from qtwist.exactnum import is_squarefree
 from qtwist.weierstrass import (
     AInvariants,
@@ -120,10 +120,10 @@ def test_4_numeric_heights_match_theorem():
 def test_5_lemma1_densities():
     bound = 10**6
     for p in (2, 3, 5, 7, 11):
-        rep = oracle.squarefree_density(p, bound)
+        rep = sieve.squarefree_density(p, bound)
         target = 1 / (1 + p)
         assert abs(rep.divisible_fraction - target) <= 0.005 * target, p
-    rep = oracle.squarefree_density(2, bound)
+    rep = sieve.squarefree_density(2, bound)
     target = float(6 / mp.pi**2)
     assert abs(rep.squarefree_density - target) <= 0.005 * target
 
@@ -141,7 +141,7 @@ def test_6_empirical_probabilities():
         rows = graphs.prob_table(kind, t)
         matching = [r for r in rows if r.probability == wanted]
         assert matching, (kind, t, wanted, rows)
-        freqs = oracle.empirical_prob(kind, t, 10**5)
+        freqs = sieve.empirical_prob(kind, t, 10**5)
         for r in rows:
             assert abs(freqs[r.vertex] - float(r.probability)) <= 0.01, (kind, t, r)
 

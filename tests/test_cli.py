@@ -122,6 +122,16 @@ class TestValidation:
         assert out == ""
         assert "past the 1000-digit limit" in json.loads(err)["error"]
 
+    def test_output_past_print_limit_exit_2(self, capsys):
+        # the answer exists, but one of its numbers is longer than Python
+        # prints an integer
+        code, out, err = invoke("family", "l39", "--t", f"1/{10**400}", capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == (
+            "the output has a 4803-digit number, which is past the "
+            f"{sys.get_int_max_str_digits()}-digit print limit")
+
     def test_unknown_type(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["faltings", "--type", "L2_9", "--t", "1", "--d", "1"])
@@ -209,6 +219,34 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "False"
+
+    def test_only_verify_loads_mpmath(self):
+        # mpmath serves the numeric height check alone
+        script = """if True:
+            import sys
+            from qtwist import cli
+            for argv in (["faltings", "--type", "L3_9", "--t", "45", "--d", "3"],
+                         ["prob", "--type", "L3_9", "--t", "3"],
+                         ["classify", "--ainvs", "1,1,1,-30,-76", "--p", "11"],
+                         ["minimal", "--sig", "642816,933493248,-350572971995136"],
+                         ["twist", "--ainvs", "1,1,1,-30,-76", "--d", "11"],
+                         ["family", "l39", "--t", "45"],
+                         ["density", "--p", "3", "--n", "10000"],
+                         ["empirical", "--type", "L3_9", "--t", "3", "--n", "10000"]):
+                if cli.run(argv) != 0:
+                    sys.exit(1)
+            print("mpmath" in sys.modules)
+            code = cli.run(["verify", "--type", "L3_9", "--t", "45", "--d", "3",
+                            "--bits", "64"])
+            print("mpmath" in sys.modules)
+            sys.exit(code)
+        """
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        before, verify, after = proc.stdout.splitlines()[-3:]
+        assert before == "False"
+        assert json.loads(verify)["match"] is True
+        assert after == "True"
 
     def test_environment_is_ignored(self):
         proc = subprocess.run(

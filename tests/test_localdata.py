@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from qtwist import exactnum, localdata
 from qtwist.localdata import (
     KodairaSymbol,
     classify,
@@ -138,6 +139,24 @@ class TestPal:
             for u in (2, 3, 6, Fraction(1, 2), Fraction(1, 6)):
                 for d in (-1, 2, 3, -6, 7, 10):
                     assert global_pal(transform(s, u), d) == global_pal(s, d), (s, u, d)
+
+    def test_factors_d_once(self, monkeypatch):
+        # one factoring for check_d (through is_squarefree), one for the
+        # primes of d; none per prime
+        calls = []
+        real = exactnum.prime_factors
+
+        def counting(n, *args, **kwargs):
+            calls.append(n)
+            return real(n, *args, **kwargs)
+
+        monkeypatch.setattr(exactnum, "prime_factors", counting)
+        monkeypatch.setattr(localdata, "prime_factors", counting)
+        d = -999999937 * 1000000007  # 1 mod 4
+        for dd, wanted in ((d, 1), (-d, Fraction(1, 2))):
+            calls.clear()
+            assert global_pal(S121A2, dd) == wanted
+            assert len(calls) <= 2, calls
 
     def test_row_pal_matches_table_one(self):
         for s in (S11, S121A2, S121B1, S32):

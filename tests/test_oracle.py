@@ -7,15 +7,14 @@ from mpmath import mp
 
 from qtwist import families
 from qtwist.oracle import (
-    empirical_prob,
     faltings_height,
     lattice_volume,
     neron_volume,
-    squarefree_density,
     verify_class,
 )
 from qtwist.graphs import prob_table
 from qtwist.localdata import global_minimal
+from qtwist.sieve import empirical_prob, squarefree_density
 from qtwist.weierstrass import AInvariants, Signature, signature_of, transform, twist_sig
 
 S11 = signature_of(AInvariants(0, -1, 1, -10, -20))   # Delta < 0

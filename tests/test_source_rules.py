@@ -2,6 +2,8 @@
 
 * ``python -O`` strips ``assert``, so no check in the package may rely on one.
 * sympy is a test-only oracle: no module of the package may import it.
+* mpmath serves the numeric height check alone: only ``oracle`` may import
+  it (the CLI imports ``oracle`` for ``verify`` only; see test_cli.py).
 """
 
 import ast
@@ -20,14 +22,17 @@ def _offending(rule):
             for node in ast.walk(tree) if rule(node)]
 
 
-def _imports_sympy(node):
-    if isinstance(node, ast.Import):
-        names = [alias.name for alias in node.names]
-    elif isinstance(node, ast.ImportFrom) and node.level == 0:
-        names = [node.module or ""]
-    else:
-        return False
-    return any(name.split(".")[0] == "sympy" for name in names)
+def _imports(package):
+    """A rule that holds for an import of package or of a module in it."""
+    def rule(node):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            return False
+        return any(name.split(".")[0] == package for name in names)
+    return rule
 
 
 def test_package_has_no_assert():
@@ -37,4 +42,11 @@ def test_package_has_no_assert():
 
 def test_package_does_not_import_sympy():
     assert TREES
-    assert _offending(_imports_sympy) == []
+    assert _offending(_imports("sympy")) == []
+
+
+def test_only_oracle_imports_mpmath():
+    assert TREES
+    where = _offending(_imports("mpmath"))
+    assert [w for w in where if not w.startswith("oracle.py:")] == []
+    assert where, "oracle.py no longer imports mpmath; update this rule"
