@@ -11,7 +11,9 @@ one block, one branch.
 Two independent encodings coexist on purpose:
 
 * ``u_vectors`` + ``faltings_by_volumes`` re-derive the winning vertex
-  as the exact argmax of u~_i^2 u_i^2 v_i from the blocks' exponents;
+  as the exact argmax of u~_i^2 u_i^2 v_i from the blocks' exponents, in
+  integers: every u is a power of an isogeny prime, and the volumes are
+  scaled by the lcm of their denominators (``GraphType.weights``);
 * ``faltings_by_theorem`` looks the answer up in the literal decision
   rows.
 
@@ -20,8 +22,10 @@ Their agreement over every branch is a test, not an assumption.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Callable, Optional
 
@@ -63,7 +67,8 @@ class PrimeBlock:
     ``classify`` maps t to a branch key; it is None for genus >= 1 types,
     whose single branch is keyed "all".  ``rows`` maps each key to the
     exponents of p in u(E), and in u(E^d) when p | d (None: u(E^d) is 1
-    at p for every d).  When p does not divide d, u(E^d) is 1 at p.
+    at p for every d), one non-negative int per vertex.  When p does not
+    divide d, u(E^d) is 1 at p.
     """
     p: int
     classify: Optional[Callable[[Fraction], str]]
@@ -87,6 +92,16 @@ class GraphType:
     excluded: tuple = ()  # t values besides 0 where a branch is undefined
 
     def __post_init__(self) -> None:
+        # u-exponents are non-negative ints, one per vertex, so every u is
+        # an int
+        n = len(self.vertices)
+        for block in self.blocks:
+            for key, exps in block.rows.items():
+                for exp in exps:
+                    if exp is not None and (len(exp) != n or any(
+                            type(e) is not int or e < 0 for e in exp)):
+                        raise ValueError(f"{self.kind} {key}: u-exponents {exp} are not "
+                                         f"{n} non-negative ints")
         # every combination of block keys has rows, and each row set
         # splits the square-free d on one prime exactly once
         keys = set(product(*(b.rows for b in self.blocks)))
@@ -104,6 +119,12 @@ class GraphType:
     @property
     def genus_ge_1(self) -> bool:
         return self.blocks[0].classify is None
+
+    @cached_property
+    def weights(self) -> tuple:
+        """The volumes as ints: times the lcm of their denominators."""
+        m = math.lcm(*(v.denominator for v in self.volumes))
+        return tuple(v.numerator * (m // v.denominator) for v in self.volumes)
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +466,8 @@ def decision_rows(kind: str, t: Optional[RatLike]) -> tuple:
 
 @dataclass(frozen=True)
 class UVectors:
-    uE: tuple
-    uEd: tuple
+    uE: tuple   # of int
+    uEd: tuple  # of int
 
 
 def u_vectors(kind: str, t: Optional[RatLike], d: int) -> UVectors:
@@ -456,14 +477,14 @@ def u_vectors(kind: str, t: Optional[RatLike], d: int) -> UVectors:
     d = check_d(d)
     t = check_t(kind, t)
     n = len(g.vertices)
-    uE = [Fraction(1)] * n
-    uEd = [Fraction(1)] * n
+    uE = [1] * n
+    uEd = [1] * n
     for block in g.blocks:
         uE_exp, uEd_exp = block.rows[block.key(t)]
-        p = Fraction(block.p)
+        p = block.p
         for i in range(n):
             uE[i] *= p ** uE_exp[i]
-        if uEd_exp is not None and d % block.p == 0:
+        if uEd_exp is not None and d % p == 0:
             for i in range(n):
                 uEd[i] *= p ** uEd_exp[i]
     return UVectors(tuple(uE), tuple(uEd))
@@ -485,10 +506,11 @@ def faltings_by_theorem(kind: str, t: Optional[RatLike], d: int) -> FaltingsResu
 
 
 def faltings_by_volumes(kind: str, t: Optional[RatLike], d: int) -> str:
-    """Re-derivation: argmax vertex of u~_i^2 u_i^2 v_i, exact arithmetic."""
+    """Re-derivation: argmax vertex of u~_i^2 u_i^2 v_i, in exact integers
+    (the volumes scaled by one positive factor, ``GraphType.weights``)."""
     g = graph_type(kind)
     uv = u_vectors(kind, t, d)
-    scores = [ue**2 * ud**2 * v for ue, ud, v in zip(uv.uE, uv.uEd, g.volumes)]
+    scores = [ue * ue * ud * ud * w for ue, ud, w in zip(uv.uE, uv.uEd, g.weights)]
     best = max(scores)
     winners = [lbl for lbl, sc in zip(g.vertices, scores) if sc == best]
     if len(winners) != 1:

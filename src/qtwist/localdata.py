@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import check_d, prime_factors, vp
+from .exactnum import check_d, prime_factors
 from .weierstrass import PSignature, Signature, p_signature, transform
 
 
@@ -85,42 +85,44 @@ def cond_3b(s: Signature) -> bool:
     return _res((s.c6 / 3**6) ** 2 + 2 - 3 * (s.c4 / 3**4), 3, 2) == 0
 
 
-def _AB(s: Signature):
-    return -s.c4 / 48, -s.c6 / 864
+def _ab(s: Signature) -> tuple[int, int]:
+    """Residues mod 32 of A = -c4/48 and B = -c6/864, the coefficients of
+    the short model y^2 = x^3 + Ax + B (2-integral at every row that asks)."""
+    return _res(-s.c4 / 48, 2, 5), _res(-s.c6 / 864, 2, 5)
 
 
-def _psi2(r, A, B):
-    return r**3 + A * r + B
+# division polynomials of the short model, evaluated on residues: their
+# value mod 2^k depends only on r, A and B mod 2^k
+def _psi2(r: int, a: int, b: int) -> int:
+    return r**3 + a * r + b
 
 
-def _psi3(r, A, B):
-    return 3 * r**4 + 6 * A * r**2 + 12 * B * r - A**2
+def _psi3(r: int, a: int, b: int) -> int:
+    return 3 * r**4 + 6 * a * r**2 + 12 * b * r - a * a
 
 
 def cond_2a(s: Signature) -> bool:
-    A, B = _AB(s)
-    a, b = _res(A, 2, 2), _res(B, 2, 2)
+    a, b = (x % 4 for x in _ab(s))
     return (a == 1 and b in (0, 1)) or (a != 1 and b in (2, 3))
 
 
 def cond_2b(s: Signature) -> bool:
-    A, B = _AB(s)
-    return _res(_psi3(A, A, B), 2, 3) != 0
+    a, b = _ab(s)
+    return _psi3(a, a, b) % 8 != 0
 
 
-def _psi3_roots_mod32(s: Signature):
-    A, B = _AB(s)
-    return [r for r in range(32) if _res(_psi3(r, A, B), 2, 5) == 0]
+def _psi3_roots_mod32(a: int, b: int) -> list:
+    return [r for r in range(32) if _psi3(r, a, b) % 32 == 0]
 
 
 def cond_2c(s: Signature) -> bool:
     # no root of Psi3 mod 32, or every root r has Psi2(r) in {1,8,9,12} mod 16
-    A, B = _AB(s)
-    return all(_res(_psi2(r, A, B), 2, 4) in (1, 8, 9, 12) for r in _psi3_roots_mod32(s))
+    a, b = _ab(s)
+    return all(_psi2(r, a, b) % 16 in (1, 8, 9, 12) for r in _psi3_roots_mod32(a, b))
 
 
 def cond_2d(s: Signature) -> bool:
-    return all(r % 4 in (1, 2) for r in _psi3_roots_mod32(s))
+    return all(r % 4 in (1, 2) for r in _psi3_roots_mod32(*_ab(s)))
 
 
 def cond_2e(s: Signature) -> bool:
@@ -149,15 +151,34 @@ def realizable(s: Signature, p: int) -> bool:
     """Does the p-integral pair (c4, c6) come from a p-integral model?
 
     Kraus' local criterion: always at p >= 5; at p = 3 iff v3(c6) != 2; at
-    p = 2 iff c6 = 3 mod 4, or 16 | c4 and c6 = 0 or 8 mod 32.
+    p = 2 iff c6 = 3 mod 4, or 16 | c4 and c6 = 0 or 8 mod 32.  ValueError
+    if s is not p-integral.
     """
-    if any(v < 0 for v in p_signature(s, p).as_tuple() if v != math.inf):
+    vc4, vc6, vd = p_signature(s, p).as_tuple()
+    if min(vc4, vc6, vd) < 0:
         raise ValueError("signature not p-integral")
+    return _kraus(s, p, vc4, vc6, 0)
+
+
+def _kraus(s: Signature, p: int, vc4, vc6, k: int) -> bool:
+    """``realizable``'s criterion for transform(s, p^k), from v_p(c4) and
+    v_p(c6) of s; that model must be p-integral."""
     if p >= 5:
         return True
     if p == 3:
-        return vp(s.c6, 3) != 2
-    return _res(s.c6, 2, 2) == 3 or (vp(s.c4, 2) >= 4 and _res(s.c6, 2, 5) in (0, 8))
+        return vc6 - 6 * k != 2
+    c6 = _c6_mod32(s, vc6, k)
+    return c6 % 4 == 3 or (vc4 - 4 * k >= 4 and c6 in (0, 8))
+
+
+def _c6_mod32(s: Signature, vc6, k: int) -> int:
+    """c6 / 2^(6k) mod 32, for vc6 = v2(c6) >= 6k."""
+    e = vc6 - 6 * k
+    if e >= 5:  # also when c6 = 0
+        return 0
+    # c6 = 2^vc6 num/den with num and den odd
+    num, den = s.c6.numerator >> max(vc6, 0), s.c6.denominator >> max(-vc6, 0)
+    return (num << e) * pow(den, -1, 32) % 32
 
 
 # ---------------------------------------------------------------------------
@@ -301,15 +322,17 @@ def classify(s: Signature, p: int) -> LocalClassification:
     there.  One step back always suffices: it raises v3(c6) by 6, and at
     p = 2 it makes 16 | c4 and 64 | c6.  The p-signature at that k matches
     one table row, whose conditions are tried in order; every condition
-    evaluated is recorded in conditions_fired.
+    evaluated is recorded in conditions_fired.  The valuations are taken
+    once: the p-signature at scale k is read off them, and the model at
+    that scale is built once, after the step back (s itself at k = 0).
     """
-    vals = p_signature(s, p).as_tuple()
-    k = min(v // w for v, w in zip(vals, (4, 6, 12)) if v != math.inf)
-    sk = transform(s, Fraction(p) ** k)
-    if not realizable(sk, p):
+    vc4, vc6, vd = p_signature(s, p).as_tuple()
+    k = min(v // w for v, w in ((vc4, 4), (vc6, 6), (vd, 12)) if v != math.inf)
+    if not _kraus(s, p, vc4, vc6, k):
         k -= 1
-        sk = transform(s, Fraction(p) ** k)
-    psig = p_signature(sk, p)
+    # the p-signature at scale k, read off the valuations (inf stays inf)
+    psig = PSignature(vc4 - 4 * k, vc6 - 6 * k, vd - 12 * k)
+    sk = s if k == 0 else transform(s, Fraction(p) ** k)
     row = _match_row(_table_for(p), psig)
     if row is None:
         raise TableMissError(f"p={p}: no row for sig_p = {psig.as_tuple()}")

@@ -8,10 +8,11 @@ c4^3 - c6^2 = 1728*Delta.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import RatLike, check_d, vp
+from .exactnum import RatLike, check_d, check_prime, vp_int
 
 
 @dataclass(frozen=True)
@@ -70,8 +71,15 @@ def signature_of(a: AInvariants) -> Signature:
     return Signature(c4, c6, delta)
 
 
+def _vp(x: Fraction, p: int):
+    """``exactnum.vp`` for a p already checked to be prime."""
+    return math.inf if x == 0 else vp_int(x.numerator, p) - vp_int(x.denominator, p)
+
+
 def p_signature(s: Signature, p: int) -> PSignature:
-    return PSignature(vp(s.c4, p), vp(s.c6, p), vp(s.delta, p))
+    """The p-adic valuations of (c4, c6, Delta); ValueError unless p is prime."""
+    check_prime(p)
+    return PSignature(_vp(s.c4, p), _vp(s.c6, p), _vp(s.delta, p))
 
 
 def transform(s: Signature, u: RatLike) -> Signature:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -160,15 +161,16 @@ class TestSpecValidation:
     """Each spec checks at construction that its decision rows cover every
     branch and split the square-free d exactly once."""
 
+    WELL_FORMED = {("all",): ((DCondition(3, False), "E_1"), (DCondition(3, True), "E_3"))}
+
     @staticmethod
-    def spec(decisions):
-        block = PrimeBlock(3, None, {"all": ((0, 0), (0, 1))})
+    def spec(decisions, exponents=((0, 0), (0, 1))):
+        block = PrimeBlock(3, None, {"all": exponents})
         return GraphType("L2_3x", ("E_1", "E_3"), (Fraction(1), Fraction(1, 3)),
                          (("E_1", "E_3", 3),), (3,), (block,), decisions)
 
     def test_well_formed(self):
-        assert self.spec({("all",): ((DCondition(3, False), "E_1"),
-                                     (DCondition(3, True), "E_3"))})
+        assert self.spec(self.WELL_FORMED)
 
     @pytest.mark.parametrize("decisions", [
         {},                                                       # branch without rows
@@ -180,6 +182,20 @@ class TestSpecValidation:
     def test_broken_spec_raises(self, decisions):
         with pytest.raises(ValueError):
             self.spec(decisions)
+
+    # u-exponents must be non-negative ints, one per vertex, so that every
+    # u-vector entry is an exact int
+    @pytest.mark.parametrize("exponents", [
+        ((0, -1), None),              # u = 1/3
+        ((0, Fraction(1, 2)), None),  # u = sqrt 3
+        ((0, 1.0), None),             # a float
+        ((0, 0), (0, True)),          # a bool
+        ((0,), (0, 1)),               # too short
+        ((0, 0), (0, 1, 1)),          # too long
+    ])
+    def test_broken_exponents_raise(self, exponents):
+        with pytest.raises(ValueError, match="u-exponents"):
+            self.spec(self.WELL_FORMED, exponents)
 
 
 class TestProbabilities:
@@ -225,6 +241,43 @@ class TestDecisions:
             for d in (1, -1, 2, 3, 5, -6, 7, 11, -13, 30):
                 r = faltings_by_theorem(kind, t, d)
                 assert faltings_by_volumes(kind, t, d) == r.vertex, (kind, d)
+
+
+class TestIntegerScores:
+    """faltings_by_volumes scores in ints; the Fraction scores built here
+    from ``volumes`` must have the same unique argmax."""
+
+    @staticmethod
+    def ds(g, rows):
+        # both sides of every row's d-condition and of every type prime
+        conds = {cond for cond, _ in rows}
+        conds |= {DCondition(p, div) for p in g.primes for div in (False, True)}
+        return {d for cond in conds for d in squarefree_ds(cond, 2)}
+
+    @pytest.mark.parametrize("kind", ALL_TYPES)
+    def test_int_argmax_equals_fraction_argmax(self, kind):
+        g = graph_type(kind)
+        if kind in GENUS_GE1:
+            ts = [None]
+        else:
+            ts = [t for pool in pooled_ts(kind, 2).values() for t in pool]
+        for t in ts:
+            for d in self.ds(g, graphs.decision_rows(kind, t)):
+                uv = u_vectors(kind, t, d)
+                assert all(type(u) is int for u in uv.uE + uv.uEd), (kind, t, d, uv)
+                scores = [Fraction(ue) ** 2 * Fraction(ud) ** 2 * v
+                          for ue, ud, v in zip(uv.uE, uv.uEd, g.volumes)]
+                best = max(scores)
+                winners = [lbl for lbl, sc in zip(g.vertices, scores) if sc == best]
+                assert [faltings_by_volumes(kind, t, d)] == winners, (kind, t, d)
+
+    def test_weights(self):
+        for kind in ALL_TYPES:
+            g = graph_type(kind)
+            assert all(type(w) is int for w in g.weights)
+            assert g.weights[0] == math.lcm(*(v.denominator for v in g.volumes))
+            assert all(Fraction(w, g.weights[0]) == v for w, v in zip(g.weights, g.volumes))
+            assert g.weights is g.weights  # derived once per type
 
 
 class TestBranchSweep:

@@ -1,19 +1,34 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qtwist import exactnum, localdata
+from qtwist.families import l39_signatures
 from qtwist.localdata import (
     KodairaSymbol,
     classify,
+    cond_2a,
+    cond_2b,
+    cond_2c,
+    cond_2d,
     global_minimal,
     global_pal,
     pal_u,
     realizable,
     row_pal_value,
 )
-from qtwist.weierstrass import AInvariants, Signature, signature_of, transform, twist_sig
+from qtwist.weierstrass import (
+    AInvariants,
+    Signature,
+    p_signature,
+    signature_of,
+    transform,
+    twist_sig,
+)
 
 S11 = signature_of(AInvariants(0, -1, 1, -10, -20))       # conductor 11, I5 at 11
 S121A2 = signature_of(AInvariants(1, 1, 1, -30, -76))     # II at 11
@@ -71,6 +86,27 @@ class TestClassifyKnownCurves:
         assert str(c.kodaira) == "I0"
         assert c.minimal_psig.vdelta == 0
 
+    def test_checks_p_once(self, monkeypatch):
+        # one primality test of p per classify, however many valuations
+        # it takes (a 1000-digit p takes about 0.5 s to test)
+        calls = []
+        real = exactnum.is_prime
+
+        def counting(n, *args, **kwargs):
+            calls.append(n)
+            return real(n, *args, **kwargs)
+
+        monkeypatch.setattr(exactnum, "is_prime", counting)
+        big = 10**999 + 7
+        for s, p in ((S121A2, big), (S121A2, 11), (transform(S11, Fraction(1, 6)), 2),
+                     (transform(S11, Fraction(1, 6)), 3), (S32, 2)):
+            calls.clear()
+            c = classify(s, p)
+            assert len(calls) <= 1, (p, len(calls))
+        assert str(c.kodaira) == "III"
+        calls.clear()
+        assert str(classify(S121A2, big).kodaira) == "I0" and calls == [big]
+
 
 class TestClassifyScaling:
     def test_non_minimal_input(self):
@@ -97,6 +133,18 @@ class TestClassifyScaling:
                 again = classify(c.minimal_sig, p)
                 assert again.u_p == 1
                 assert str(again.kodaira) == str(c.kodaira)
+
+    def test_step_back_at_every_scale(self):
+        # Kraus fails at the largest p-integral scale of these models
+        # ((1, 2, 0) at 3; (0, 0, 0) with c6 = 1 mod 4 at 2), so classify
+        # steps back one, at whatever scale the curve is given
+        c4, c6 = 16 * 65, 64
+        for s, p, psig in ((Signature(3**5, 3**8, Fraction(3**15 - 3**16, 1728)), 3, (5, 8, 12)),
+                           (Signature(c4, c6, Fraction(c4**3 - c6**2, 1728)), 2, (4, 6, 12))):
+            for e in (-2, -1, 0, 1):
+                c = classify(transform(s, Fraction(p) ** e), p)
+                assert c.u_p == Fraction(p) ** -e and c.minimal_sig == s, (p, e)
+                assert c.minimal_psig.as_tuple() == psig, (p, e)
 
     def test_denominator_scale(self):
         # s with p-denominators classifies via a negative power of p
@@ -234,3 +282,136 @@ class TestRealizable:
     def test_rejects_non_integral(self):
         with pytest.raises(ValueError):
             realizable(transform(S11, 2), 2)
+
+
+# ---------------------------------------------------------------------------
+# the 2-adic conditions against a reference that evaluates the division
+# polynomials in Fractions, as localdata did before it used residues
+
+def _ref_res(x: Fraction, k: int) -> int:
+    m = 2**k
+    return x.numerator * pow(x.denominator, -1, m) % m
+
+
+def _ref_psi2(r, A, B):
+    return r**3 + A * r + B
+
+
+def _ref_psi3(r, A, B):
+    return 3 * r**4 + 6 * A * r**2 + 12 * B * r - A**2
+
+
+def _ref_AB(s: Signature):
+    return -s.c4 / 48, -s.c6 / 864
+
+
+def _ref_roots(s: Signature):
+    A, B = _ref_AB(s)
+    return [r for r in range(32) if _ref_res(Fraction(_ref_psi3(r, A, B)), 5) == 0]
+
+
+def _ref_2a(s):
+    A, B = _ref_AB(s)
+    a, b = _ref_res(A, 2), _ref_res(B, 2)
+    return (a == 1 and b in (0, 1)) or (a != 1 and b in (2, 3))
+
+
+def _ref_2b(s):
+    A, B = _ref_AB(s)
+    return _ref_res(_ref_psi3(A, A, B), 3) != 0
+
+
+def _ref_2c(s):
+    A, B = _ref_AB(s)
+    return all(_ref_res(Fraction(_ref_psi2(r, A, B)), 4) in (1, 8, 9, 12) for r in _ref_roots(s))
+
+
+def _ref_2d(s):
+    return all(r % 4 in (1, 2) for r in _ref_roots(s))
+
+
+CONDITIONS_2 = ((cond_2a, _ref_2a), (cond_2b, _ref_2b), (cond_2c, _ref_2c), (cond_2d, _ref_2d))
+
+
+def _sig(c4: Fraction, c6: Fraction) -> Signature:
+    return Signature(c4, c6, (c4**3 - c6**2) / 1728)
+
+
+class TestConditions2:
+    @given(st.integers(4, 10), st.integers(-10**6, 10**6), st.integers(5, 12),
+           st.integers(-10**6, 10**6), st.sampled_from((1, 3, 5, 7, 9, 15)))
+    @settings(max_examples=300, deadline=None)
+    def test_equal_to_fraction_reference(self, i, u, j, w, den):
+        # every pair with 2^4 | c4 and 2^5 | c6: A and B are 2-integral
+        c4, c6 = Fraction(2**i * u, den**2), Fraction(2**j * w, den**3)
+        assume(c4**3 != c6**2)
+        s = _sig(c4, c6)
+        for cond, ref in CONDITIONS_2:
+            assert cond(s) == ref(s), (cond.__name__, s)
+
+    # the rows of TABLE_P2 that try 2c or 2d, with the least v(c4) of a
+    # ">= 7" pattern; c4 = 2^i u, c6 = 2^j w with u, w odd
+    @pytest.mark.parametrize("row,labels", [
+        ((4, 6, 8), {"2c", "2d"}), ((6, 7, 8), {"2c"}), ((7, 7, 8), {"2c"}),
+        ((4, 6, 10), {"2d"}), ((4, 6, 11), {"2d"}),
+    ])
+    def test_rows(self, row, labels):
+        rng = random.Random(str(row))
+        i, j, vd = row
+        outcomes = {label: set() for label in labels}
+        count = 0
+        while count < 100:
+            u, w = rng.randrange(-10**4, 10**4) | 1, rng.randrange(-10**4, 10**4) | 1
+            ii = i + rng.randrange(3) if row == (7, 7, 8) else i
+            den = rng.choice((1, 3, 5, 7))
+            c4, c6 = Fraction(2**ii * u, den**2), Fraction(2**j * w, den**3)
+            if c4**3 == c6**2:
+                continue
+            s = _sig(c4, c6)
+            if p_signature(s, 2).as_tuple() != (ii, j, vd):
+                continue
+            count += 1
+            c = classify(s, 2)
+            assert c.u_p == 1 and c.conditions_fired and c.conditions_fired <= labels
+            for cond, ref in CONDITIONS_2[2:]:
+                assert cond(s) == ref(s), (cond.__name__, row, s)
+            for label in labels:
+                outcomes[label].add(localdata._CONDITIONS[label](s))
+        # each condition is seen both to hold and to fail on the row
+        assert all(seen == {True, False} for seen in outcomes.values()), outcomes
+
+
+# ---------------------------------------------------------------------------
+# classify's output is the model it claims
+
+PRIMES = (2, 3, 5, 7, 11)
+
+
+@st.composite
+def signatures(draw):
+    """Rescaled integral a-invariants, or a member of the l39 chain, each
+    twisted by a small d."""
+    if draw(st.booleans()):
+        a = [draw(st.integers(-60, 60)) for _ in range(5)]
+        try:
+            s = signature_of(AInvariants(*a))
+        except ValueError:  # singular
+            assume(False)
+    else:
+        t = draw(st.fractions(min_value=-300, max_value=300, max_denominator=60))
+        assume(t != 0)
+        s = l39_signatures(t)[draw(st.integers(0, 2))]
+    u = math.prod(Fraction(p) ** draw(st.integers(-2, 2)) for p in PRIMES)
+    d = draw(st.sampled_from((1, -1, 2, -2, 3, -3, 6, -6, 5, -7, 11, -15)))
+    return twist_sig(transform(s, u), d)
+
+
+class TestClassifyInvariants:
+    @given(signatures())
+    @settings(max_examples=150, deadline=None)
+    def test_minimal_model_is_s_rescaled(self, s):
+        for p in PRIMES:
+            c = classify(s, p)
+            assert c.minimal_sig == transform(s, c.u_p), p
+            assert c.minimal_psig == p_signature(c.minimal_sig, p), p
+            assert realizable(c.minimal_sig, p), p
