@@ -89,22 +89,16 @@ def _cmd_prob(args):
 
 
 def _cmd_family(args):
+    t = _parse_t(args)
     if args.family == "l39":
-        if args.t is None:
-            raise ValueError("family l39 requires --t")
-        t = parse_rat(args.t)
-        sigs = families.l39_signatures(t)
+        sigs = families.class_signatures("L3_9", t, args.variant)
         return {"family": "l39", "t": fmt_rat(t), "members": [
             {"index": i, **_sig_json(s), "j": fmt_rat(families.l39_j(i, t))}
             for i, s in zip(families.L39_INDICES, sigs)]}
-    if args.family == "l211":
-        cls = families.l211_class(args.variant)
-        return {"family": "l211", "variant": cls.variant, "curves": [
-            {"label": c.label,
-             "ainvs": [fmt_rat(a) for a in (c.ainvs.a1, c.ainvs.a2, c.ainvs.a3,
-                                            c.ainvs.a4, c.ainvs.a6)],
-             **_sig_json(c.sig)} for c in cls.curves]}
-    raise ValueError("family must be l39 or l211")
+    sigs = families.class_signatures("L2_11", t, args.variant)
+    return {"family": "l211", "variant": args.variant, "curves": [
+        {"label": label, "ainvs": [fmt_rat(a) for a in ainvs], **_sig_json(s)}
+        for (label, ainvs), s in zip(families.L211_CURVES[args.variant], sigs)]}
 
 
 def _cmd_verify(args):
@@ -192,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_family)
 
     p = sub.add_parser("verify", help="numeric height argmin cross-check")
-    p.add_argument("--type", required=True, choices=["L3_9", "L2_11"])
+    p.add_argument("--type", required=True, choices=list(families.FAMILIES))
     p.add_argument("--t")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--bits", type=int, default=128)

@@ -169,13 +169,15 @@ def vp_int(n: int, p: int) -> int:
     return v
 
 
+def vp_rat(x: Fraction, p: int) -> Union[int, float]:
+    """``vp`` of a Fraction for a p already checked to be prime (internal)."""
+    return math.inf if x == 0 else vp_int(x.numerator, p) - vp_int(x.denominator, p)
+
+
 def vp(x: RatLike, p: int) -> Union[int, float]:
     """p-adic valuation of a rational; inf for x = 0."""
     check_prime(p)
-    x = Fraction(x)
-    if x == 0:
-        return math.inf
-    return vp_int(x.numerator, p) - vp_int(x.denominator, p)
+    return vp_rat(Fraction(x), p)
 
 
 def unit_residue(x: RatLike, p: int, k: int = 1) -> int:
@@ -341,17 +343,6 @@ def parse_rat(s: str) -> Fraction:
     return Fraction(s.strip())
 
 
-def _decimal_digits(n: int) -> int:
-    """The number of decimal digits of |n| >= 1, found without str()."""
-    n = abs(n)
-    k = int(math.log10(n))  # floor(log10 n), perhaps off by one
-    while 10**k > n:
-        k -= 1
-    while 10 ** (k + 1) <= n:
-        k += 1
-    return k + 1
-
-
 def fmt_rat(x: RatLike) -> str:
     """Serialize as "num/den" (or plain integer) for JSON output.
 
@@ -363,6 +354,6 @@ def fmt_rat(x: RatLike) -> str:
             return str(x.numerator)
         return f"{x.numerator}/{x.denominator}"
     except ValueError:
-        digits = max(_decimal_digits(x.numerator), _decimal_digits(x.denominator))
+        digits = max(_digits(abs(x.numerator)), _digits(x.denominator))
         raise ValueError(f"the output has a {digits}-digit number, which is past the "
                          f"{sys.get_int_max_str_digits()}-digit print limit") from None

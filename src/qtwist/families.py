@@ -1,43 +1,68 @@
-"""Concrete parametrized families: the level-9 three-curve chain on its
-genus-0 modular curve, the Fricke involution of that curve, and the two
-fixed 11-isogeny classes (conductor 121) with the j-map on the rank-0
-elliptic modular curve of level 11.
+"""Curves behind the graph types: ``FAMILIES`` maps a graph type and a
+variant to one (c4, c6, Δ) model per vertex, each a triple of integer
+polynomials in the hauptmodul value t (constants for a type without t),
+read by ``class_signatures``.  It holds the level-9 three-curve chain on
+its genus-0 modular curve and the two fixed 11-isogeny classes of
+conductor 121.  Besides: the chain's j and Fricke involution, and the
+j-map on the rank-0 elliptic modular curve of level 11.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
-from .exactnum import CuspError, RatLike
-from .localdata import TableMissError
-from .weierstrass import AInvariants, Signature, signature_of
+from .exactnum import CuspError, RatLike  # noqa: F401  CuspError: what check_t raises at a cusp
+from .graphs import check_t
+from .weierstrass import Signature
 
 
 # ---------------------------------------------------------------------------
 # level-9 chain E_1 -- 3 -- E_3 -- 3 -- E_9, hauptmodul t
 #
-# Signatures as integer polynomials in t (coefficients low to high).
+# (c4, c6, Delta) of each vertex as integer polynomials in t (coefficients
+# low to high).  Of the cusps, only t = 0 is rational: the roots of
+# t^2+9t+27 (discriminant -27) are not.
 
-_L39_POLYS = {
-    1: {
-        "c4": [9, 84, 54, 12, 1],       # (t+3)(t^3+9t^2+27t+3)
-        "c6": [-27, 486, 891, 504, 135, 18, 1],
-        "delta": [0, 27, 9, 1],          # t(t^2+9t+27)
-    },
-    3: {
-        "c4": [729, 324, 54, 12, 1],     # (t+3)(t+9)(t^2+27)
-        "c6": [-19683, -13122, -3645, 0, 135, 18, 1],  # (t^2-27)(t^4+18t^3+162t^2+486t+729)
-        "delta": [0, 0, 0, 19683, 19683, 8748, 2187, 324, 27, 1],  # t^3(t^2+9t+27)^3
-    },
-    9: {
-        "c4": [59049, 26244, 4374, 252, 1],  # (t+9)(t^3+243t^2+2187t+6561)
-        "c6": [-14348907, -9565938, -2657205, -367416, -24057, -486, 1],
-        "delta": [0] * 9 + [27, 9, 1],  # t^9(t^2+9t+27)
-    },
-}
+_L39_POLYS = (
+    (   # E_1
+        [9, 84, 54, 12, 1],  # (t+3)(t^3+9t^2+27t+3)
+        [-27, 486, 891, 504, 135, 18, 1],
+        [0, 27, 9, 1],  # t(t^2+9t+27)
+    ),
+    (   # E_3
+        [729, 324, 54, 12, 1],  # (t+3)(t+9)(t^2+27)
+        [-19683, -13122, -3645, 0, 135, 18, 1],  # (t^2-27)(t^4+18t^3+162t^2+486t+729)
+        [0, 0, 0, 19683, 19683, 8748, 2187, 324, 27, 1],  # t^3(t^2+9t+27)^3
+    ),
+    (   # E_9
+        [59049, 26244, 4374, 252, 1],  # (t+9)(t^3+243t^2+2187t+6561)
+        [-14348907, -9565938, -2657205, -367416, -24057, -486, 1],
+        [0] * 9 + [27, 9, 1],  # t^9(t^2+9t+27)
+    ),
+)
 
 L39_INDICES = (1, 3, 9)
+
+
+# ---------------------------------------------------------------------------
+# the two 11-isogeny classes of conductor 121, (E_1, E_11) each:
+# labels and a-invariants, and the same curves' signatures in FAMILIES
+
+L211_CURVES = {
+    "a": (("121.a2", (1, 1, 1, -30, -76)), ("121.a1", (1, 1, 1, -305, 7888))),
+    "b": (("121.b2", (0, -1, 1, -7, 10)), ("121.b1", (0, -1, 1, -887, -10143))),
+}
+
+FAMILIES = {
+    "L3_9": {"a": _L39_POLYS},
+    "L2_11": {
+        "a": (([11 * 131], [11 * 4973], [-(11**2)]),
+              ([11**4], [-(11**5) * 43], [-(11**10)])),
+        "b": (([2**5 * 11], [-(2**3) * 7 * 11**2], [-(11**3)]),
+              ([2**5 * 11**3], [2**3 * 7 * 11**5], [-(11**9)])),
+    },
+}
 
 
 def _poly_eval(coeffs, t: Fraction) -> Fraction:
@@ -47,32 +72,34 @@ def _poly_eval(coeffs, t: Fraction) -> Fraction:
     return acc
 
 
-def _check_l39_t(t: RatLike) -> Fraction:
-    t = Fraction(t)
-    if t == 0:
-        raise CuspError("t = 0 is a cusp")
-    # the other cusps, the roots of t^2+9t+27 (discriminant -27), are not rational
-    return t
+def class_signatures(kind: str, t: Optional[RatLike] = None,
+                     variant: str = "a") -> tuple[Signature, ...]:
+    """Exact signatures of the curves at the vertices of ``kind``, in the
+    order of ``graph_type(kind).vertices``.
+
+    t is checked by ``graphs.check_t``; ValueError when the type or the
+    variant has no entry in ``FAMILIES``.
+    """
+    t = check_t(kind, t)
+    try:
+        models = FAMILIES[kind][variant]
+    except KeyError:
+        raise ValueError(f"no family of curves for type {kind}, variant {variant!r}") from None
+    # a type without t has constant polynomials
+    x = Fraction(0) if t is None else t
+    return tuple(Signature(*(_poly_eval(c, x) for c in model)) for model in models)
 
 
 def l39_signatures(t: RatLike) -> tuple[Signature, Signature, Signature]:
     """Exact signatures of (E_1, E_3, E_9) at hauptmodul value t."""
-    t = _check_l39_t(t)
-    return tuple(
-        Signature(
-            _poly_eval(_L39_POLYS[i]["c4"], t),
-            _poly_eval(_L39_POLYS[i]["c6"], t),
-            _poly_eval(_L39_POLYS[i]["delta"], t),
-        )
-        for i in L39_INDICES
-    )
+    return class_signatures("L3_9", t)
 
 
 def l39_j(i: int, t: RatLike) -> Fraction:
     """Closed-form j of the chain member with index i in {1, 3, 9}."""
     if i not in L39_INDICES:
         raise ValueError(f"index must be one of {L39_INDICES}, got {i}")
-    t = _check_l39_t(t)
+    t = check_t("L3_9", t)
     q = t * t + 9 * t + 27
     if i == 1:
         return (t + 3) ** 3 * (t**3 + 9 * t**2 + 27 * t + 3) ** 3 / (t * q)
@@ -82,54 +109,9 @@ def l39_j(i: int, t: RatLike) -> Fraction:
 
 
 def fricke_w9(t: RatLike) -> Fraction:
-    """The involution t -> 27/t; swaps the chain ends up to twist by -3."""
-    t = Fraction(t)
-    if t == 0:
-        raise ValueError("t = 0")
-    return Fraction(27) / t
-
-
-# ---------------------------------------------------------------------------
-# the two 11-isogeny classes of conductor 121
-
-@dataclass(frozen=True)
-class L211Curve:
-    label: str
-    ainvs: AInvariants
-    sig: Signature
-
-
-@dataclass(frozen=True)
-class L211Class:
-    variant: str
-    curves: tuple  # (E_1, E_11)
-
-
-_L211 = {
-    "a": L211Class("a", (
-        L211Curve("121.a2", AInvariants.of(1, 1, 1, -30, -76),
-                  Signature(11 * 131, 11 * 4973, -(11**2))),
-        L211Curve("121.a1", AInvariants.of(1, 1, 1, -305, 7888),
-                  Signature(11**4, -(11**5) * 43, -(11**10))),
-    )),
-    "b": L211Class("b", (
-        L211Curve("121.b2", AInvariants.of(0, -1, 1, -7, 10),
-                  Signature(2**5 * 11, -(2**3) * 7 * 11**2, -(11**3))),
-        L211Curve("121.b1", AInvariants.of(0, -1, 1, -887, -10143),
-                  Signature(2**5 * 11**3, 2**3 * 7 * 11**5, -(11**9))),
-    )),
-}
-
-
-def l211_class(variant: str) -> L211Class:
-    try:
-        cls = _L211[variant]
-    except KeyError:
-        raise ValueError("variant must be 'a' or 'b'") from None
-    for c in cls.curves:
-        if signature_of(c.ainvs) != c.sig:
-            raise TableMissError(f"{c.label}: stored signature disagrees with its a-invariants")
-    return cls
+    """The involution t -> 27/t; swaps the chain ends up to twist by -3.
+    CuspError at t = 0."""
+    return 27 / check_t("L3_9", t)
 
 
 # ---------------------------------------------------------------------------

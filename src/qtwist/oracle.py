@@ -118,24 +118,14 @@ def faltings_height(s: Signature, precision_bits: int = 128) -> mp.mpf:
         return -mp.log(neron_volume(s, precision_bits).volume) / 2
 
 
-def _class_signatures(kind: str, t: Optional[RatLike], variant: str):
-    if kind == "L3_9":
-        sigs = families.l39_signatures(t)
-        return list(zip(("E_1", "E_3", "E_9"), sigs))
-    if kind == "L2_11":
-        cls = families.l211_class(variant)
-        return [("E_1", cls.curves[0].sig), ("E_11", cls.curves[1].sig)]
-    raise ValueError(f"no model-level family for {kind}; verify_class takes L3_9 or L2_11")
-
-
 def verify_class(kind: str, t: Optional[RatLike], d: int,
                  precision_bits: int = 128, variant: str = "a") -> HeightReport:
     """Numeric argmin of Faltings heights over the twisted class vs the
-    closed-form decision."""
-    graphs.check_t(kind, t)
+    closed-form decision, over the curves of ``families.class_signatures``."""
+    sigs = families.class_signatures(kind, t, variant)
     rows = []
     with mp.workprec(precision_bits + 30):
-        for label, sig in _class_signatures(kind, t, variant):
+        for label, sig in zip(graphs.graph_type(kind).vertices, sigs):
             lat = neron_volume(twist_sig(sig, d), precision_bits)
             rows.append(VertexHeight(label, lat.volume, -mp.log(lat.volume) / 2,
                                      lat.claimed_error / lat.volume))

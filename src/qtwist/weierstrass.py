@@ -8,11 +8,10 @@ c4^3 - c6^2 = 1728*Delta.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import RatLike, check_d, check_prime, vp_int
+from .exactnum import RatLike, check_d, check_prime, vp_rat
 
 
 @dataclass(frozen=True)
@@ -44,10 +43,6 @@ class Signature:
         if self.c4**3 - self.c6**2 != 1728 * self.delta:
             raise ValueError("c4^3 - c6^2 != 1728*Delta")
 
-    @classmethod
-    def of(cls, c4: RatLike, c6: RatLike, delta: RatLike) -> "Signature":
-        return cls(Fraction(c4), Fraction(c6), Fraction(delta))
-
 
 @dataclass(frozen=True)
 class PSignature:
@@ -71,15 +66,10 @@ def signature_of(a: AInvariants) -> Signature:
     return Signature(c4, c6, delta)
 
 
-def _vp(x: Fraction, p: int):
-    """``exactnum.vp`` for a p already checked to be prime."""
-    return math.inf if x == 0 else vp_int(x.numerator, p) - vp_int(x.denominator, p)
-
-
 def p_signature(s: Signature, p: int) -> PSignature:
     """The p-adic valuations of (c4, c6, Delta); ValueError unless p is prime."""
     check_prime(p)
-    return PSignature(_vp(s.c4, p), _vp(s.c6, p), _vp(s.delta, p))
+    return PSignature(vp_rat(s.c4, p), vp_rat(s.c6, p), vp_rat(s.delta, p))
 
 
 def transform(s: Signature, u: RatLike) -> Signature:

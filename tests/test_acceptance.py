@@ -78,10 +78,10 @@ def test_3_l211_proposition():
         "b": (("III", (1, 2, 3)), ("III*", (3, 5, 9))),
     }
     for variant, pairs in expected.items():
-        cls = families.l211_class(variant)
-        for curve, (sym, psig) in zip(cls.curves, pairs):
-            assert signature_of(curve.ainvs) == curve.sig
-            c = localdata.classify(curve.sig, 11)
+        sigs = families.class_signatures("L2_11", variant=variant)
+        for (_, ainvs), sig, (sym, psig) in zip(families.L211_CURVES[variant], sigs, pairs):
+            assert signature_of(AInvariants.of(*ainvs)) == sig
+            c = localdata.classify(sig, 11)
             assert str(c.kodaira) == sym
             assert c.minimal_psig.as_tuple() == psig
             assert c.u_p == 1
@@ -160,7 +160,7 @@ def _random_signatures(p, count, seed):
         delta = Fraction(c4**3 - c6**2, 1728)
         if delta == 0:
             continue
-        out.append(Signature.of(c4, c6, delta))
+        out.append(Signature(c4, c6, delta))
     return out
 
 
@@ -195,9 +195,9 @@ def test_7_pal_table_cross_checks():
 def test_8_x011_spot_values():
     assert families.x011_j(5, 5) == -(2**15)
     assert families.x011_j(5, -6) == -(11**2)
-    a2 = families.l211_class("a").curves[0]
-    assert a2.label == "121.a2"
-    assert j_invariant(signature_of(a2.ainvs)) == -11 * 131**3
+    label, ainvs = families.L211_CURVES["a"][0]
+    assert label == "121.a2"
+    assert j_invariant(signature_of(AInvariants.of(*ainvs))) == -11 * 131**3
 
 
 def test_9_identity_suites():
@@ -213,8 +213,8 @@ def test_9_identity_suites():
         # Fricke symmetry: j_1(27/t) = j_9(t)
         assert families.l39_j(1, families.fricke_w9(t)) == families.l39_j(9, t)
     for variant in ("a", "b"):
-        for c in families.l211_class(variant).curves:
-            assert c.sig.c4**3 - c.sig.c6**2 == 1728 * c.sig.delta
+        for s in families.class_signatures("L2_11", variant=variant):
+            assert s.c4**3 - s.c6**2 == 1728 * s.delta
     # volume transformation law
     s = signature_of(AInvariants(0, -1, 1, -10, -20))
     base = oracle.lattice_volume(s, 96).volume

@@ -87,6 +87,10 @@ class TestValidation:
         # primes: global_minimal must split n, beyond the factoring budget
         ["minimal", "--sig", ",".join(str(c * N_HARD**k) for c, k in
                                       ((496, 4), (20008, 6), (-161051, 12)))],
+        # L3_9 has one family, "a": a variant is refused, not ignored
+        ["verify", "--type", "L3_9", "--t", "45", "--d", "3", "--variant", "b"],
+        ["family", "l39", "--t", "45", "--variant", "b"],
+        ["family", "l211", "--t", "45"],
     ])
     def test_bad_input_exit_2(self, argv, capsys):
         code, out, err = invoke(*argv, capsys=capsys)

@@ -18,8 +18,8 @@ from qtwist.sieve import empirical_prob, squarefree_density
 from qtwist.weierstrass import AInvariants, Signature, signature_of, transform, twist_sig
 
 S11 = signature_of(AInvariants(0, -1, 1, -10, -20))   # Delta < 0
-S32 = Signature.of(48, 0, 64)                          # y^2 = x^3 - x, Delta > 0
-S27 = Signature.of(0, -864, -432)                      # y^2 = x^3 + 1, Delta < 0
+S32 = Signature(48, 0, 64)                             # y^2 = x^3 - x, Delta > 0
+S27 = Signature(0, -864, -432)                         # y^2 = x^3 + 1, Delta < 0
 
 
 def _cubic(s):
@@ -71,11 +71,8 @@ def _of_cubic(A, B):
 
 
 def _minimal_twists(kind, t, d, variant="a"):
-    if kind == "L3_9":
-        sigs = families.l39_signatures(Fraction(t))
-    else:
-        sigs = [c.sig for c in families.l211_class(variant).curves]
-    return [global_minimal(twist_sig(s, d))[0] for s in sigs]
+    return [global_minimal(twist_sig(s, d))[0]
+            for s in families.class_signatures(kind, t, variant)]
 
 
 def _corpus():

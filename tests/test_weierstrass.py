@@ -17,7 +17,7 @@ from qtwist.weierstrass import (
 
 # y^2 + y = x^3 - x^2 - 10x - 20, conductor 11
 E11 = AInvariants(0, -1, 1, -10, -20)
-S11 = Signature.of(496, 20008, -161051)
+S11 = Signature(496, 20008, -161051)
 
 small_rats = st.fractions(min_value=-50, max_value=50)
 
