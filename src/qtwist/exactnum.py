@@ -17,8 +17,8 @@ primes below 1000, takes roots of perfect powers and splits what is left
 with Brent's variant of Pollard's rho (Brent 1980) within a fixed budget,
 ``RHO_MAX_STEPS``.  Past either limit they raise ``ValueError``, so that
 neither runs for more than a few seconds.  ``prime_factors`` is the only
-routine that takes an integer apart: ``is_squarefree`` factors, then
-checks that no p^2 divides n.
+routine that takes an integer apart: ``is_squarefree`` and the d check
+``check_d_primes`` factor, then check that no p^2 divides n.
 """
 
 from __future__ import annotations
@@ -331,11 +331,19 @@ def is_squarefree(n: int) -> bool:
 def check_d(d: int) -> int:
     """d itself if it is a nonzero square-free integer with |d| <= D_MAX,
     else ValueError."""
+    check_d_primes(d)
+    return d
+
+
+def check_d_primes(d: int) -> set:
+    """``check_d`` that returns the primes of d, for callers that need
+    them: d is factored once."""
     if abs(d) > D_MAX:
         raise ValueError(f"d = {d} exceeds 10^18 in absolute value")
-    if d == 0 or not is_squarefree(d):
+    primes = prime_factors(d) if d else set()
+    if d == 0 or any(d % (p * p) == 0 for p in primes):
         raise ValueError(f"d = {d} is not a nonzero square-free integer")
-    return d
+    return primes
 
 
 def parse_rat(s: str) -> Fraction:

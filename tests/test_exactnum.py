@@ -12,6 +12,7 @@ from qtwist.exactnum import (
     D_MAX,
     _strong_lucas,
     check_d,
+    check_d_primes,
     check_prime,
     fmt_rat,
     is_prime,
@@ -48,8 +49,16 @@ def _chernick(rng, lo, hi):
             return (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
 
 
+def _randprime(rng, a, b):
+    """A prime in [a, b), drawn as ``sympy.randprime`` draws it but from rng
+    (sympy's own draws come from its unseeded global generator)."""
+    p = sympy.nextprime(rng.randint(a - 1, b))
+    return p if p < b else sympy.prevprime(b)
+
+
 def _corpus() -> list:
-    """Hard cases for both sides of PSI_13, each checked against sympy."""
+    """Hard cases for both sides of PSI_13, each checked against sympy; the
+    same list in every process, since every draw comes from one seeded rng."""
     rng = random.Random(20251)
     out = list(STRONG_PSP_2) + list(CARMICHAEL)
     for n in STRONG_PSP_2:
@@ -69,13 +78,15 @@ def _corpus() -> list:
     for small in (1009, 10**6 + 3, 10**9 + 7):
         q = PSI_13 // small
         out += [small * sympy.prevprime(q), small * sympy.nextprime(q)]
-    # smooth parts times a large prime (or 1), up to 300 bits
+    # smooth parts times a large prime (or 1), up to 300 bits; a smooth
+    # part past 298 bits leaves no room for the large prime
     for _ in range(100):
         n = 1
         for _ in range(rng.randint(0, 6)):
-            n *= sympy.randprime(2, 10 ** rng.randint(1, 7)) ** rng.randint(1, 3)
-        if rng.random() < 0.7:
-            n *= sympy.randprime(2, 2 ** rng.randint(2, 300 - n.bit_length()))
+            n *= _randprime(rng, 2, 10 ** rng.randint(1, 7)) ** rng.randint(1, 3)
+        room = 300 - n.bit_length()
+        if rng.random() < 0.7 and room >= 2:
+            n *= _randprime(rng, 2, 2 ** rng.randint(2, room))
         out.append(n)
     return out
 
@@ -312,6 +323,18 @@ class TestCheckD:
         for d in (0, 12, -D_MAX):
             with pytest.raises(ValueError, match="square-free"):
                 check_d(d)
+
+    def test_primes_form(self):
+        # check_d_primes is check_d returning the primes of d: the same
+        # messages for every bad d
+        for d in (1, -1, 2, -30, 10**9 + 7, -(D_MAX - 2)):
+            assert check_d_primes(d) == set(sympy.factorint(d)) - {-1}, d
+        for d in (0, 12, -D_MAX, D_MAX + 1, -(10**24 + 7)):
+            with pytest.raises(ValueError) as want:
+                check_d(d)
+            with pytest.raises(ValueError) as got:
+                check_d_primes(d)
+            assert str(got.value) == str(want.value), d
 
 
 class TestRatIO:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -15,6 +16,11 @@ from qtwist.localdata import (
     cond_2b,
     cond_2c,
     cond_2d,
+    cond_2e,
+    cond_2f,
+    cond_2g,
+    cond_3a,
+    cond_3b,
     global_minimal,
     global_pal,
     pal_u,
@@ -189,8 +195,7 @@ class TestPal:
                     assert global_pal(transform(s, u), d) == global_pal(s, d), (s, u, d)
 
     def test_factors_d_once(self, monkeypatch):
-        # one factoring for check_d (through is_squarefree), one for the
-        # primes of d; none per prime
+        # one factoring in all: the d check returns the primes of d
         calls = []
         real = exactnum.prime_factors
 
@@ -204,7 +209,7 @@ class TestPal:
         for dd, wanted in ((d, 1), (-d, Fraction(1, 2))):
             calls.clear()
             assert global_pal(S121A2, dd) == wanted
-            assert len(calls) <= 2, calls
+            assert len(calls) == 1, calls
 
     def test_row_pal_matches_table_one(self):
         for s in (S11, S121A2, S121B1, S32):
@@ -285,11 +290,48 @@ class TestRealizable:
 
 
 # ---------------------------------------------------------------------------
-# the 2-adic conditions against a reference that evaluates the division
-# polynomials in Fractions, as localdata did before it used residues
+# the table index against the linear scan it replaced
 
-def _ref_res(x: Fraction, k: int) -> int:
-    m = 2**k
+def _match_row(table, psig):
+    """The first row of the table whose pattern matches psig, scanning top
+    to bottom: the reference for the index."""
+    for row in table:
+        if all(v == k if op == "e" else v >= k for (op, k), v in zip(row[0], psig)):
+            return row
+    return None
+
+
+TABLES = {2: localdata.TABLE_P2, 3: localdata.TABLE_P3, 5: localdata.TABLE_P_GE5}
+
+
+class TestIndex:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_equals_scan(self, p):
+        # every capped key, plus values past the cap and inf, which lookups
+        # cap first
+        table, (caps, index) = TABLES[p], localdata._INDEX[p]
+        for key in itertools.product(*(list(range(cap + 1)) + [cap + 5, math.inf] for cap in caps)):
+            assert localdata._row(p, key) is _match_row(table, key), (p, key)
+        # the index holds only the keys that match a row
+        capped = itertools.product(*(range(cap + 1) for cap in caps))
+        assert set(index) == {key for key in capped if _match_row(table, key)}
+
+    def test_sizes(self):
+        assert {p: localdata._INDEX[p][0] for p in TABLES} == {
+            2: (9, 12, 19), 3: (7, 9, 14), 5: (5, 6, 11)}
+        assert sum(len(localdata._INDEX[p][1]) for p in TABLES) == 275
+
+    def test_negative_valuation_misses(self):
+        # classify never looks up a negative valuation; the index has none
+        assert localdata._row(2, (-1, 0, 0)) is None is _match_row(TABLES[2], (-1, 0, 0))
+
+
+# ---------------------------------------------------------------------------
+# the conditions against a reference that evaluates them in Fractions on
+# the rescaled model, as localdata did before it used residues at scale k
+
+def _ref_res(x: Fraction, k: int, p: int = 2) -> int:
+    m = p**k
     return x.numerator * pow(x.denominator, -1, m) % m
 
 
@@ -330,24 +372,83 @@ def _ref_2d(s):
     return all(r % 4 in (1, 2) for r in _ref_roots(s))
 
 
+def _ref_2e(s):
+    return _ref_res(s.c4 / 2**6, 2) == 3
+
+
+def _ref_2f(s):
+    return _ref_res(s.c6 / 2**6, 2) == 1
+
+
+def _ref_2g(s):
+    return _ref_res(s.c6 / 2**9, 2) == 3
+
+
+def _ref_3a(s):
+    return _ref_res((s.c6 / 27) ** 2 + 2 - 3 * (s.c4 / 9), 2, 3) == 0
+
+
+def _ref_3b(s):
+    return _ref_res((s.c6 / 3**6) ** 2 + 2 - 3 * (s.c4 / 3**4), 2, 3) == 0
+
+
 CONDITIONS_2 = ((cond_2a, _ref_2a), (cond_2b, _ref_2b), (cond_2c, _ref_2c), (cond_2d, _ref_2d))
+
+# (condition, reference, p, least v_p(c4), least v_p(c6)): the reference is
+# p-integral at these valuations and above (2a-2d need A and B 2-integral)
+CONDITIONS = tuple((cond, ref, 2, 4, 5) for cond, ref in CONDITIONS_2) + (
+    (cond_2e, _ref_2e, 2, 6, 0), (cond_2f, _ref_2f, 2, 0, 6), (cond_2g, _ref_2g, 2, 0, 9),
+    (cond_3a, _ref_3a, 3, 2, 3), (cond_3b, _ref_3b, 3, 4, 6),
+)
+DENS = {2: (1, 3, 5, 7, 9, 15), 3: (1, 2, 4, 5, 7, 10)}
 
 
 def _sig(c4: Fraction, c6: Fraction) -> Signature:
     return Signature(c4, c6, (c4**3 - c6**2) / 1728)
 
 
+def _scaled_case(case, di, u, dj, w, den, k):
+    """(s, sk): sk is s given at scale -k, so that transform(sk, p^k) is s,
+    where s has v_p(c4) and v_p(c6) di and dj above the case's least."""
+    _cond, _ref, p, i, j = case
+    c4, c6 = Fraction(p ** (i + di) * u, den**2), Fraction(p ** (j + dj) * w, den**3)
+    if c4**3 == c6**2:
+        return None
+    s = _sig(c4, c6)
+    # Fraction: a negative power of a plain int is a float
+    return s, transform(s, Fraction(p) ** -k)
+
+
 class TestConditions2:
-    @given(st.integers(4, 10), st.integers(-10**6, 10**6), st.integers(5, 12),
-           st.integers(-10**6, 10**6), st.sampled_from((1, 3, 5, 7, 9, 15)))
-    @settings(max_examples=300, deadline=None)
-    def test_equal_to_fraction_reference(self, i, u, j, w, den):
-        # every pair with 2^4 | c4 and 2^5 | c6: A and B are 2-integral
-        c4, c6 = Fraction(2**i * u, den**2), Fraction(2**j * w, den**3)
-        assume(c4**3 != c6**2)
-        s = _sig(c4, c6)
-        for cond, ref in CONDITIONS_2:
-            assert cond(s) == ref(s), (cond.__name__, s)
+    @given(st.sampled_from(CONDITIONS), st.integers(0, 6), st.integers(-10**6, 10**6),
+           st.integers(0, 7), st.integers(-10**6, 10**6), st.integers(0, 5), st.integers(-2, 2))
+    @settings(max_examples=600, deadline=None)
+    def test_equal_to_fraction_reference(self, case, di, u, dj, w, den, k):
+        # the integer version at scale k reads the model the reference
+        # evaluates, transform(sk, p^k), at k < 0, k = 0 and k > 0
+        cond, ref, p = case[:3]
+        pair = _scaled_case(case, di, u, dj, w, DENS[p][den], k)
+        assume(pair is not None)
+        s, sk = pair
+        assert cond(sk, k) == ref(transform(sk, Fraction(p) ** k)), (cond.__name__, s, k)
+
+    @pytest.mark.parametrize("case", CONDITIONS, ids=[c[0].__name__ for c in CONDITIONS])
+    def test_both_outcomes_at_every_scale(self, case):
+        cond, ref, p = case[:3]
+        rng = random.Random(cond.__name__)
+        seen = set()
+        for _ in range(300):
+            k = rng.randrange(-2, 3)
+            pair = _scaled_case(case, rng.randrange(3), rng.randrange(-10**4, 10**4),
+                                rng.randrange(3), rng.randrange(-10**4, 10**4),
+                                rng.choice(DENS[p]), k)
+            if pair is None:
+                continue
+            s, sk = pair
+            got = cond(sk, k)
+            assert got == ref(s), (cond.__name__, s, k)
+            seen.add((k, got))
+        assert seen == {(k, b) for k in range(-2, 3) for b in (True, False)}, seen
 
     # the rows of TABLE_P2 that try 2c or 2d, with the least v(c4) of a
     # ">= 7" pattern; c4 = 2^i u, c6 = 2^j w with u, w odd
@@ -374,9 +475,9 @@ class TestConditions2:
             c = classify(s, 2)
             assert c.u_p == 1 and c.conditions_fired and c.conditions_fired <= labels
             for cond, ref in CONDITIONS_2[2:]:
-                assert cond(s) == ref(s), (cond.__name__, row, s)
+                assert cond(s, 0) == ref(s), (cond.__name__, row, s)
             for label in labels:
-                outcomes[label].add(localdata._CONDITIONS[label](s))
+                outcomes[label].add(localdata._CONDITIONS[label](s, 0))
         # each condition is seen both to hold and to fail on the row
         assert all(seen == {True, False} for seen in outcomes.values()), outcomes
 
@@ -404,6 +505,38 @@ def signatures(draw):
     u = math.prod(Fraction(p) ** draw(st.integers(-2, 2)) for p in PRIMES)
     d = draw(st.sampled_from((1, -1, 2, -2, 3, -3, 6, -6, 5, -7, 11, -15)))
     return twist_sig(transform(s, u), d)
+
+
+class TestModelCount:
+    """Classifying builds no model: classify builds one for minimal_sig
+    when u_p != 1, global_minimal one for the product of the scales when
+    u != 1, and global_pal none."""
+
+    @given(signatures(), st.sampled_from((1, -1, 2, -3, 5, 6, -7, 10, -15)))
+    @settings(max_examples=100, deadline=None)
+    def test_transform_calls(self, s, d):
+        calls = []
+        real = localdata.transform
+
+        def counting(sig, u):
+            calls.append(u)
+            return real(sig, u)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(localdata, "transform", counting)
+            for p in PRIMES:
+                calls.clear()
+                c = classify(s, p)
+                assert len(calls) == (c.u_p != 1), (p, calls)
+            calls.clear()
+            m, u = global_minimal(s)
+            assert calls == ([u] if u != 1 else []) and (u != 1 or m is s)
+            # the minimal model itself has u = 1: no model, m comes back
+            calls.clear()
+            assert global_minimal(m) == (m, 1) and global_minimal(m)[0] is m
+            assert calls == []
+            global_pal(s, d)
+            assert calls == []
 
 
 class TestClassifyInvariants:
