@@ -4,6 +4,9 @@ Subcommands: classify, minimal, twist, faltings, prob, family, verify,
 density, empirical.  Output is JSON (default) with exact rationals as
 "num/den" strings; --pretty prints key: value lines.  Exit codes:
 0 success, 2 invalid input, 3 internal table miss / tie.
+
+A call runs in a fresh process, so each subcommand imports the modules it
+runs when it runs, and the module level imports ``exactnum`` alone.
 """
 
 from __future__ import annotations
@@ -11,16 +14,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from . import families, graphs, localdata, sieve
-from .exactnum import fmt_rat, parse_rat
-from .weierstrass import AInvariants, Signature, signature_of, twist_sig
+from .exactnum import TableMissError, TieError, fmt_rat, parse_rat
 
 SCHEMA_VERSION = 2
 
 
-def _sig_from_args(args) -> Signature:
+def _sig_from_args(args):
+    from .weierstrass import AInvariants, Signature, signature_of
+
     if getattr(args, "ainvs", None):
         parts = [parse_rat(x) for x in args.ainvs.split(",")]
         if len(parts) != 5:
@@ -34,11 +36,13 @@ def _sig_from_args(args) -> Signature:
     raise ValueError("one of --ainvs or --sig is required")
 
 
-def _sig_json(s: Signature) -> dict:
+def _sig_json(s) -> dict:
     return {"c4": fmt_rat(s.c4), "c6": fmt_rat(s.c6), "delta": fmt_rat(s.delta)}
 
 
 def _cmd_classify(args):
+    from . import localdata
+
     s = _sig_from_args(args)
     c = localdata.classify(s, args.p)
     return {
@@ -51,12 +55,17 @@ def _cmd_classify(args):
 
 
 def _cmd_minimal(args):
+    from . import localdata
+
     s = _sig_from_args(args)
     minimal, u = localdata.global_minimal(s)
     return {"input": _sig_json(s), "minimal": _sig_json(minimal), "u": fmt_rat(u)}
 
 
 def _cmd_twist(args):
+    from . import localdata
+    from .weierstrass import twist_sig
+
     s = _sig_from_args(args)
     tw = twist_sig(s, args.d)
     minimal, u = localdata.global_minimal(tw)
@@ -69,11 +78,13 @@ def _parse_t(args):
 
 
 def _cmd_faltings(args):
+    from . import graphs
+
     t = _parse_t(args)
     res = graphs.faltings_by_theorem(args.type, t, args.d)
     cross = graphs.faltings_by_volumes(args.type, t, args.d)
     if cross != res.vertex:
-        raise graphs.TieError(
+        raise TieError(
             f"volume argmax {cross} disagrees with decision table {res.vertex}")
     return {"type": args.type, "t": fmt_rat(t) if t is not None else None,
             "d": args.d, "vertex": res.vertex, "d_condition": res.d_condition,
@@ -81,6 +92,8 @@ def _cmd_faltings(args):
 
 
 def _cmd_prob(args):
+    from . import graphs
+
     t = _parse_t(args)
     rows = graphs.prob_table(args.type, t)
     return {"type": args.type, "t": fmt_rat(t) if t is not None else None,
@@ -89,6 +102,8 @@ def _cmd_prob(args):
 
 
 def _cmd_family(args):
+    from . import families
+
     t = _parse_t(args)
     if args.family == "l39":
         sigs = families.class_signatures("L3_9", t, args.variant)
@@ -124,6 +139,8 @@ def mp_str(x) -> str:
 
 
 def _cmd_density(args):
+    from . import sieve
+
     rep = sieve.squarefree_density(args.p, args.n)
     return {"p": rep.p, "bound": rep.bound,
             "divisible_fraction": rep.divisible_fraction,
@@ -131,6 +148,8 @@ def _cmd_density(args):
 
 
 def _cmd_empirical(args):
+    from . import sieve
+
     t = _parse_t(args)
     freq = sieve.empirical_prob(args.type, t, args.n)
     return {"type": args.type, "t": fmt_rat(t) if t is not None else None,
@@ -142,7 +161,33 @@ def _add_curve_flags(p):
     p.add_argument("--sig", help="c4,c6,delta (rationals)")
 
 
-TYPE_CHOICES = graphs.ALL_TYPES
+class _LazyChoices:
+    """Choices of an option, read from a module only when the option is
+    parsed (argparse tests membership, and lists them in its error)."""
+
+    def __init__(self, read):
+        self._read = read
+
+    def __contains__(self, value) -> bool:
+        return value in self._read()
+
+    def __iter__(self):
+        return iter(self._read())
+
+
+def _all_types():
+    from .graphs import ALL_TYPES
+    return ALL_TYPES
+
+
+def _family_types():
+    from .families import FAMILIES
+    return FAMILIES
+
+
+# each --type sets metavar="TYPE": to name an option without one, argparse
+# lists its choices as the option is added
+TYPE_CHOICES = _LazyChoices(_all_types)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,13 +214,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_twist)
 
     p = sub.add_parser("faltings", help="Faltings vertex of a twisted class")
-    p.add_argument("--type", required=True, choices=TYPE_CHOICES)
+    p.add_argument("--type", required=True, choices=TYPE_CHOICES, metavar="TYPE")
     p.add_argument("--t", help="hauptmodul value (genus-0 types)")
     p.add_argument("--d", type=int, required=True)
     p.set_defaults(fn=_cmd_faltings)
 
     p = sub.add_parser("prob", help="all d-branches for a (type, t)")
-    p.add_argument("--type", required=True, choices=TYPE_CHOICES)
+    p.add_argument("--type", required=True, choices=TYPE_CHOICES, metavar="TYPE")
     p.add_argument("--t")
     p.set_defaults(fn=_cmd_prob)
 
@@ -186,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_family)
 
     p = sub.add_parser("verify", help="numeric height argmin cross-check")
-    p.add_argument("--type", required=True, choices=list(families.FAMILIES))
+    p.add_argument("--type", required=True, choices=_LazyChoices(_family_types),
+                   metavar="TYPE")
     p.add_argument("--t")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--bits", type=int, default=128)
@@ -199,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_density)
 
     p = sub.add_parser("empirical", help="sieved vertex frequencies")
-    p.add_argument("--type", required=True, choices=TYPE_CHOICES)
+    p.add_argument("--type", required=True, choices=TYPE_CHOICES, metavar="TYPE")
     p.add_argument("--t")
     p.add_argument("--n", type=int, default=10**5)
     p.set_defaults(fn=_cmd_empirical)
@@ -230,7 +276,7 @@ def run(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as e:
         print(json.dumps({"error": str(e)}), file=sys.stderr)
         return 2
-    except (localdata.TableMissError, graphs.TieError) as e:
+    except (TableMissError, TieError) as e:
         print(json.dumps({"error": f"internal: {e}"}), file=sys.stderr)
         return 3
     out = {"schema_version": SCHEMA_VERSION, "command": args.command}

@@ -1,7 +1,9 @@
 """Exact rational arithmetic helpers: p-adic valuations, unit residues,
 square-free tests, primality and factoring, and the input checks shared by
 every module (the twist parameter d, a prime p, and the ``CuspError`` of a
-hauptmodul value t).
+hauptmodul value t).  The package's two internal errors, ``TableMissError``
+and ``TieError``, live here too, so that the CLI can catch them without
+importing ``localdata`` or ``graphs``.
 
 Rationals are plain ``fractions.Fraction`` (eagerly reduced, positive
 denominator), which is exactly the representation the valuation and table
@@ -52,6 +54,14 @@ _PRIME_LIMIT = 10**PRIME_MAX_DIGITS
 
 class CuspError(ValueError):
     """t hits a cusp / excluded value of the parametrizing hauptmodul."""
+
+
+class TableMissError(Exception):
+    """No classification row matched: internal bug or malformed input."""
+
+
+class TieError(Exception):
+    """Argmax tie: contradicts uniqueness of the minimal Faltings height."""
 
 
 def _strong_probable_prime(n: int, a: int, d: int, s: int) -> bool:
@@ -347,8 +357,12 @@ def check_d_primes(d: int) -> set:
 
 
 def parse_rat(s: str) -> Fraction:
-    """Parse a "num/den" or integer string."""
-    return Fraction(s.strip())
+    """Parse a "num/den" or integer string; ValueError if den is 0."""
+    s = s.strip()
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"{s!r} has a zero denominator") from None
 
 
 def fmt_rat(x: RatLike) -> str:

@@ -23,21 +23,14 @@ Their agreement over every branch is a test, not an assumption.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import product
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
-from .exactnum import CuspError, RatLike, check_d, unit_residue, vp
-
-
-class TieError(Exception):
-    """Argmax tie: contradicts uniqueness of the minimal Faltings height."""
+from .exactnum import CuspError, RatLike, TieError, check_d, unit_residue, vp
 
 
-@dataclass(frozen=True)
-class DCondition:
+class DCondition(NamedTuple):
     """The condition on d of one decision row: every d (p is None), or
     p | d (divisible) / p does not divide d."""
     p: Optional[int] = None
@@ -60,8 +53,7 @@ class DCondition:
         return self.p is None or (d % self.p == 0) == self.divisible
 
 
-@dataclass(frozen=True)
-class PrimeBlock:
+class PrimeBlock(NamedTuple):
     """One isogeny prime's share of the u-vectors.
 
     ``classify`` maps t to a branch key; it is None for genus >= 1 types,
@@ -78,20 +70,19 @@ class PrimeBlock:
         return "all" if self.classify is None else self.classify(t)
 
 
-@dataclass(frozen=True, eq=False)
 class GraphType:
     """One isogeny-graph type and every rule that decides its Faltings vertex."""
 
-    kind: str
-    vertices: tuple
-    volumes: tuple    # projective, first entry 1
-    edges: tuple      # (label, label, isogeny degree)
-    primes: tuple     # isogeny primes
-    blocks: tuple     # of PrimeBlock, by increasing prime
-    decisions: dict   # tuple of block keys -> ((DCondition, vertex), ...)
-    excluded: tuple = ()  # t values besides 0 where a branch is undefined
-
-    def __post_init__(self) -> None:
+    def __init__(self, kind: str, vertices: tuple, volumes: tuple, edges: tuple,
+                 primes: tuple, blocks: tuple, decisions: dict, excluded: tuple = ()) -> None:
+        self.kind = kind
+        self.vertices = vertices
+        self.volumes = volumes      # projective, first entry 1
+        self.edges = edges          # (label, label, isogeny degree)
+        self.primes = primes        # isogeny primes
+        self.blocks = blocks        # of PrimeBlock, by increasing prime
+        self.decisions = decisions  # tuple of block keys -> ((DCondition, vertex), ...)
+        self.excluded = excluded    # t values besides 0 where a branch is undefined
         # u-exponents are non-negative ints, one per vertex, so every u is
         # an int
         n = len(self.vertices)
@@ -115,16 +106,13 @@ class GraphType:
                     or any(v not in self.vertices for _, v in rows)):
                 raise ValueError(f"{self.kind} {key}: rows {[(str(c), v) for c, v in rows]} "
                                  f"do not partition the square-free d")
+        # the volumes as ints: times the lcm of their denominators
+        m = math.lcm(*(v.denominator for v in self.volumes))
+        self.weights = tuple(v.numerator * (m // v.denominator) for v in self.volumes)
 
     @property
     def genus_ge_1(self) -> bool:
         return self.blocks[0].classify is None
-
-    @cached_property
-    def weights(self) -> tuple:
-        """The volumes as ints: times the lcm of their denominators."""
-        m = math.lcm(*(v.denominator for v in self.volumes))
-        return tuple(v.numerator * (m // v.denominator) for v in self.volumes)
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +452,7 @@ def decision_rows(kind: str, t: Optional[RatLike]) -> tuple:
     return graph_type(kind).decisions[branch_key(kind, t)]
 
 
-@dataclass(frozen=True)
-class UVectors:
+class UVectors(NamedTuple):
     uE: tuple   # of int
     uEd: tuple  # of int
 
@@ -490,8 +477,7 @@ def u_vectors(kind: str, t: Optional[RatLike], d: int) -> UVectors:
     return UVectors(tuple(uE), tuple(uEd))
 
 
-@dataclass(frozen=True)
-class FaltingsResult:
+class FaltingsResult(NamedTuple):
     vertex: str
     d_condition: str
     probability: Fraction

@@ -22,27 +22,27 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .exactnum import check_d, check_d_primes, prime_factors
+from .exactnum import TableMissError, check_d, check_d_primes, prime_factors
 from .weierstrass import PSignature, Signature, p_signature, transform
 
 
-class TableMissError(Exception):
-    """No classification row matched: internal bug or malformed input."""
-
-
-@dataclass(frozen=True)
-class KodairaSymbol:
+class _KodairaSymbol(NamedTuple):
     kind: str  # one of I0, In, II, III, IV, I0*, In*, IV*, III*, II*
     n: int = 0
 
-    def __post_init__(self) -> None:
-        if self.kind == "In" and self.n < 1:
+
+class KodairaSymbol(_KodairaSymbol):
+    __slots__ = ()
+
+    def __new__(cls, kind: str, n: int = 0) -> "KodairaSymbol":
+        if kind == "In" and n < 1:
             raise ValueError("In requires n >= 1")
-        if self.kind == "In*" and self.n < 0:
+        if kind == "In*" and n < 0:
             raise ValueError("In* requires n >= 0")
+        return tuple.__new__(cls, (kind, n))
 
     @property
     def starred(self) -> bool:
@@ -56,8 +56,7 @@ class KodairaSymbol:
         return self.kind
 
 
-@dataclass(frozen=True)
-class LocalClassification:
+class LocalClassification(NamedTuple):
     p: int
     u_p: Fraction  # p^k, k in Z
     minimal_psig: PSignature

@@ -7,34 +7,32 @@ package that imports mpmath.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
-
-import mpmath as mp
+from typing import NamedTuple, Optional
 
 from . import families, graphs
 from .exactnum import RatLike
 from .localdata import global_minimal
 from .weierstrass import Signature, twist_sig
 
+# after the package modules: a module compiled while mpmath is resident
+# raises the peak memory of `qtwist verify`
+import mpmath as mp  # noqa: E402
 
-@dataclass(frozen=True)
-class LatticeApprox:
+
+class LatticeApprox(NamedTuple):
     volume: mp.mpf  # at precision_bits + 30
     claimed_error: mp.mpf  # absolute: |volume - the same volume at precision_bits + 60|
 
 
-@dataclass(frozen=True)
-class VertexHeight:
+class VertexHeight(NamedTuple):
     label: str
     neron_volume: mp.mpf
     faltings_height: mp.mpf
     claimed_error: mp.mpf  # relative to neron_volume
 
 
-@dataclass(frozen=True)
-class HeightReport:
+class HeightReport(NamedTuple):
     vertices: tuple  # of VertexHeight
     argmin_label: str
     theorem_label: str

@@ -4,8 +4,7 @@ exact branch probabilities of the decision tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import graphs
 from .exactnum import RatLike, check_prime
@@ -26,8 +25,7 @@ def _squarefree_mask(n: int) -> bytearray:
     return mask
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(NamedTuple):
     p: int
     bound: int
     divisible_fraction: float

@@ -8,14 +8,13 @@ c4^3 - c6^2 = 1728*Delta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactnum import RatLike, check_d, check_prime, vp_rat
 
 
-@dataclass(frozen=True)
-class AInvariants:
+class AInvariants(NamedTuple):
     a1: Fraction
     a2: Fraction
     a3: Fraction
@@ -27,31 +26,41 @@ class AInvariants:
         return cls(Fraction(a1), Fraction(a2), Fraction(a3), Fraction(a4), Fraction(a6))
 
 
-@dataclass(frozen=True)
-class Signature:
+class _Signature(NamedTuple):
     c4: Fraction
     c6: Fraction
     delta: Fraction
 
+
+class Signature(_Signature):
+    __slots__ = ()
+
+    def __new__(cls, c4: RatLike, c6: RatLike, delta: RatLike) -> "Signature":
+        if not isinstance(c4, Fraction):
+            c4 = Fraction(c4)
+        if not isinstance(c6, Fraction):
+            c6 = Fraction(c6)
+        if not isinstance(delta, Fraction):
+            delta = Fraction(delta)
+        self = tuple.__new__(cls, (c4, c6, delta))
+        # through the class, so that a hook rebound there sees every construction
+        cls.__post_init__(self)
+        return self
+
     def __post_init__(self) -> None:
-        for field in ("c4", "c6", "delta"):
-            v = getattr(self, field)
-            if not isinstance(v, Fraction):
-                object.__setattr__(self, field, Fraction(v))
         if self.delta == 0:
             raise ValueError("singular: Delta = 0")
         if self.c4**3 - self.c6**2 != 1728 * self.delta:
             raise ValueError("c4^3 - c6^2 != 1728*Delta")
 
 
-@dataclass(frozen=True)
-class PSignature:
+class PSignature(NamedTuple):
     vc4: float  # int, or inf when c4 = 0
     vc6: float
     vdelta: int
 
     def as_tuple(self):
-        return (self.vc4, self.vc6, self.vdelta)
+        return tuple(self)
 
 
 def signature_of(a: AInvariants) -> Signature:

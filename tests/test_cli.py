@@ -8,6 +8,23 @@ import pytest
 
 from qtwist.cli import run
 
+# modules of the package that every subcommand loads: qtwist/__init__.py
+# imports weierstrass
+BASE_MODULES = {"cli", "exactnum", "weierstrass"}
+# a call of each subcommand, and the modules it loads besides those
+SUBCOMMAND_MODULES = [
+    (["classify", "--ainvs", "1,1,1,-30,-76", "--p", "11"], {"localdata"}),
+    (["minimal", "--sig", "642816,933493248,-350572971995136"], {"localdata"}),
+    (["twist", "--ainvs", "1,1,1,-30,-76", "--d", "11"], {"localdata"}),
+    (["faltings", "--type", "L3_9", "--t", "45", "--d", "3"], {"graphs"}),
+    (["prob", "--type", "L3_9", "--t", "3"], {"graphs"}),
+    (["family", "l39", "--t", "45"], {"families", "graphs"}),
+    (["density", "--p", "3", "--n", "10000"], {"sieve", "graphs"}),
+    (["empirical", "--type", "L3_9", "--t", "3", "--n", "10000"], {"sieve", "graphs"}),
+    (["verify", "--type", "L3_9", "--t", "45", "--d", "3", "--bits", "64"],
+     {"localdata", "graphs", "families", "oracle"}),
+]
+
 
 # nextprime(10^22) * nextprime(3 * 10^22)
 N_HARD = 10000000000000000000009 * 30000000000000000000029
@@ -91,12 +108,18 @@ class TestValidation:
         ["verify", "--type", "L3_9", "--t", "45", "--d", "3", "--variant", "b"],
         ["family", "l39", "--t", "45", "--variant", "b"],
         ["family", "l211", "--t", "45"],
+        # a zero denominator is named, not left to Fraction's "Fraction(1, 0)"
+        ["faltings", "--type", "L3_9", "--t", "1/0", "--d", "1"],
+        ["minimal", "--ainvs=1/0,1,1,1,1"],
     ])
     def test_bad_input_exit_2(self, argv, capsys):
         code, out, err = invoke(*argv, capsys=capsys)
         assert code == 2
         assert out == ""
-        assert json.loads(err)["error"]
+        error = json.loads(err)["error"]
+        assert error
+        if any("1/0" in arg for arg in argv):
+            assert error == "'1/0' has a zero denominator"
 
     @pytest.mark.parametrize("d", [12, 0, 10**24 + 7])
     @pytest.mark.parametrize("argv", [
@@ -137,9 +160,14 @@ class TestValidation:
             f"{sys.get_int_max_str_digits()}-digit print limit")
 
     def test_unknown_type(self, capsys):
+        from qtwist.graphs import ALL_TYPES
+
         with pytest.raises(SystemExit) as exc:
             run(["faltings", "--type", "L2_9", "--t", "1", "--d", "1"])
         assert exc.value.code == 2
+        # the choices are read from the registry only when --type is parsed
+        assert "invalid choice: 'L2_9' (choose from {})".format(
+            ", ".join(map(repr, ALL_TYPES))) in capsys.readouterr().err
 
     def test_schema_version(self, capsys):
         code, out, _ = invoke("prob", "--type", "L2_11", capsys=capsys)
@@ -267,3 +295,32 @@ class TestEntryPoint:
         assert proc.returncode == 0
         out = json.loads(proc.stdout)
         assert out["vertex"] == "E_11"
+
+    @pytest.fixture(scope="class")
+    def bare_python_loads_dataclasses(self):
+        proc = subprocess.run([sys.executable, "-c",
+                               "import sys; print('dataclasses' in sys.modules)"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip() == "True"
+
+    @pytest.mark.parametrize("argv, modules", SUBCOMMAND_MODULES,
+                             ids=[argv[0] for argv, _ in SUBCOMMAND_MODULES])
+    def test_subcommand_loads_only_its_modules(self, argv, modules,
+                                               bare_python_loads_dataclasses):
+        # a fresh process pays for every module it imports, so each
+        # subcommand imports only what it runs
+        script = """if True:
+            import json, sys
+            from qtwist import cli
+            code = cli.run(sys.argv[1:])
+            print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("qtwist.")),
+                              "dataclasses" in sys.modules]))
+        """
+        proc = subprocess.run([sys.executable, "-c", script, *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        code, loaded, dataclasses = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0
+        assert {m.removeprefix("qtwist.") for m in loaded} == BASE_MODULES | modules
+        assert not dataclasses or bare_python_loads_dataclasses

@@ -1,6 +1,5 @@
 """The scripts in demos/ run as subprocesses and exit 0."""
 
-import dataclasses
 import importlib.util
 import os
 import subprocess
@@ -37,7 +36,7 @@ def test_height_verification_exits_1_on_mismatch(monkeypatch, capsys):
     verify_class = demo.oracle.verify_class
 
     def mismatched(*args, **kwargs):
-        return dataclasses.replace(verify_class(*args, **kwargs), match=False)
+        return verify_class(*args, **kwargs)._replace(match=False)
 
     monkeypatch.setattr(demo.oracle, "verify_class", mismatched)
     assert demo.main() == 1

@@ -4,6 +4,10 @@
 * sympy is a test-only oracle: no module of the package may import it.
 * mpmath serves the numeric height check alone: only ``oracle`` may import
   it (the CLI imports ``oracle`` for ``verify`` only; see test_cli.py).
+* No module imports ``dataclasses``: it imports ``inspect`` and ``ast``,
+  which a fresh CLI process would pay for; records are ``NamedTuple``s.
+* The module level of ``cli.py`` imports no package module but
+  ``exactnum``: each subcommand imports what it runs (see test_cli.py).
 """
 
 import ast
@@ -50,3 +54,34 @@ def test_only_oracle_imports_mpmath():
     where = _offending(_imports("mpmath"))
     assert [w for w in where if not w.startswith("oracle.py:")] == []
     assert where, "oracle.py no longer imports mpmath; update this rule"
+
+
+def test_package_does_not_import_dataclasses():
+    assert TREES
+    assert _offending(_imports("dataclasses")) == []
+
+
+def _package_modules_imported(node):
+    """The package modules an import node names ("exactnum" for
+    ``from .exactnum import x``, "graphs" for ``from qtwist import graphs``)."""
+    if isinstance(node, ast.Import):
+        return {a.name.split(".")[1] for a in node.names if a.name.startswith("qtwist.")}
+    if not isinstance(node, ast.ImportFrom):
+        return set()
+    module = node.module or ""
+    if node.level == 0:
+        if module.split(".")[0] != "qtwist":
+            return set()
+        module = module[len("qtwist."):]
+    return {module.split(".")[0]} if module else {a.name for a in node.names}
+
+
+def test_cli_module_level_imports_only_exactnum():
+    # every node of cli.py outside a function body
+    imported, stack = set(), list(TREES["cli.py"].body)
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            imported |= _package_modules_imported(node)
+            stack.extend(ast.iter_child_nodes(node))
+    assert imported == {"exactnum"}
