@@ -44,6 +44,11 @@ class KodairaSymbol(_KodairaSymbol):
             raise ValueError("In* requires n >= 0")
         return tuple.__new__(cls, (kind, n))
 
+    @classmethod
+    def _make(cls, iterable) -> "KodairaSymbol":
+        # through __new__, so that _replace runs the checks too
+        return cls(*iterable)
+
     @property
     def starred(self) -> bool:
         return self.kind.endswith("*")

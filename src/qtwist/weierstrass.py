@@ -47,6 +47,11 @@ class Signature(_Signature):
         cls.__post_init__(self)
         return self
 
+    @classmethod
+    def _make(cls, iterable) -> "Signature":
+        # through __new__, so that _replace runs the checks too
+        return cls(*iterable)
+
     def __post_init__(self) -> None:
         if self.delta == 0:
             raise ValueError("singular: Delta = 0")

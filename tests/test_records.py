@@ -76,6 +76,15 @@ def test_kodaira_messages(args, message):
         KodairaSymbol(*args)
 
 
+def test_replace_runs_the_checks():
+    assert S11._replace(c4=Fraction(496)) == S11
+    with pytest.raises(ValueError, match="^singular: Delta = 0$"):
+        S11._replace(c4=0, c6=0, delta=0)
+    assert KodairaSymbol("In", 5)._replace(n=1) == KodairaSymbol("In", 1)
+    with pytest.raises(ValueError, match="^In requires n >= 1$"):
+        KodairaSymbol("In", 5)._replace(n=0)
+
+
 def test_signature_wraps_only_what_is_not_a_fraction():
     c4 = Fraction(496)
     s = Signature(c4, 20008, Fraction(-161051))
