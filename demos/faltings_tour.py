@@ -33,7 +33,7 @@ def main():
     for label, s in zip(labels, sigs):
         c = localdata.classify(twist_sig(s, d), 3)
         print(f"  {label}^{d}: Kodaira {c.kodaira}, u_3 = {fmt_rat(c.u_p)}, "
-              f"sig_3 = {c.minimal_psig.as_tuple()}")
+              f"sig_3 = {tuple(c.minimal_psig)}")
 
     res = graphs.faltings_by_theorem("L3_9", t, d)
     print(f"\ndecision table: Faltings curve is {res.vertex} "

@@ -49,7 +49,7 @@ def _cmd_classify(args):
         "p": args.p,
         "kodaira": str(c.kodaira),
         "u_p": fmt_rat(c.u_p),
-        "minimal_p_signature": list(c.minimal_psig.as_tuple()),
+        "minimal_p_signature": list(c.minimal_psig),
         "conditions": sorted(c.conditions_fired),
     }
 
@@ -77,6 +77,10 @@ def _parse_t(args):
     return parse_rat(args.t) if args.t is not None else None
 
 
+def _t_json(t):
+    return fmt_rat(t) if t is not None else None
+
+
 def _cmd_faltings(args):
     from . import graphs
 
@@ -86,9 +90,8 @@ def _cmd_faltings(args):
     if cross != res.vertex:
         raise TieError(
             f"volume argmax {cross} disagrees with decision table {res.vertex}")
-    return {"type": args.type, "t": fmt_rat(t) if t is not None else None,
-            "d": args.d, "vertex": res.vertex, "d_condition": res.d_condition,
-            "probability": fmt_rat(res.probability)}
+    return {"type": args.type, "t": _t_json(t), "d": args.d, "vertex": res.vertex,
+            "d_condition": res.d_condition, "probability": fmt_rat(res.probability)}
 
 
 def _cmd_prob(args):
@@ -96,24 +99,27 @@ def _cmd_prob(args):
 
     t = _parse_t(args)
     rows = graphs.prob_table(args.type, t)
-    return {"type": args.type, "t": fmt_rat(t) if t is not None else None,
+    return {"type": args.type, "t": _t_json(t),
             "branches": [{"vertex": r.vertex, "d_condition": r.d_condition,
                           "probability": fmt_rat(r.probability)} for r in rows]}
 
 
-def _cmd_family(args):
-    from . import families
+# older names of two family types, which the benchmark's cli_cold workload
+# still runs (perfbench/workloads.py); they go when that workload changes
+FAMILY_ALIASES = {"l39": "L3_9", "l211": "L2_11"}
 
+
+def _cmd_family(args):
+    from . import families, graphs
+    from .weierstrass import j_invariant
+
+    kind = FAMILY_ALIASES.get(args.family, args.family)
     t = _parse_t(args)
-    if args.family == "l39":
-        sigs = families.class_signatures("L3_9", t, args.variant)
-        return {"family": "l39", "t": fmt_rat(t), "members": [
-            {"index": i, **_sig_json(s), "j": fmt_rat(families.l39_j(i, t))}
-            for i, s in zip(families.L39_INDICES, sigs)]}
-    sigs = families.class_signatures("L2_11", t, args.variant)
-    return {"family": "l211", "variant": args.variant, "curves": [
-        {"label": label, "ainvs": [fmt_rat(a) for a in ainvs], **_sig_json(s)}
-        for (label, ainvs), s in zip(families.L211_CURVES[args.variant], sigs)]}
+    sigs = families.class_signatures(kind, t, args.variant)
+    return {"family": args.family, "type": kind, "variant": args.variant,
+            "t": _t_json(t), "members": [
+                {"label": label, **_sig_json(s), "j": fmt_rat(j_invariant(s))}
+                for label, s in zip(graphs.graph_type(kind).vertices, sigs)]}
 
 
 def _cmd_verify(args):
@@ -123,8 +129,7 @@ def _cmd_verify(args):
     t = _parse_t(args)
     rep = oracle.verify_class(args.type, t, args.d, precision_bits=args.bits,
                               variant=args.variant)
-    return {"type": args.type, "t": fmt_rat(t) if t is not None else None,
-            "d": args.d, "bits": rep.bits,
+    return {"type": args.type, "t": _t_json(t), "d": args.d, "bits": rep.bits,
             "vertices": [{"label": v.label,
                           "neron_volume": mp_str(v.neron_volume),
                           "faltings_height": mp_str(v.faltings_height),
@@ -152,8 +157,7 @@ def _cmd_empirical(args):
 
     t = _parse_t(args)
     freq = sieve.empirical_prob(args.type, t, args.n)
-    return {"type": args.type, "t": fmt_rat(t) if t is not None else None,
-            "bound": args.n, "frequencies": freq}
+    return {"type": args.type, "t": _t_json(t), "bound": args.n, "frequencies": freq}
 
 
 def _add_curve_flags(p):
@@ -224,10 +228,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t")
     p.set_defaults(fn=_cmd_prob)
 
-    p = sub.add_parser("family", help="parametrized family data")
-    p.add_argument("family", choices=["l39", "l211"])
+    p = sub.add_parser("family", help="the curves of a family at its vertices")
+    p.add_argument("family", metavar="TYPE",
+                   help="a type with curves in the registry (l39 and l211 name L3_9 and L2_11)")
     p.add_argument("--t")
-    p.add_argument("--variant", default="a", choices=["a", "b"])
+    p.add_argument("--variant", default="a")
     p.set_defaults(fn=_cmd_family)
 
     p = sub.add_parser("verify", help="numeric height argmin cross-check")
@@ -236,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--bits", type=int, default=128)
-    p.add_argument("--variant", default="a", choices=["a", "b"])
+    p.add_argument("--variant", default="a")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("density", help="sieved square-free densities")

@@ -1,5 +1,5 @@
 """Exact rational arithmetic helpers: p-adic valuations, unit residues,
-square-free tests, primality and factoring, and the input checks shared by
+primality and factoring, rational I/O, and the input checks shared by
 every module (the twist parameter d, a prime p, and the ``CuspError`` of a
 hauptmodul value t).  The package's two internal errors, ``TableMissError``
 and ``TieError``, live here too, so that the CLI can catch them without
@@ -19,13 +19,18 @@ primes below 1000, takes roots of perfect powers and splits what is left
 with Brent's variant of Pollard's rho (Brent 1980) within a fixed budget,
 ``RHO_MAX_STEPS``.  Past either limit they raise ``ValueError``, so that
 neither runs for more than a few seconds.  ``prime_factors`` is the only
-routine that takes an integer apart: ``is_squarefree`` and the d check
-``check_d_primes`` factor, then check that no p^2 divides n.
+routine that takes an integer apart; the d check ``check_d_primes``, the
+one square-free test, factors d and then checks that no p^2 divides it.
+
+``parse_rat`` and ``fmt_rat`` keep to the digits Python converts between
+an integer and a string (``sys.get_int_max_str_digits()``, 4300 by
+default); ``parse_rat`` checks an exponent before it builds 10^exponent.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import sys
 from fractions import Fraction
 from typing import Union
@@ -330,14 +335,6 @@ def prime_factors(n: int) -> set:
     return primes
 
 
-def is_squarefree(n: int) -> bool:
-    """True iff no prime square divides n (sign ignored).  ValueError if n
-    is 0 or if ``prime_factors`` cannot split n."""
-    if n == 0:
-        raise ValueError("0 is neither square-free nor square-full")
-    return all(n % (p * p) for p in prime_factors(n))
-
-
 def check_d(d: int) -> int:
     """d itself if it is a nonzero square-free integer with |d| <= D_MAX,
     else ValueError."""
@@ -356,13 +353,30 @@ def check_d_primes(d: int) -> set:
     return primes
 
 
+# the decimal exponent of a string that Fraction reads, as in "1.5e-7"
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\Z")
+
+
 def parse_rat(s: str) -> Fraction:
-    """Parse a "num/den" or integer string; ValueError if den is 0."""
+    """Parse a "num/den", integer or decimal string.  ValueError if den is
+    0, or if the exponent or a part of the number is past the digit limit;
+    the exponent is checked before anything is built."""
     s = s.strip()
+    # 0 switches Python's limit off; the input limit stays at the default
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    exp = _EXPONENT.search(s)
+    if exp and int(exp[1]) > limit:
+        raise ValueError(f"an exponent past {limit} makes a number past the "
+                         f"{limit}-digit input limit")
     try:
-        return Fraction(s)
+        x = Fraction(s)
     except ZeroDivisionError:
         raise ValueError(f"{s!r} has a zero denominator") from None
+    digits = max(_digits(abs(x.numerator)), _digits(x.denominator))
+    if digits > limit:
+        raise ValueError(f"the input has a {digits}-digit number, which is past the "
+                         f"{limit}-digit input limit")
+    return x
 
 
 def fmt_rat(x: RatLike) -> str:

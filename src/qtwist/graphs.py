@@ -436,11 +436,6 @@ def check_t(kind: str, t: Optional[RatLike]) -> Optional[Fraction]:
     return t
 
 
-def branches(kind: str) -> set:
-    """Every branch key of the type: tuples of one key per prime block."""
-    return set(graph_type(kind).decisions)
-
-
 def branch_key(kind: str, t: Optional[RatLike]) -> tuple:
     """The branch of t: one key per prime block."""
     t = check_t(kind, t)

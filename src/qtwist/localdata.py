@@ -179,22 +179,13 @@ _CONDITIONS = {
 # ---------------------------------------------------------------------------
 # realizability by an integral model (Kraus)
 
-def realizable(s: Signature, p: int) -> bool:
-    """Does the p-integral pair (c4, c6) come from a p-integral model?
+def _kraus(s: Signature, p: int, vc4, vc6, k: int) -> bool:
+    """Does the p-integral pair (c4, c6) of transform(s, p^k) come from a
+    p-integral model?  vc4 and vc6 are v_p(c4) and v_p(c6) of s.
 
     Kraus' local criterion: always at p >= 5; at p = 3 iff v3(c6) != 2; at
-    p = 2 iff c6 = 3 mod 4, or 16 | c4 and c6 = 0 or 8 mod 32.  ValueError
-    if s is not p-integral.
+    p = 2 iff c6 = 3 mod 4, or 16 | c4 and c6 = 0 or 8 mod 32.
     """
-    vc4, vc6, vd = p_signature(s, p).as_tuple()
-    if min(vc4, vc6, vd) < 0:
-        raise ValueError("signature not p-integral")
-    return _kraus(s, p, vc4, vc6, 0)
-
-
-def _kraus(s: Signature, p: int, vc4, vc6, k: int) -> bool:
-    """``realizable``'s criterion for transform(s, p^k), from v_p(c4) and
-    v_p(c6) of s; that model must be p-integral."""
     if p >= 5:
         return True
     if p == 3:
@@ -357,7 +348,7 @@ def _local(s: Signature, p: int) -> tuple:
     the p-signature at scale k is read off them.  It picks one table row,
     whose conditions are tried in order on the residues of s at scale k.
     """
-    vc4, vc6, vd = p_signature(s, p).as_tuple()
+    vc4, vc6, vd = p_signature(s, p)
     k = min(v // w for v, w in ((vc4, 4), (vc6, 6), (vd, 12)) if v != math.inf)
     if not _kraus(s, p, vc4, vc6, k):
         k -= 1
@@ -426,7 +417,7 @@ def global_minimal(s: Signature) -> tuple[Signature, Fraction]:
 def pal_u(c: LocalClassification, d: int) -> Fraction:
     """Twist rescaling value u_p(E^d) of the minimal model, at p = c.p."""
     check_d(d)
-    return _pal_u(c.p, c.minimal_psig.as_tuple(), c.kodaira, c.minimal_sig, 0, d)
+    return _pal_u(c.p, c.minimal_psig, c.kodaira, c.minimal_sig, 0, d)
 
 
 def _pal_u(p: int, psig: tuple, kodaira: KodairaSymbol, s: Signature, k: int, d: int) -> Fraction:

@@ -111,11 +111,6 @@ def neron_volume(s: Signature, precision_bits: int = 128) -> LatticeApprox:
     return lattice_volume(minimal, precision_bits)
 
 
-def faltings_height(s: Signature, precision_bits: int = 128) -> mp.mpf:
-    with mp.workprec(precision_bits + 30):
-        return -mp.log(neron_volume(s, precision_bits).volume) / 2
-
-
 def verify_class(kind: str, t: Optional[RatLike], d: int,
                  precision_bits: int = 128, variant: str = "a") -> HeightReport:
     """Numeric argmin of Faltings heights over the twisted class vs the

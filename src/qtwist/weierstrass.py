@@ -15,15 +15,11 @@ from .exactnum import RatLike, check_d, check_prime, vp_rat
 
 
 class AInvariants(NamedTuple):
-    a1: Fraction
-    a2: Fraction
-    a3: Fraction
-    a4: Fraction
-    a6: Fraction
-
-    @classmethod
-    def of(cls, a1: RatLike, a2: RatLike, a3: RatLike, a4: RatLike, a6: RatLike) -> "AInvariants":
-        return cls(Fraction(a1), Fraction(a2), Fraction(a3), Fraction(a4), Fraction(a6))
+    a1: RatLike
+    a2: RatLike
+    a3: RatLike
+    a4: RatLike
+    a6: RatLike
 
 
 class _Signature(NamedTuple):
@@ -64,9 +60,6 @@ class PSignature(NamedTuple):
     vc6: float
     vdelta: int
 
-    def as_tuple(self):
-        return tuple(self)
-
 
 def signature_of(a: AInvariants) -> Signature:
     """(c4, c6, Delta) via the standard b-invariant formulas."""
@@ -102,8 +95,3 @@ def twist_sig(s: Signature, d: int) -> Signature:
 
 def j_invariant(s: Signature) -> Fraction:
     return s.c4**3 / s.delta
-
-
-def short_model(s: Signature) -> AInvariants:
-    """y^2 = x^3 + Ax + B with A = -c4/48, B = -c6/864."""
-    return AInvariants.of(0, 0, 0, -s.c4 / 48, -s.c6 / 864)

@@ -11,7 +11,7 @@ from collections import defaultdict
 from fractions import Fraction
 
 from qtwist import graphs
-from qtwist.exactnum import is_squarefree
+from qtwist.exactnum import prime_factors
 
 _UNITS = list(range(1, 100, 2))
 _DENS = [1, 7, 11, 17, 23, 29]
@@ -59,7 +59,7 @@ def _candidates(kind):
 def pooled_ts(kind, per_branch):
     """{branch key: [t, ...]} with per_branch values per decision branch."""
     buckets = defaultdict(list)
-    want = graphs.branches(kind)
+    want = set(graphs.graph_type(kind).decisions)
     for t in _candidates(kind):
         try:
             key = graphs.branch_key(kind, t)
@@ -83,6 +83,7 @@ def squarefree_ds(cond, n):
     while len(out) < n:
         d += 1
         for cand in (d, -d):
-            if is_squarefree(cand) and cond.matches(cand) and len(out) < n:
+            if cond.matches(cand) and all(cand % (p * p) for p in prime_factors(cand)) \
+                    and len(out) < n:
                 out.append(cand)
     return out

@@ -14,7 +14,7 @@ import pytest
 from mpmath import mp
 
 from qtwist import families, graphs, localdata, oracle, sieve
-from qtwist.exactnum import is_squarefree
+from qtwist.exactnum import check_d
 from qtwist.weierstrass import (
     AInvariants,
     Signature,
@@ -25,6 +25,7 @@ from qtwist.weierstrass import (
 )
 
 from pools import pooled_ts, squarefree_ds
+from reference import L211_CURVES, fricke_w9, l39_j, x011_j
 
 
 def test_1_theorem_equals_volume_argmax_everywhere():
@@ -79,11 +80,11 @@ def test_3_l211_proposition():
     }
     for variant, pairs in expected.items():
         sigs = families.class_signatures("L2_11", variant=variant)
-        for (_, ainvs), sig, (sym, psig) in zip(families.L211_CURVES[variant], sigs, pairs):
-            assert signature_of(AInvariants.of(*ainvs)) == sig
+        for (_, ainvs), sig, (sym, psig) in zip(L211_CURVES[variant], sigs, pairs):
+            assert signature_of(AInvariants(*ainvs)) == sig
             c = localdata.classify(sig, 11)
             assert str(c.kodaira) == sym
-            assert c.minimal_psig.as_tuple() == psig
+            assert c.minimal_psig == psig
             assert c.u_p == 1
 
 
@@ -180,7 +181,7 @@ def test_7_pal_table_cross_checks():
                 c = localdata.classify(s, p)
                 # Table-1 values against the row-embedded u_p(E^d) columns
                 for d in ds_by_p[p]:
-                    assert is_squarefree(d)
+                    assert check_d(d) == d
                     got = localdata.row_pal_value(c, d)
                     want = localdata.pal_u(c, d)
                     assert got == want, (block, p, s, d, got, want)
@@ -193,11 +194,11 @@ def test_7_pal_table_cross_checks():
 
 
 def test_8_x011_spot_values():
-    assert families.x011_j(5, 5) == -(2**15)
-    assert families.x011_j(5, -6) == -(11**2)
-    label, ainvs = families.L211_CURVES["a"][0]
+    assert x011_j(5, 5) == -(2**15)
+    assert x011_j(5, -6) == -(11**2)
+    label, ainvs = L211_CURVES["a"][0]
     assert label == "121.a2"
-    assert j_invariant(signature_of(AInvariants.of(*ainvs))) == -11 * 131**3
+    assert j_invariant(signature_of(AInvariants(*ainvs))) == -11 * 131**3
 
 
 def test_9_identity_suites():
@@ -211,7 +212,7 @@ def test_9_identity_suites():
         for s in families.l39_signatures(t):
             assert s.c4**3 - s.c6**2 == 1728 * s.delta
         # Fricke symmetry: j_1(27/t) = j_9(t)
-        assert families.l39_j(1, families.fricke_w9(t)) == families.l39_j(9, t)
+        assert l39_j(1, fricke_w9(t)) == l39_j(9, t)
     for variant in ("a", "b"):
         for s in families.class_signatures("L2_11", variant=variant):
             assert s.c4**3 - s.c6**2 == 1728 * s.delta

@@ -1,12 +1,20 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from qtwist.cli import run
+from qtwist.weierstrass import AInvariants, signature_of
+
+from reference import L211_CURVES, l39_j
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # modules of the package that every subcommand loads: qtwist/__init__.py
 # imports weierstrass
@@ -19,6 +27,7 @@ SUBCOMMAND_MODULES = [
     (["faltings", "--type", "L3_9", "--t", "45", "--d", "3"], {"graphs"}),
     (["prob", "--type", "L3_9", "--t", "3"], {"graphs"}),
     (["family", "l39", "--t", "45"], {"families", "graphs"}),
+    (["family", "L2_11"], {"families", "graphs"}),
     (["density", "--p", "3", "--n", "10000"], {"sieve", "graphs"}),
     (["empirical", "--type", "L3_9", "--t", "3", "--n", "10000"], {"sieve", "graphs"}),
     (["verify", "--type", "L3_9", "--t", "45", "--d", "3", "--bits", "64"],
@@ -43,40 +52,44 @@ def invoke(*args, capsys=None):
         return code, captured.out, captured.err
 
 
+def ok(*args, capsys):
+    """The JSON output of a call that must exit 0."""
+    code, out, err = invoke(*args, capsys=capsys)
+    assert code == 0, err
+    return out
+
+
+def refused(*args, capsys):
+    """The JSON error of a call that must exit 2 and print nothing on stdout."""
+    code, out, err = invoke(*args, capsys=capsys)
+    assert (code, out) == (2, ""), err
+    return json.loads(err)["error"]
+
+
 class TestGoldenExamples:
     def test_faltings(self, capsys):
-        code, out, _ = invoke("faltings", "--type", "L3_9", "--t", "45", "--d", "3",
-                              capsys=capsys)
-        assert code == 0
+        out = ok("faltings", "--type", "L3_9", "--t", "45", "--d", "3", capsys=capsys)
         assert out["vertex"] == "E_9"
         assert out["probability"] == "1/4"
 
     def test_classify(self, capsys):
-        code, out, _ = invoke("classify", "--ainvs", "1,1,1,-30,-76", "--p", "11",
-                              capsys=capsys)
-        assert code == 0
+        out = ok("classify", "--ainvs", "1,1,1,-30,-76", "--p", "11", capsys=capsys)
         assert out["kodaira"] == "II"
         assert out["u_p"] == "1"
 
     def test_cusp_exit_2(self, capsys):
-        code, _, err = invoke("faltings", "--type", "L3_9", "--t", "0", "--d", "5",
-                              capsys=capsys)
-        assert code == 2
-        assert "cusp" in json.loads(err)["error"]
+        assert "cusp" in refused("faltings", "--type", "L3_9", "--t", "0", "--d", "5",
+                                 capsys=capsys)
 
     def test_faltings_near_d_max(self, capsys):
         # d = -999999937 * 1000000007, the hardest square-free test below 10^18
         d = -999999937 * 1000000007
-        code, out, _ = invoke("faltings", "--type", "L3_9", "--t", "45", "--d", str(d),
-                              capsys=capsys)
-        assert code == 0
+        out = ok("faltings", "--type", "L3_9", "--t", "45", "--d", str(d), capsys=capsys)
         assert (out["d"], out["vertex"], out["d_condition"], out["probability"]) == (
             d, "E_3", "d!=0(3)", "3/4")
 
     def test_twist(self, capsys):
-        code, out, _ = invoke("twist", "--ainvs", "1,1,1,-30,-76", "--d", "11",
-                              capsys=capsys)
-        assert code == 0
+        out = ok("twist", "--ainvs", "1,1,1,-30,-76", "--d", "11", capsys=capsys)
         assert out["twist"]["c4"] == "174361"
         assert out["twist"]["c6"] == "72809693"
         assert out["twist"]["delta"] == "-214358881"
@@ -84,9 +97,7 @@ class TestGoldenExamples:
 
 class TestValidation:
     def test_non_squarefree_d(self, capsys):
-        code, _, _ = invoke("faltings", "--type", "L3_9", "--t", "45", "--d", "12",
-                            capsys=capsys)
-        assert code == 2
+        refused("faltings", "--type", "L3_9", "--t", "45", "--d", "12", capsys=capsys)
 
     @pytest.mark.parametrize("argv", [
         ["empirical", "--type", "L3_9", "--t", "3", "--n", "10"],
@@ -111,15 +122,26 @@ class TestValidation:
         # a zero denominator is named, not left to Fraction's "Fraction(1, 0)"
         ["faltings", "--type", "L3_9", "--t", "1/0", "--d", "1"],
         ["minimal", "--ainvs=1/0,1,1,1,1"],
+        # FAMILIES alone knows the variants: argparse has no second list
+        ["family", "l211", "--variant", "c"],
+        ["verify", "--type", "L2_11", "--d", "1", "--variant", "c"],
     ])
     def test_bad_input_exit_2(self, argv, capsys):
-        code, out, err = invoke(*argv, capsys=capsys)
-        assert code == 2
-        assert out == ""
-        error = json.loads(err)["error"]
+        error = refused(*argv, capsys=capsys)
         assert error
         if any("1/0" in arg for arg in argv):
             assert error == "'1/0' has a zero denominator"
+        if "c" in argv:
+            assert error == "no family of curves for type L2_11, variant 'c'"
+
+    @pytest.mark.parametrize("t", ["1e-100000", "1e-2000000000", "1." + "1" * 4000 + "e-1000"],
+                             ids=["1e-100000", "1e-2000000000", "5001_digits"])
+    def test_past_input_digit_limit_exit_2(self, t, capsys):
+        # an exponent is refused before 10^exponent is built
+        start = time.perf_counter()
+        error = refused("prob", "--type=T4", f"--t={t}", capsys=capsys)
+        assert time.perf_counter() - start < 1
+        assert error.endswith(f"past the {sys.get_int_max_str_digits()}-digit input limit")
 
     @pytest.mark.parametrize("d", [12, 0, 10**24 + 7])
     @pytest.mark.parametrize("argv", [
@@ -129,10 +151,7 @@ class TestValidation:
     ], ids=["faltings", "twist", "verify"])
     def test_bad_d_exit_2(self, argv, d, capsys):
         # the library checks d; the CLI passes it through unchecked
-        code, out, err = invoke(*argv, "--d", str(d), capsys=capsys)
-        assert code == 2
-        assert out == ""
-        assert f"d = {d} " in json.loads(err)["error"]
+        assert f"d = {d} " in refused(*argv, "--d", str(d), capsys=capsys)
 
     @pytest.mark.parametrize("argv", [
         ["classify", "--ainvs", "1,1,1,-30,-76", "--p", str(M4423)],
@@ -143,19 +162,14 @@ class TestValidation:
     ], ids=["p_1332_digits", "p_3376_digits", "minimal_sig", "twist_sig"])
     def test_past_digit_limit_exit_2(self, argv, capsys):
         start = time.perf_counter()
-        code, out, err = invoke(*argv, capsys=capsys)
+        error = refused(*argv, capsys=capsys)
         assert time.perf_counter() - start < 5
-        assert code == 2
-        assert out == ""
-        assert "past the 1000-digit limit" in json.loads(err)["error"]
+        assert "past the 1000-digit limit" in error
 
     def test_output_past_print_limit_exit_2(self, capsys):
         # the answer exists, but one of its numbers is longer than Python
         # prints an integer
-        code, out, err = invoke("family", "l39", "--t", f"1/{10**400}", capsys=capsys)
-        assert code == 2
-        assert out == ""
-        assert json.loads(err)["error"] == (
+        assert refused("family", "l39", "--t", f"1/{10**400}", capsys=capsys) == (
             "the output has a 4803-digit number, which is past the "
             f"{sys.get_int_max_str_digits()}-digit print limit")
 
@@ -170,39 +184,48 @@ class TestValidation:
             ", ".join(map(repr, ALL_TYPES))) in capsys.readouterr().err
 
     def test_schema_version(self, capsys):
-        code, out, _ = invoke("prob", "--type", "L2_11", capsys=capsys)
-        assert code == 0
-        assert out["schema_version"] == 2
+        assert ok("prob", "--type", "L2_11", capsys=capsys)["schema_version"] == 2
 
 
 class TestSubcommands:
     def test_minimal(self, capsys):
         # non-minimal input scaled by u = 1/6 comes back with u = 6
-        code, out, _ = invoke("minimal", "--sig",
-                              "642816,933493248,-350572971995136", capsys=capsys)
-        assert code == 0
+        out = ok("minimal", "--sig", "642816,933493248,-350572971995136", capsys=capsys)
         assert out["u"] == "6"
         assert out["minimal"]["c4"] == "496"
 
     def test_prob_rows_sum(self, capsys):
-        code, out, _ = invoke("prob", "--type", "L3_9", "--t", "3", capsys=capsys)
-        assert code == 0
+        out = ok("prob", "--type", "L3_9", "--t", "3", capsys=capsys)
         from fractions import Fraction
         total = sum(Fraction(r["probability"]) for r in out["branches"])
         assert total == 1
 
     def test_family_l39(self, capsys):
-        code, out, _ = invoke("family", "l39", "--t", "45", capsys=capsys)
-        assert code == 0
+        out = ok("family", "l39", "--t", "45", capsys=capsys)
+        assert out == {"schema_version": 2, "command": "family", "family": "l39",
+                       "type": "L3_9", "variant": "a", "t": "45", "members": [
+            {"label": f"E_{i}", "c4": c4, "c6": c6, "delta": delta, "j": str(l39_j(i, 45))}
+            for i, c4, c6, delta in ((1, "5307264", "12226609368", "110565"),
+                                     (3, "5318784", "12170864952", "1351615024612125"),
+                                     (9, "37161504", "-219332077992", "1859164338814453125"))]}
+        assert ok("family", "L3_9", "--t", "45", capsys=capsys) == {**out, "family": "L3_9"}
 
     def test_family_l211(self, capsys):
-        code, out, _ = invoke("family", "l211", "--variant", "b", capsys=capsys)
-        assert code == 0
+        out = ok("family", "l211", "--variant", "b", capsys=capsys)
+        assert out == {"schema_version": 2, "command": "family", "family": "l211",
+                       "type": "L2_11", "variant": "b", "t": None, "members": [
+            {"label": "E_1", "c4": "352", "c6": "-6776", "delta": "-1331", "j": "-32768"},
+            {"label": "E_11", "c4": "42592", "c6": "9018856", "delta": "-2357947691",
+             "j": "-32768"}]}
+        for variant, curves in L211_CURVES.items():
+            out = ok("family", "L2_11", "--variant", variant, capsys=capsys)
+            sigs = [signature_of(AInvariants(*ainvs)) for _, ainvs in curves]
+            assert [[m["c4"], m["c6"], m["delta"]] for m in out["members"]] == [
+                [str(x) for x in s] for s in sigs]
 
     def test_verify(self, capsys):
-        code, out, _ = invoke("verify", "--type", "L3_9", "--t", "45", "--d", "3",
-                              "--bits", "64", capsys=capsys)
-        assert code == 0
+        out = ok("verify", "--type", "L3_9", "--t", "45", "--d", "3", "--bits", "64",
+                 capsys=capsys)
         assert out["match"] is True
         assert out["bits"] == 64
         assert float(out["margin"]) >= 3 - 1e-9
@@ -210,20 +233,31 @@ class TestSubcommands:
             assert 0 < float(v["claimed_error"]) <= 2.0 ** (8 - 64)
 
     def test_density(self, capsys):
-        code, out, _ = invoke("density", "--p", "3", "--n", "10000",
-                              capsys=capsys)
-        assert code == 0
+        ok("density", "--p", "3", "--n", "10000", capsys=capsys)
 
     def test_empirical(self, capsys):
-        code, out, _ = invoke("empirical", "--type", "L3_9", "--t", "3",
-                              "--n", "10000", capsys=capsys)
-        assert code == 0
+        ok("empirical", "--type", "L3_9", "--t", "3", "--n", "10000", capsys=capsys)
 
     def test_pretty(self, capsys):
-        code, out, _ = invoke("--pretty", "faltings", "--type", "L3_9", "--t", "45",
-                              "--d", "3", capsys=capsys)
-        assert code == 0
+        out = ok("--pretty", "faltings", "--type", "L3_9", "--t", "45", "--d", "3",
+                 capsys=capsys)
         assert isinstance(out, str) and "E_9" in out
+
+
+def _readme_commands():
+    """The ``qtwist ...`` lines of README's "Command line" code block."""
+    block = re.search(r"## Command line.*?```sh\n(.*?)```", README.read_text(), re.DOTALL)[1]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("qtwist ")]
+
+
+class TestReadme:
+    def test_commands_found(self):
+        assert len(_readme_commands()) == 10
+
+    @pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+    def test_command_exits_0(self, argv, capsys):
+        assert ok(*argv, capsys=capsys)["command"] == argv[0]
 
 
 class TestEntryPoint:
@@ -235,50 +269,31 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "False"
 
+    @staticmethod
+    def _loaded_after_each(argvs):
+        """[exit code, sympy loaded, mpmath loaded] after each argv, in one process."""
+        script = """if True:
+            import json, sys
+            from qtwist import cli
+            for argv in json.loads(sys.argv[1]):
+                code = cli.run(argv)
+                print(json.dumps([code, "sympy" in sys.modules, "mpmath" in sys.modules]))
+        """
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return [json.loads(line) for line in proc.stdout.splitlines() if line[:1] == "["]
+
     def test_runs_leave_sympy_out(self):
         # sympy is a test-only oracle; factoring and primality are exactnum's
-        script = """if True:
-            import sys
-            from qtwist import cli
-            for argv in (["faltings", "--type", "L3_9", "--t", "45", "--d", "3"],
-                         ["minimal", "--sig", "642816,933493248,-350572971995136"],
-                         ["twist", "--ainvs", "1,1,1,-30,-76", "--d", "11"],
-                         ["classify", "--ainvs", "1,1,1,-30,-76", "--p", "11"]):
-                if cli.run(argv) != 0:
-                    sys.exit(1)
-            print("sympy" in sys.modules)
-        """
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "False"
+        argvs = [argv for argv, _ in SUBCOMMAND_MODULES]
+        assert [r[:2] for r in self._loaded_after_each(argvs)] == [[0, False]] * len(argvs)
 
     def test_only_verify_loads_mpmath(self):
-        # mpmath serves the numeric height check alone
-        script = """if True:
-            import sys
-            from qtwist import cli
-            for argv in (["faltings", "--type", "L3_9", "--t", "45", "--d", "3"],
-                         ["prob", "--type", "L3_9", "--t", "3"],
-                         ["classify", "--ainvs", "1,1,1,-30,-76", "--p", "11"],
-                         ["minimal", "--sig", "642816,933493248,-350572971995136"],
-                         ["twist", "--ainvs", "1,1,1,-30,-76", "--d", "11"],
-                         ["family", "l39", "--t", "45"],
-                         ["density", "--p", "3", "--n", "10000"],
-                         ["empirical", "--type", "L3_9", "--t", "3", "--n", "10000"]):
-                if cli.run(argv) != 0:
-                    sys.exit(1)
-            print("mpmath" in sys.modules)
-            code = cli.run(["verify", "--type", "L3_9", "--t", "45", "--d", "3",
-                            "--bits", "64"])
-            print("mpmath" in sys.modules)
-            sys.exit(code)
-        """
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        before, verify, after = proc.stdout.splitlines()[-3:]
-        assert before == "False"
-        assert json.loads(verify)["match"] is True
-        assert after == "True"
+        # mpmath serves the numeric height check alone: verify runs last
+        argvs = sorted((argv for argv, _ in SUBCOMMAND_MODULES), key=lambda a: a[0] == "verify")
+        assert [[code, mpmath] for code, _, mpmath in self._loaded_after_each(argvs)] == (
+            [[0, False]] * (len(argvs) - 1) + [[0, True]])
 
     def test_environment_is_ignored(self):
         proc = subprocess.run(
@@ -304,8 +319,10 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.strip() == "True"
 
+    # a type named in the registry's spelling joins the id: family_L2_11
     @pytest.mark.parametrize("argv, modules", SUBCOMMAND_MODULES,
-                             ids=[argv[0] for argv, _ in SUBCOMMAND_MODULES])
+                             ids=["_".join(argv[:1] + [a for a in argv[1:2] if a[:1].isupper()])
+                                  for argv, _ in SUBCOMMAND_MODULES])
     def test_subcommand_loads_only_its_modules(self, argv, modules,
                                                bare_python_loads_dataclasses):
         # a fresh process pays for every module it imports, so each

@@ -16,7 +16,6 @@ from qtwist.exactnum import (
     check_prime,
     fmt_rat,
     is_prime,
-    is_squarefree,
     parse_rat,
     prime_factors,
     unit_residue,
@@ -138,6 +137,15 @@ class TestUnitResidue:
         assert 0 < r < p**k and r % p != 0
 
 
+def is_squarefree(n: int) -> bool:
+    """The square-free test of ``check_d``, for 0 < |n| <= D_MAX."""
+    try:
+        return check_d(n) == n
+    except ValueError as e:
+        assert "square-free" in str(e), e
+        return False
+
+
 class TestSquarefree:
     def test_values(self):
         assert is_squarefree(1)
@@ -151,8 +159,8 @@ class TestSquarefree:
         assert not is_squarefree(8 * 121)
 
     def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            is_squarefree(0)
+        with pytest.raises(ValueError, match="d = 0 is not"):
+            check_d(0)
 
     @given(st.integers(min_value=2, max_value=1000),
            st.integers(min_value=1, max_value=1000))
@@ -164,7 +172,11 @@ class TestSquarefree:
             assert is_squarefree(n) == _sympy_squarefree(n), n
 
     def test_corpus(self):
-        for n in CORPUS:
+        # check_d refuses the rest; TestPrimeFactors.test_corpus checks
+        # their factorizations
+        corpus = [n for n in CORPUS if n <= D_MAX]
+        assert len(corpus) >= 50
+        for n in corpus:
             assert is_squarefree(n) == _sympy_squarefree(n), n
 
     def test_near_d_max(self):
@@ -182,11 +194,6 @@ class TestSquarefree:
             assert n < D_MAX and _sympy_squarefree(n) == want, n
             for m in (n, -n):
                 assert is_squarefree(m) == want, m
-                if want:
-                    assert check_d(m) == m
-                else:
-                    with pytest.raises(ValueError, match="square-free"):
-                        check_d(m)
 
 
 def _sympy_squarefree(n: int) -> bool:

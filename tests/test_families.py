@@ -5,22 +5,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtwist import graphs
-from qtwist.families import (
-    FAMILIES,
-    L211_CURVES,
-    CuspError,
-    X011_J_AT_16_60,
-    class_signatures,
-    fricke_w9,
-    l39_j,
-    l39_signatures,
-    x011_j,
-    x011_on_curve,
-)
+from qtwist.families import FAMILIES, CuspError, class_signatures, l39_signatures
 from qtwist.localdata import classify, global_minimal, global_pal
 from qtwist.weierstrass import AInvariants, j_invariant, signature_of, twist_sig
 
 from pools import pooled_ts, squarefree_ds
+from reference import (
+    L211_CURVES,
+    X011_J_AT_16_60,
+    fricke_w9,
+    l39_j,
+    x011_j,
+    x011_on_curve,
+)
 
 ts = st.fractions(min_value=-80, max_value=80).filter(
     lambda t: t != 0 and t * t + 9 * t + 27 != 0
@@ -146,7 +143,7 @@ class TestL211:
         for variant, curves in L211_CURVES.items():
             sigs = class_signatures("L2_11", variant=variant)
             for (_, ainvs), s in zip(curves, sigs, strict=True):
-                assert signature_of(AInvariants.of(*ainvs)) == s
+                assert signature_of(AInvariants(*ainvs)) == s
 
     def test_bad_variant(self):
         with pytest.raises(ValueError):

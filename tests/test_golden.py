@@ -95,7 +95,7 @@ def _canon(x) -> str:
     if isinstance(x, Signature):
         return f"sig({x.c4},{x.c6},{x.delta})"
     if isinstance(x, PSignature):
-        return f"psig{x.as_tuple()}"
+        return f"psig{tuple(x)}"
     if isinstance(x, KodairaSymbol):
         return f"{x.kind}:{x.n}"
     if isinstance(x, frozenset):

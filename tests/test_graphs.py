@@ -15,7 +15,6 @@ from qtwist.graphs import (
     faltings_by_volumes,
     graph_type,
     branch_key,
-    branches,
     prob_table,
     u_vectors,
 )
@@ -154,7 +153,7 @@ class TestBranchTable:
             covered.setdefault(kind, set()).add(self.key(key))
         assert set(covered) == GENUS0
         for kind in GENUS0:
-            assert covered[kind] == branches(kind), kind
+            assert covered[kind] == set(graph_type(kind).decisions), kind
 
 
 class TestSpecValidation:

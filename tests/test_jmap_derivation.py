@@ -1,6 +1,7 @@
 """Re-derive the level-11 j-map from q-expansions.
 
-Independent check of the hard-coded numerator polynomials of x011_j: build
+Independent check of the hard-coded numerator polynomials of the j-map
+``reference.x011_j``: build
 x(q), y(q) for y^2 + y = x^3 - x^2 - 10x - 20 from the weight-2 level-11
 eta product, build j(q) from Eisenstein series, and verify
 
@@ -12,7 +13,7 @@ arithmetic on truncated Laurent series.
 
 from fractions import Fraction
 
-from qtwist.families import X011_NUM_A, X011_NUM_B
+from reference import X011_NUM_A, X011_NUM_B
 
 HI = 40  # series computed modulo q^(HI+1)
 

@@ -7,7 +7,6 @@ from mpmath import mp
 
 from qtwist import families
 from qtwist.oracle import (
-    faltings_height,
     lattice_volume,
     neron_volume,
     verify_class,
@@ -169,10 +168,12 @@ class TestNeronVolume:
         assert abs(v0 - v1) < mp.mpf(2) ** -80
 
     def test_faltings_height_definition(self):
-        h = faltings_height(S11, 96)
-        v = neron_volume(S11, 96).volume
-        with mp.workprec(96):
-            assert abs(h + mp.log(v) / 2) < mp.mpf(2) ** -80
+        # h = -log(Néron volume) / 2, on the heights verify_class computes
+        rep = verify_class("L3_9", 45, 3, precision_bits=96)
+        for v, s in zip(rep.vertices, families.class_signatures("L3_9", 45), strict=True):
+            assert v.neron_volume == neron_volume(twist_sig(s, 3), 96).volume
+            with mp.workprec(96):
+                assert abs(v.faltings_height + mp.log(v.neron_volume) / 2) < mp.mpf(2) ** -80
 
 
 class TestVerifyClass:
