@@ -3,7 +3,11 @@
 Subcommands: classify, minimal, twist, faltings, prob, family, verify,
 density, empirical.  Output is JSON (default) with exact rationals as
 "num/den" strings; --pretty prints key: value lines.  Exit codes:
-0 success, 2 invalid input, 3 internal table miss / tie.
+0 success, 2 invalid input, 3 internal table miss / tie.  Every exit 2,
+argparse's own refusals included, prints nothing on stdout and one JSON
+{"error": ...} on stderr.  No option has argparse choices: the registries
+(``graphs`` for the types, ``families.FAMILIES`` for the variants) refuse
+what they do not hold.
 
 A call runs in a fresh process, so each subcommand imports the modules it
 runs when it runs, and the module level imports ``exactnum`` alone.
@@ -165,37 +169,16 @@ def _add_curve_flags(p):
     p.add_argument("--sig", help="c4,c6,delta (rationals)")
 
 
-class _LazyChoices:
-    """Choices of an option, read from a module only when the option is
-    parsed (argparse tests membership, and lists them in its error)."""
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose refusals raise ValueError, so that ``run``
+    prints them as JSON errors with exit code 2 (``--help`` still exits 0)."""
 
-    def __init__(self, read):
-        self._read = read
-
-    def __contains__(self, value) -> bool:
-        return value in self._read()
-
-    def __iter__(self):
-        return iter(self._read())
-
-
-def _all_types():
-    from .graphs import ALL_TYPES
-    return ALL_TYPES
-
-
-def _family_types():
-    from .families import FAMILIES
-    return FAMILIES
-
-
-# each --type sets metavar="TYPE": to name an option without one, argparse
-# lists its choices as the option is added
-TYPE_CHOICES = _LazyChoices(_all_types)
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="qtwist",
         description="Faltings curves in twisted isogeny classes: local "
                     "tables, decision rules, and numeric verification.")
@@ -218,13 +201,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_twist)
 
     p = sub.add_parser("faltings", help="Faltings vertex of a twisted class")
-    p.add_argument("--type", required=True, choices=TYPE_CHOICES, metavar="TYPE")
+    p.add_argument("--type", required=True)
     p.add_argument("--t", help="hauptmodul value (genus-0 types)")
     p.add_argument("--d", type=int, required=True)
     p.set_defaults(fn=_cmd_faltings)
 
     p = sub.add_parser("prob", help="all d-branches for a (type, t)")
-    p.add_argument("--type", required=True, choices=TYPE_CHOICES, metavar="TYPE")
+    p.add_argument("--type", required=True)
     p.add_argument("--t")
     p.set_defaults(fn=_cmd_prob)
 
@@ -236,8 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_family)
 
     p = sub.add_parser("verify", help="numeric height argmin cross-check")
-    p.add_argument("--type", required=True, choices=_LazyChoices(_family_types),
-                   metavar="TYPE")
+    p.add_argument("--type", required=True)
     p.add_argument("--t")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--bits", type=int, default=128)
@@ -250,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_density)
 
     p = sub.add_parser("empirical", help="sieved vertex frequencies")
-    p.add_argument("--type", required=True, choices=TYPE_CHOICES, metavar="TYPE")
+    p.add_argument("--type", required=True)
     p.add_argument("--t")
     p.add_argument("--n", type=int, default=10**5)
     p.set_defaults(fn=_cmd_empirical)
@@ -274,9 +256,8 @@ def _emit(obj: dict, pretty: bool) -> None:
 
 
 def run(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         result = args.fn(args)
     except (ValueError, ZeroDivisionError) as e:
         print(json.dumps({"error": str(e)}), file=sys.stderr)

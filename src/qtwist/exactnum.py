@@ -1,4 +1,4 @@
-"""Exact rational arithmetic helpers: p-adic valuations, unit residues,
+"""Exact rational arithmetic helpers: p-adic valuations, residues mod p^k,
 primality and factoring, rational I/O, and the input checks shared by
 every module (the twist parameter d, a prime p, and the ``CuspError`` of a
 hauptmodul value t).  The package's two internal errors, ``TableMissError``
@@ -19,8 +19,13 @@ primes below 1000, takes roots of perfect powers and splits what is left
 with Brent's variant of Pollard's rho (Brent 1980) within a fixed budget,
 ``RHO_MAX_STEPS``.  Past either limit they raise ``ValueError``, so that
 neither runs for more than a few seconds.  ``prime_factors`` is the only
-routine that takes an integer apart; the d check ``check_d_primes``, the
-one square-free test, factors d and then checks that no p^2 divides it.
+routine that takes an integer apart; the d check ``check_d``, the one
+square-free test, factors d, checks that no p^2 divides it and returns
+the primes of d.
+
+``residue`` is the one residue mod p^k: of x / p^e for any integer e, so
+that a table condition reads the residue of a rescaled number without
+building it, and with e = vp(x) the residue of x's p-free part.
 
 ``parse_rat`` and ``fmt_rat`` keep to the digits Python converts between
 an integer and a string (``sys.get_int_max_str_digits()``, 4300 by
@@ -195,21 +200,22 @@ def vp(x: RatLike, p: int) -> Union[int, float]:
     return vp_rat(Fraction(x), p)
 
 
-def unit_residue(x: RatLike, p: int, k: int = 1) -> int:
-    """Residue mod p^k of the p-free part of x, i.e. of p^(-vp(x))*x.
-
-    The p-free part of the denominator is inverted mod p^k, so the result
-    is well defined for any nonzero rational.
-    """
-    check_prime(p)
-    if k < 1:
-        raise ValueError("k must be positive")
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("unit_residue undefined at 0")
+def residue(x: Fraction, p: int, k: int, e: int = 0) -> int:
+    """Residue mod p^k of x / p^e (0 if its valuation is at least k), for
+    any integer e, read without building x / p^e; ValueError unless
+    x / p^e is p-integral.  With e = vp(x) it is the residue of the
+    p-free part of x, a unit mod p^k.  p is not checked to be prime."""
     num, den = x.numerator, x.denominator
-    num //= p ** vp_int(num, p)
-    den //= p ** vp_int(den, p)
+    if e > 0:
+        q = p**e
+        g = math.gcd(num, q)
+        num, den = num // g, den * (q // g)
+    elif e < 0:
+        q = p**-e
+        g = math.gcd(den, q)
+        num, den = num * (q // g), den // g
+    if den % p == 0:
+        raise ValueError("not p-integral")
     m = p**k
     return num * pow(den, -1, m) % m
 
@@ -335,16 +341,9 @@ def prime_factors(n: int) -> set:
     return primes
 
 
-def check_d(d: int) -> int:
-    """d itself if it is a nonzero square-free integer with |d| <= D_MAX,
-    else ValueError."""
-    check_d_primes(d)
-    return d
-
-
-def check_d_primes(d: int) -> set:
-    """``check_d`` that returns the primes of d, for callers that need
-    them: d is factored once."""
+def check_d(d: int) -> set:
+    """The set of primes of d if d is a nonzero square-free integer with
+    |d| <= D_MAX, else ValueError: d is factored once."""
     if abs(d) > D_MAX:
         raise ValueError(f"d = {d} exceeds 10^18 in absolute value")
     primes = prime_factors(d) if d else set()

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .exactnum import CuspError, RatLike  # noqa: F401  CuspError: what check_t raises at a cusp
+from .exactnum import RatLike
 from .graphs import check_t
 from .weierstrass import Signature
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, NamedTuple, Optional
 
-from .exactnum import CuspError, RatLike, TieError, check_d, unit_residue, vp
+from .exactnum import CuspError, RatLike, TieError, check_d, residue, vp
 
 
 class DCondition(NamedTuple):
@@ -74,12 +74,13 @@ class GraphType:
     """One isogeny-graph type and every rule that decides its Faltings vertex."""
 
     def __init__(self, kind: str, vertices: tuple, volumes: tuple, edges: tuple,
-                 primes: tuple, blocks: tuple, decisions: dict, excluded: tuple = ()) -> None:
+                 blocks: tuple, decisions: dict, excluded: tuple = ()) -> None:
         self.kind = kind
         self.vertices = vertices
         self.volumes = volumes      # projective, first entry 1
         self.edges = edges          # (label, label, isogeny degree)
-        self.primes = primes        # isogeny primes
+        # isogeny primes: the edge degrees
+        self.primes = tuple(sorted({deg for _, _, deg in edges}))
         self.blocks = blocks        # of PrimeBlock, by increasing prime
         self.decisions = decisions  # tuple of block keys -> ((DCondition, vertex), ...)
         self.excluded = excluded    # t values besides 0 where a branch is undefined
@@ -136,7 +137,7 @@ def _by_valuation(p: int, cuts, below: str):
         for k, name in cuts:
             if isinstance(name, dict):
                 if v == k:
-                    return name[unit_residue(t, p, k_res)]
+                    return name[residue(t, p, k_res, v)]
             elif v >= k:
                 return name
         return below
@@ -186,10 +187,10 @@ _ONES8 = (0,) * 8
 _TYPES: dict = {}
 
 
-def _register(kind, vertices, inverse_volumes, edges, primes, blocks, decisions, excluded=()):
+def _register(kind, vertices, inverse_volumes, edges, blocks, decisions, excluded=()):
     _TYPES[kind] = GraphType(
         kind, tuple(vertices), tuple(Fraction(1, v) for v in inverse_volumes), tuple(edges),
-        tuple(primes), tuple(blocks),
+        tuple(blocks),
         {k if isinstance(k, tuple) else (k,): rows for k, rows in decisions.items()},
         tuple(Fraction(x) for x in excluded))
 
@@ -198,7 +199,7 @@ def _line(kind, p, length, blocks, decisions, excluded=()):
     """Chain E_1 -- p -- E_p -- p -- ... of the given number of vertices."""
     labels = [f"E_{p**i}" for i in range(length)]
     _register(kind, labels, [p**i for i in range(length)],
-              [(labels[i], labels[i + 1], p) for i in range(length - 1)], (p,),
+              [(labels[i], labels[i + 1], p) for i in range(length - 1)],
               blocks, decisions, excluded)
 
 
@@ -206,8 +207,7 @@ def _rect(p, q, blocks, decisions):
     """The square E_1, E_p, E_q, E_pq of R4_pq."""
     e1, ep, eq, epq = "E_1", f"E_{p}", f"E_{q}", f"E_{p * q}"
     _register(f"R4_{p * q}", (e1, ep, eq, epq), (1, p, q, p * q),
-              ((e1, eq, q), (e1, ep, p), (ep, epq, q), (eq, epq, p)), (p, q),
-              blocks, decisions)
+              ((e1, eq, q), (e1, ep, p), (ep, epq, q), (eq, epq, p)), blocks, decisions)
 
 
 _line("L2_2", 2, 2, [PrimeBlock(2, _by_offset(2, 6, 4), {
@@ -271,7 +271,7 @@ _line("L3_25", 5, 3, [PrimeBlock(5, _by_valuation(5, [(1, "v>=1")], "v<=0"), {
 })], {"v>=1": _every("E_25"), "v<=0": _every("E_1")})
 
 _register("T4", ("E_1", "E_2", "E_4", "E_12"), (1, 2, 4, 4),
-          (("E_1", "E_2", 2), ("E_2", "E_4", 2), ("E_2", "E_12", 2)), (2,),
+          (("E_1", "E_2", 2), ("E_2", "E_4", 2), ("E_2", "E_12", 2)),
           [PrimeBlock(2, _by_valuation(2, [(6, "v>=6"), (5, "v=5"),
                                            (4, {1: "v=4,1(4)", 3: "v=4,3(4)"}), (3, "v=3")],
                                         "v<=2"), {
@@ -291,7 +291,7 @@ _register("T4", ("E_1", "E_2", "E_4", "E_12"), (1, 2, 4, 4),
 
 _register("T6", ("E_1", "E_2", "E_12", "E_4", "E_8", "E_22"), (1, 2, 4, 4, 8, 8),
           (("E_1", "E_2", 2), ("E_12", "E_2", 2), ("E_2", "E_4", 2),
-           ("E_4", "E_8", 2), ("E_4", "E_22", 2)), (2,),
+           ("E_4", "E_8", 2), ("E_4", "E_22", 2)),
           [PrimeBlock(2, _by_valuation(2, [(3, "v>=3"), (2, {1: "v=2,1(4)", 3: "v=2,3(4)"})],
                                         "v<=1"), {
               "v>=3": ((0, 1, 2, 1, 1, 1), None),
@@ -307,7 +307,7 @@ _register("T6", ("E_1", "E_2", "E_12", "E_4", "E_8", "E_22"), (1, 2, 4, 4, 8, 8)
 _register("T8", ("E_1", "E_2", "E_21", "E_4", "E_41", "E_8", "E_81", "E_16"),
           (1, 2, 4, 4, 8, 8, 16, 16),
           (("E_1", "E_2", 2), ("E_21", "E_2", 2), ("E_2", "E_4", 2), ("E_4", "E_41", 2),
-           ("E_4", "E_8", 2), ("E_8", "E_81", 2), ("E_8", "E_16", 2)), (2,),
+           ("E_4", "E_8", 2), ("E_8", "E_81", 2), ("E_8", "E_16", 2)),
           [PrimeBlock(2, _by_valuation(2, [(2, "v>=2"), (1, {1: "v=1,1(4)", 3: "v=1,3(4)"})],
                                         "v<=0"), {
               "v>=2": ((0, 1, 2, 1, 1, 1, 1, 1), None),
@@ -354,7 +354,7 @@ _rect(2, 5, [
 
 _register("R6", ("E_1", "E_2", "E_3", "E_6", "E_9", "E_18"), (1, 2, 3, 6, 9, 18),
           (("E_1", "E_3", 3), ("E_3", "E_9", 3), ("E_2", "E_6", 3), ("E_6", "E_18", 3),
-           ("E_1", "E_2", 2), ("E_3", "E_6", 2), ("E_9", "E_18", 2)), (2, 3),
+           ("E_1", "E_2", 2), ("E_3", "E_6", 2), ("E_9", "E_18", 2)),
           [PrimeBlock(2, _by_valuation(2, [(1, "v2>0")], "v2<=0"), {
               "v2>0": ((0, 1, 0, 1, 0, 1), None),
               "v2<=0": (_ONES6, None)}),
@@ -370,7 +370,7 @@ _register("S8", ("E_1", "E_3", "E_2", "E_6", "E_21", "E_12", "E_4", "E_31"),
           (1, 3, 2, 6, 4, 12, 4, 12),
           (("E_1", "E_3", 3), ("E_1", "E_2", 2), ("E_3", "E_6", 2), ("E_2", "E_6", 3),
            ("E_2", "E_21", 2), ("E_2", "E_4", 2), ("E_6", "E_12", 2), ("E_6", "E_31", 2),
-           ("E_21", "E_12", 3), ("E_4", "E_31", 3)), (2, 3),
+           ("E_21", "E_12", 3), ("E_4", "E_31", 3)),
           [PrimeBlock(2, _by_valuation(2, [(1, "v2!=0"),
                                             (0, {1: "v2=0,1(4)", 3: "v2=0,3(4)"})], "v2!=0"), {
               "v2!=0": (_ONES8, None),
@@ -409,7 +409,8 @@ def graph_type(kind: str) -> GraphType:
     try:
         return _TYPES[kind]
     except KeyError:
-        raise ValueError(f"unknown graph type {kind!r}") from None
+        raise ValueError(f"unknown graph type {kind!r}; the types are "
+                         f"{', '.join(ALL_TYPES)}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +457,7 @@ def u_vectors(kind: str, t: Optional[RatLike], d: int) -> UVectors:
     """Table pair ([u(E)], [u(E^d)]) for the branch selected by (t, d):
     the componentwise product of the prime blocks' powers of p."""
     g = graph_type(kind)
-    d = check_d(d)
+    check_d(d)
     t = check_t(kind, t)
     n = len(g.vertices)
     uE = [1] * n
@@ -480,7 +481,7 @@ class FaltingsResult(NamedTuple):
 
 def faltings_by_theorem(kind: str, t: Optional[RatLike], d: int) -> FaltingsResult:
     """The decision-table row matching (type, t, d)."""
-    d = check_d(d)
+    check_d(d)
     # the registry checked at import that each branch's rows partition d
     cond, vertex = next(row for row in decision_rows(kind, t) if row[0].matches(d))
     return FaltingsResult(vertex, str(cond), cond.probability)

@@ -13,9 +13,10 @@ dict access.  The p-signature is read off the valuations of s at the
 largest realizable scale k.  That model is p-minimal by construction, so no
 row rescales; a row's 2f/2g condition (which would mean "not minimal" when
 false) always holds there.  The conditions read their residues off the
-integers of s at scale k, so classifying builds no model: ``classify``
-builds the model at scale k for its caller, and ``global_minimal`` builds
-one model, for the product of the per-prime scales.
+integers of s at scale k with ``exactnum.residue``, so classifying builds
+no model: ``classify`` builds the model at scale k for its caller, and
+``global_minimal`` builds one model, for the product of the per-prime
+scales.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactnum import TableMissError, check_d, check_d_primes, prime_factors
+from .exactnum import TableMissError, check_d, prime_factors, residue
 from .weierstrass import PSignature, Signature, p_signature, transform
 
 
@@ -74,41 +75,20 @@ class LocalClassification(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# residues of rationals, read without building the rescaled number
-
-def _res(x: Fraction, p: int, k: int, e: int) -> int:
-    """Residue mod p^k of x / p^e (0 if its valuation is at least k), for
-    any integer e; ValueError unless x / p^e is p-integral."""
-    num, den = x.numerator, x.denominator
-    if e > 0:
-        q = p**e
-        g = math.gcd(num, q)
-        num, den = num // g, den * (q // g)
-    elif e < 0:
-        q = p**-e
-        g = math.gcd(den, q)
-        num, den = num * (q // g), den // g
-    if den % p == 0:
-        raise ValueError("not p-integral")
-    m = p**k
-    return num * pow(den, -1, m) % m
-
-
-# ---------------------------------------------------------------------------
 # extra conditions distinguishing Kodaira symbols at p = 3 and p = 2
 #
 # Each reads the model transform(s, p^k) without building it: c4 and c6 of
 # that model are c4 / p^(4k) and c6 / p^(6k), so their residues come off
-# the integers of s by _res with the exponent shifted by 4k or 6k.
+# the integers of s by ``residue`` with the exponent shifted by 4k or 6k.
 
 def cond_3a(s: Signature, k: int) -> bool:
     # (c6/27)^2 + 2 - 3 c4/9 = 0 mod 9
-    return (_res(s.c6, 3, 2, 6 * k + 3) ** 2 + 2 - _res(s.c4, 3, 2, 4 * k + 1)) % 9 == 0
+    return (residue(s.c6, 3, 2, 6 * k + 3) ** 2 + 2 - residue(s.c4, 3, 2, 4 * k + 1)) % 9 == 0
 
 
 def cond_3b(s: Signature, k: int) -> bool:
     # (c6/3^6)^2 + 2 - 3 c4/3^4 = 0 mod 9
-    return (_res(s.c6, 3, 2, 6 * k + 6) ** 2 + 2 - _res(s.c4, 3, 2, 4 * k + 3)) % 9 == 0
+    return (residue(s.c6, 3, 2, 6 * k + 6) ** 2 + 2 - residue(s.c4, 3, 2, 4 * k + 3)) % 9 == 0
 
 
 # -1/3 and -1/27 mod 32: A = -c4/48 = (c4/2^4) * (-1/3), B = -c6/864 = (c6/2^5) * (-1/27)
@@ -119,8 +99,8 @@ def _ab(s: Signature, k: int) -> tuple[int, int]:
     """Residues mod 32 of A = -c4/48 and B = -c6/864, the coefficients of
     the short model y^2 = x^3 + Ax + B at scale k (2-integral at every row
     that asks)."""
-    return (_res(s.c4, 2, 5, 4 * k + 4) * _MINUS_INV3 % 32,
-            _res(s.c6, 2, 5, 6 * k + 5) * _MINUS_INV27 % 32)
+    return (residue(s.c4, 2, 5, 4 * k + 4) * _MINUS_INV3 % 32,
+            residue(s.c6, 2, 5, 6 * k + 5) * _MINUS_INV27 % 32)
 
 
 # division polynomials of the short model, evaluated on residues: their
@@ -158,15 +138,15 @@ def cond_2d(s: Signature, k: int) -> bool:
 
 
 def cond_2e(s: Signature, k: int) -> bool:
-    return _res(s.c4, 2, 2, 4 * k + 6) == 3
+    return residue(s.c4, 2, 2, 4 * k + 6) == 3
 
 
 def cond_2f(s: Signature, k: int) -> bool:
-    return _res(s.c6, 2, 2, 6 * k + 6) == 1
+    return residue(s.c6, 2, 2, 6 * k + 6) == 1
 
 
 def cond_2g(s: Signature, k: int) -> bool:
-    return _res(s.c6, 2, 2, 6 * k + 9) == 3
+    return residue(s.c6, 2, 2, 6 * k + 9) == 3
 
 
 _CONDITIONS = {
@@ -190,7 +170,7 @@ def _kraus(s: Signature, p: int, vc4, vc6, k: int) -> bool:
         return True
     if p == 3:
         return vc6 - 6 * k != 2
-    c6 = _res(s.c6, 2, 5, 6 * k)
+    c6 = residue(s.c6, 2, 5, 6 * k)
     return c6 % 4 == 3 or (vc4 - 4 * k >= 4 and c6 in (0, 8))
 
 
@@ -262,12 +242,12 @@ TABLE_P3 = [
 
 def _pal_666(sig: Signature, d: int) -> Fraction:
     # sig_2 = (>=6, 6, 6), d = 2 mod 4: keyed on c6/2^6 vs d/2 mod 4
-    return Fraction(1) if _res(sig.c6, 2, 2, 6) != (d // 2) % 4 else Fraction(2)
+    return Fraction(1) if residue(sig.c6, 2, 2, 6) != (d // 2) % 4 else Fraction(2)
 
 
 def _pal_6918(sig: Signature, d: int) -> Fraction:
     # sig_2 = (6, 9, >=18), d = 2 mod 4: keyed on c6/2^9 vs d/2 mod 4
-    return Fraction(4) if _res(sig.c6, 2, 2, 9) != (d // 2) % 4 else Fraction(2)
+    return Fraction(4) if residue(sig.c6, 2, 2, 9) != (d // 2) % 4 else Fraction(2)
 
 
 _H = Fraction(1, 2)
@@ -434,13 +414,13 @@ def _pal_u(p: int, psig: tuple, kodaira: KodairaSymbol, s: Signature, k: int, d:
     if d % 4 == 2:  # square-free even d; d/2 is an odd integer
         if (vc4, vc6) == (0, 0):
             return Fraction(1, 2)
-        if (vc4, vc6) == (6, 9) and vd >= 18 and _res(s.c6 * d, 2, 2, 6 * k + 10) == 3:
+        if (vc4, vc6) == (6, 9) and vd >= 18 and residue(s.c6 * d, 2, 2, 6 * k + 10) == 3:
             return Fraction(4)
         if vc4 in (4, 5):
             return Fraction(1)
         if vc6 in (3, 5, 7):
             return Fraction(1)
-        if vc4 >= 6 and (vc6, vd) == (6, 6) and _res(s.c6 * d, 2, 2, 6 * k + 7) == 3:
+        if vc4 >= 6 and (vc6, vd) == (6, 6) and residue(s.c6 * d, 2, 2, 6 * k + 7) == 3:
             return Fraction(1)
         return Fraction(2)
     # d = 3 mod 4
@@ -454,7 +434,7 @@ def _pal_u(p: int, psig: tuple, kodaira: KodairaSymbol, s: Signature, k: int, d:
 def global_pal(minimal_sig: Signature, d: int) -> Fraction:
     """u(E^d): product of pal_u over the primes dividing 2d (pal_u is 1 at
     every odd p not dividing d)."""
-    primes = {2} | check_d_primes(d)
+    primes = {2} | check_d(d)
     u = Fraction(1)
     for p in sorted(primes):
         k, psig, _row, sym, _fired = _local(minimal_sig, p)

@@ -6,6 +6,7 @@ verification; sieved densities; local-table cross-checks; the level-11
 j-map spot values; and the algebraic identity suites.
 """
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -181,7 +182,8 @@ def test_7_pal_table_cross_checks():
                 c = localdata.classify(s, p)
                 # Table-1 values against the row-embedded u_p(E^d) columns
                 for d in ds_by_p[p]:
-                    assert check_d(d) == d
+                    # square-free: the distinct primes of d multiply to |d|
+                    assert math.prod(check_d(d)) == abs(d)
                     got = localdata.row_pal_value(c, d)
                     want = localdata.pal_u(c, d)
                     assert got == want, (block, p, s, d, got, want)

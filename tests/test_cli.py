@@ -125,6 +125,19 @@ class TestValidation:
         # FAMILIES alone knows the variants: argparse has no second list
         ["family", "l211", "--variant", "c"],
         ["verify", "--type", "L2_11", "--d", "1", "--variant", "c"],
+        # the registry alone knows the types: argparse has no second list
+        ["faltings", "--type", "L2_9", "--t", "1", "--d", "1"],
+        ["prob", "--type", "L2_9", "--t", "1"],
+        ["empirical", "--type", "L2_9", "--t", "1"],
+        ["verify", "--type", "L2_9", "--t", "1", "--d", "1"],
+        ["family", "L2_9"],
+        # a registry type without curves
+        ["verify", "--type", "L2_5", "--t", "1", "--d", "1"],
+        # argparse's own refusals are JSON errors too
+        ["faltings", "--type", "L3_9", "--t", "45", "--d", "abc"],
+        ["faltings", "--type", "L3_9", "--t", "45"],
+        ["nosuch"],
+        [],
     ])
     def test_bad_input_exit_2(self, argv, capsys):
         error = refused(*argv, capsys=capsys)
@@ -133,6 +146,12 @@ class TestValidation:
             assert error == "'1/0' has a zero denominator"
         if "c" in argv:
             assert error == "no family of curves for type L2_11, variant 'c'"
+        if "L2_9" in argv:
+            from qtwist.graphs import ALL_TYPES
+
+            assert error == f"unknown graph type 'L2_9'; the types are {', '.join(ALL_TYPES)}"
+        if "L2_5" in argv:
+            assert error == "no family of curves for type L2_5, variant 'a'"
 
     @pytest.mark.parametrize("t", ["1e-100000", "1e-2000000000", "1." + "1" * 4000 + "e-1000"],
                              ids=["1e-100000", "1e-2000000000", "5001_digits"])
@@ -173,15 +192,18 @@ class TestValidation:
             "the output has a 4803-digit number, which is past the "
             f"{sys.get_int_max_str_digits()}-digit print limit")
 
-    def test_unknown_type(self, capsys):
-        from qtwist.graphs import ALL_TYPES
+    def test_leading_minus_needs_equals_form(self, capsys):
+        # argparse reads a value that starts with "-" as an option
+        assert refused("minimal", "--sig", "-47,71,-63", capsys=capsys) == (
+            "qtwist minimal: argument --sig: expected one argument")
+        assert ok("minimal", "--sig=-47,71,-63", capsys=capsys) == ok(
+            "minimal", "--ainvs=-1,0,0,1,0", capsys=capsys)
 
+    def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            run(["faltings", "--type", "L2_9", "--t", "1", "--d", "1"])
-        assert exc.value.code == 2
-        # the choices are read from the registry only when --type is parsed
-        assert "invalid choice: 'L2_9' (choose from {})".format(
-            ", ".join(map(repr, ALL_TYPES))) in capsys.readouterr().err
+            run(["faltings", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: qtwist faltings")
 
     def test_schema_version(self, capsys):
         assert ok("prob", "--type", "L2_11", capsys=capsys)["schema_version"] == 2

@@ -12,13 +12,12 @@ from qtwist.exactnum import (
     D_MAX,
     _strong_lucas,
     check_d,
-    check_d_primes,
     check_prime,
     fmt_rat,
     is_prime,
     parse_rat,
     prime_factors,
-    unit_residue,
+    residue,
     vp,
 )
 
@@ -121,26 +120,33 @@ class TestVp:
 
 
 class TestUnitResidue:
-    def test_basic(self):
-        assert unit_residue(12, 2, 2) == 3   # 12 = 4*3
-        assert unit_residue(Fraction(1, 3), 2, 3) == 3  # 3^-1 mod 8
-        assert unit_residue(-1, 2, 2) == 3
+    """``residue`` at e = vp(x): the residue of the p-free part of x."""
 
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            unit_residue(0, 2)
+    def test_basic(self):
+        assert residue(Fraction(12), 2, 2, 2) == 3   # 12 = 4*3
+        assert residue(Fraction(1, 3), 2, 3) == 3  # 3^-1 mod 8
+        assert residue(Fraction(-1), 2, 2) == 3
+        assert residue(Fraction(-5, 9), 3, 1, -2) == 1  # -5 = 1 mod 3
+
+    def test_not_p_integral_rejected(self):
+        for x, p, e in ((Fraction(1, 2), 2, 0), (Fraction(12), 2, 3), (Fraction(5, 9), 3, -1)):
+            with pytest.raises(ValueError, match="not p-integral"):
+                residue(x, p, 1, e)
 
     @given(st.fractions(min_value=-100, max_value=100).filter(lambda x: x != 0),
            st.sampled_from([2, 3, 5]), st.integers(min_value=1, max_value=4))
     def test_is_a_unit(self, x, p, k):
-        r = unit_residue(x, p, k)
+        v = vp(x, p)
+        r = residue(x, p, k, v)
         assert 0 < r < p**k and r % p != 0
+        assert vp(x / Fraction(p) ** v - r, p) >= k
 
 
 def is_squarefree(n: int) -> bool:
     """The square-free test of ``check_d``, for 0 < |n| <= D_MAX."""
     try:
-        return check_d(n) == n
+        check_d(n)
+        return True
     except ValueError as e:
         assert "square-free" in str(e), e
         return False
@@ -321,7 +327,7 @@ class TestDigitLimit:
 class TestCheckD:
     def test_size_limit(self):
         # 2 * 223 * 208513 * 10753058401, square-free, just inside the limit
-        assert check_d(-(D_MAX - 2)) == -(D_MAX - 2)
+        assert check_d(-(D_MAX - 2)) == {2, 223, 208513, 10753058401}
         for d in (D_MAX + 1, -(10**24 + 7)):  # 10^24 + 7 is prime
             with pytest.raises(ValueError, match="exceeds 10\\^18"):
                 check_d(d)
@@ -332,16 +338,9 @@ class TestCheckD:
                 check_d(d)
 
     def test_primes_form(self):
-        # check_d_primes is check_d returning the primes of d: the same
-        # messages for every bad d
+        # check_d returns the primes of d: the factorization it tested
         for d in (1, -1, 2, -30, 10**9 + 7, -(D_MAX - 2)):
-            assert check_d_primes(d) == set(sympy.factorint(d)) - {-1}, d
-        for d in (0, 12, -D_MAX, D_MAX + 1, -(10**24 + 7)):
-            with pytest.raises(ValueError) as want:
-                check_d(d)
-            with pytest.raises(ValueError) as got:
-                check_d_primes(d)
-            assert str(got.value) == str(want.value), d
+            assert check_d(d) == set(sympy.factorint(d)) - {-1}, d
 
 
 class TestRatIO:

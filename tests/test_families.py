@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtwist import graphs
-from qtwist.families import FAMILIES, CuspError, class_signatures, l39_signatures
+from qtwist.exactnum import CuspError
+from qtwist.families import FAMILIES, class_signatures, l39_signatures
 from qtwist.localdata import classify, global_minimal, global_pal
 from qtwist.weierstrass import AInvariants, j_invariant, signature_of, twist_sig
 

@@ -18,7 +18,8 @@ from qtwist.graphs import (
     prob_table,
     u_vectors,
 )
-from qtwist import families, graphs
+from qtwist import graphs
+from qtwist.exactnum import is_prime
 
 from pools import pooled_ts, squarefree_ds
 
@@ -38,10 +39,19 @@ class TestRegistry:
             assert len(g.volumes) == len(g.vertices)
             labels = set(g.vertices)
             for a, b, deg in g.edges:
-                assert a in labels and b in labels
-                assert deg in g.primes
+                assert a in labels and b in labels and is_prime(deg)
+            # every prime block sits at an isogeny prime
+            assert {block.p for block in g.blocks} <= set(g.primes)
             # a connected isogeny graph on n vertices has >= n-1 edges
             assert len(g.edges) >= len(g.vertices) - 1
+
+    def test_primes_examples(self):
+        # the edge degrees, in increasing order
+        assert graph_type("L2_11").primes == (11,)
+        assert graph_type("L4").primes == (3,)
+        assert graph_type("T8").primes == (2,)
+        assert graph_type("R4_15").primes == (3, 5)
+        assert graph_type("S8").primes == (2, 3)
 
     def test_volume_examples(self):
         assert graph_type("L2_11").volumes == (1, Fraction(1, 11))
@@ -69,9 +79,6 @@ class TestCusps:
             u_vectors("L2_3", -27, 1)
         # fine for other types
         assert u_vectors("L2_5", -64, 1)
-
-    def test_one_cusp_error(self):
-        assert CuspError is families.CuspError
 
     def test_missing_t(self):
         with pytest.raises(ValueError):
@@ -166,7 +173,7 @@ class TestSpecValidation:
     def spec(decisions, exponents=((0, 0), (0, 1))):
         block = PrimeBlock(3, None, {"all": exponents})
         return GraphType("L2_3x", ("E_1", "E_3"), (Fraction(1), Fraction(1, 3)),
-                         (("E_1", "E_3", 3),), (3,), (block,), decisions)
+                         (("E_1", "E_3", 3),), (block,), decisions)
 
     def test_well_formed(self):
         assert self.spec(self.WELL_FORMED)

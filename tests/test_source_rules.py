@@ -8,6 +8,8 @@
   which a fresh CLI process would pay for; records are ``NamedTuple``s.
 * The module level of ``cli.py`` imports no package module but
   ``exactnum``: each subcommand imports what it runs (see test_cli.py).
+* No ``add_argument`` call in ``cli.py`` passes ``choices``: the registries
+  are the only list of types and variants, and refuse what they lack.
 """
 
 import ast
@@ -85,3 +87,12 @@ def test_cli_module_level_imports_only_exactnum():
             imported |= _package_modules_imported(node)
             stack.extend(ast.iter_child_nodes(node))
     assert imported == {"exactnum"}
+
+
+def test_cli_arguments_have_no_choices():
+    calls = [node for node in ast.walk(TREES["cli.py"])
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "add_argument"]
+    assert calls
+    assert [node.lineno for node in calls
+            if any(kw.arg == "choices" for kw in node.keywords)] == []
