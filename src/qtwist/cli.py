@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .exactnum import TableMissError, TieError, fmt_rat, parse_rat
@@ -53,7 +54,8 @@ def _cmd_classify(args):
         "p": args.p,
         "kodaira": str(c.kodaira),
         "u_p": fmt_rat(c.u_p),
-        "minimal_p_signature": list(c.minimal_psig),
+        # null for the valuation of 0 (c4 = 0 or c6 = 0): JSON has no Infinity
+        "minimal_p_signature": [None if v == math.inf else v for v in c.minimal_psig],
         "conditions": sorted(c.conditions_fired),
     }
 
@@ -135,16 +137,12 @@ def _cmd_verify(args):
                               variant=args.variant)
     return {"type": args.type, "t": _t_json(t), "d": args.d, "bits": rep.bits,
             "vertices": [{"label": v.label,
-                          "neron_volume": mp_str(v.neron_volume),
-                          "faltings_height": mp_str(v.faltings_height),
-                          "claimed_error": mp_str(v.claimed_error)}
+                          "neron_volume": str(v.neron_volume),
+                          "faltings_height": str(v.faltings_height),
+                          "claimed_error": str(v.claimed_error)}
                          for v in rep.vertices],
             "argmin": rep.argmin_label, "theorem": rep.theorem_label,
-            "match": rep.match, "margin": mp_str(rep.margin)}
-
-
-def mp_str(x) -> str:
-    return repr(x) if isinstance(x, float) else str(x)
+            "match": rep.match, "margin": str(rep.margin)}
 
 
 def _cmd_density(args):

@@ -5,8 +5,10 @@ the graph with its volume vector, one block per prime at which the
 branch or the twist matters (the branch classifier of the hauptmodul
 value t and the u-vector exponents of each branch), the literal decision
 rows keyed by the tuple of block branch keys, and the t values excluded
-besides the cusp t = 0.  Genus >= 1 types are the degenerate case: no t,
-one block, one branch.
+besides the cusp t = 0.  A decision row is a ``FaltingsResult``: the
+winning vertex and its condition on d, which is also the answer that
+``faltings_by_theorem`` and ``prob_table`` return.  Genus >= 1 types are
+the degenerate case: no t, one block, one branch.
 
 Two independent encodings coexist on purpose:
 
@@ -30,13 +32,15 @@ from typing import Callable, NamedTuple, Optional
 from .exactnum import CuspError, RatLike, TieError, check_d, residue, vp
 
 
-class DCondition(NamedTuple):
-    """The condition on d of one decision row: every d (p is None), or
-    p | d (divisible) / p does not divide d."""
+class FaltingsResult(NamedTuple):
+    """One decision row: vertex wins for every d (p is None), or for the d
+    with p | d (divisible) / p not dividing d."""
+    vertex: str
     p: Optional[int] = None
     divisible: bool = False
 
-    def __str__(self) -> str:
+    @property
+    def d_condition(self) -> str:
         if self.p is None:
             return "all"
         return f"d=0({self.p})" if self.divisible else f"d!=0({self.p})"
@@ -82,7 +86,7 @@ class GraphType:
         # isogeny primes: the edge degrees
         self.primes = tuple(sorted({deg for _, _, deg in edges}))
         self.blocks = blocks        # of PrimeBlock, by increasing prime
-        self.decisions = decisions  # tuple of block keys -> ((DCondition, vertex), ...)
+        self.decisions = decisions  # tuple of block keys -> (FaltingsResult, ...)
         self.excluded = excluded    # t values besides 0 where a branch is undefined
         # u-exponents are non-negative ints, one per vertex, so every u is
         # an int
@@ -101,11 +105,12 @@ class GraphType:
             raise ValueError(f"{self.kind}: decision keys differ from the block branches "
                              f"in {sorted(keys ^ set(self.decisions))}")
         for key, rows in self.decisions.items():
-            conds = [cond for cond, _ in rows]
-            if (len({c.p for c in conds}) != 1 or len(set(conds)) != len(conds)
-                    or sum(c.probability for c in conds) != 1
-                    or any(v not in self.vertices for _, v in rows)):
-                raise ValueError(f"{self.kind} {key}: rows {[(str(c), v) for c, v in rows]} "
+            conds = [(r.p, r.divisible) for r in rows]
+            if (len({p for p, _ in conds}) != 1 or len(set(conds)) != len(conds)
+                    or sum(r.probability for r in rows) != 1
+                    or any(r.vertex not in self.vertices for r in rows)):
+                raise ValueError(f"{self.kind} {key}: rows "
+                                 f"{[(r.d_condition, r.vertex) for r in rows]} "
                                  f"do not partition the square-free d")
         # the volumes as ints: times the lcm of their denominators
         m = math.lcm(*(v.denominator for v in self.volumes))
@@ -170,12 +175,12 @@ def _by_offset(p: int, c: int, m: int):
 
 def _every(vertex):
     """The one row of a branch whose winner does not depend on d."""
-    return ((DCondition(), vertex),)
+    return (FaltingsResult(vertex),)
 
 
 def _split(p, ndiv, div):
     """Rows of a branch won by ndiv when p does not divide d, by div when it does."""
-    return ((DCondition(p, False), ndiv), (DCondition(p, True), div))
+    return (FaltingsResult(ndiv, p, False), FaltingsResult(div, p, True))
 
 
 _ONES2 = (0, 0)
@@ -443,11 +448,6 @@ def branch_key(kind: str, t: Optional[RatLike]) -> tuple:
     return tuple(b.key(t) for b in graph_type(kind).blocks)
 
 
-def decision_rows(kind: str, t: Optional[RatLike]) -> tuple:
-    """The theorem's ((DCondition, vertex), ...) rows for the branch of t."""
-    return graph_type(kind).decisions[branch_key(kind, t)]
-
-
 class UVectors(NamedTuple):
     uE: tuple   # of int
     uEd: tuple  # of int
@@ -473,18 +473,11 @@ def u_vectors(kind: str, t: Optional[RatLike], d: int) -> UVectors:
     return UVectors(tuple(uE), tuple(uEd))
 
 
-class FaltingsResult(NamedTuple):
-    vertex: str
-    d_condition: str
-    probability: Fraction
-
-
 def faltings_by_theorem(kind: str, t: Optional[RatLike], d: int) -> FaltingsResult:
-    """The decision-table row matching (type, t, d)."""
+    """The decision row matching (type, t, d)."""
     check_d(d)
     # the registry checked at import that each branch's rows partition d
-    cond, vertex = next(row for row in decision_rows(kind, t) if row[0].matches(d))
-    return FaltingsResult(vertex, str(cond), cond.probability)
+    return next(r for r in graph_type(kind).decisions[branch_key(kind, t)] if r.matches(d))
 
 
 def faltings_by_volumes(kind: str, t: Optional[RatLike], d: int) -> str:
@@ -500,6 +493,7 @@ def faltings_by_volumes(kind: str, t: Optional[RatLike], d: int) -> str:
     return winners[0]
 
 
-def prob_table(kind: str, t: Optional[RatLike]) -> list[FaltingsResult]:
-    """All d-branches for a fixed (type, t); probabilities sum to 1."""
-    return [FaltingsResult(v, str(c), c.probability) for c, v in decision_rows(kind, t)]
+def prob_table(kind: str, t: Optional[RatLike]) -> tuple:
+    """The theorem's decision rows for the branch of t, one per d-branch;
+    their probabilities sum to 1."""
+    return graph_type(kind).decisions[branch_key(kind, t)]

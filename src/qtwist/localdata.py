@@ -14,9 +14,10 @@ largest realizable scale k.  That model is p-minimal by construction, so no
 row rescales; a row's 2f/2g condition (which would mean "not minimal" when
 false) always holds there.  The conditions read their residues off the
 integers of s at scale k with ``exactnum.residue``, so classifying builds
-no model: ``classify`` builds the model at scale k for its caller, and
-``global_minimal`` builds one model, for the product of the per-prime
-scales.
+no model.  ``_local`` gives the answer at p as a bare tuple of the fields
+of ``LocalClassification``, which ``classify`` wraps; reading its
+minimal_sig builds the model at scale k.  ``global_minimal`` builds one
+model, for the product of the per-prime scales.
 """
 
 from __future__ import annotations
@@ -63,15 +64,26 @@ class KodairaSymbol(_KodairaSymbol):
 
 
 class LocalClassification(NamedTuple):
+    """The one answer of ``_local``: the minimal-model scale u_p = p^k of
+    sig at p, its p-signature and Kodaira symbol, the conditions evaluated
+    and the matched table row's pal entry (see the row format; the tests
+    cross-check it against pal_u)."""
     p: int
-    u_p: Fraction  # p^k, k in Z
+    k: int
     minimal_psig: PSignature
     kodaira: KodairaSymbol
     conditions_fired: frozenset
-    minimal_sig: Signature
-    # the matched table row's printed u_p(E^d) columns (its pal entry, see
-    # the row format); cross-checked against pal_u in the tests
     row_pal: tuple
+    sig: Signature
+
+    @property
+    def u_p(self) -> Fraction:
+        return Fraction(self.p) ** self.k
+
+    @property
+    def minimal_sig(self) -> Signature:
+        """The model at scale k, built on each read (sig itself at k = 0)."""
+        return self.sig if self.k == 0 else transform(self.sig, self.u_p)
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +330,8 @@ def _row(p: int, psig: tuple):
 # ---------------------------------------------------------------------------
 
 def _local(s: Signature, p: int) -> tuple:
-    """(k, p-signature at scale k as a tuple, row, Kodaira symbol,
-    conditions evaluated) of s at p, with no model built.
+    """The fields of ``LocalClassification`` for s at p, as a bare tuple,
+    with no model built.
 
     k is the largest scale whose model is realizable: the largest k keeping
     transform(s, p^k) p-integral, or one less when Kraus' criterion fails
@@ -342,7 +354,7 @@ def _local(s: Signature, p: int) -> tuple:
         if label is not None:
             fired.add(label)
         if label is None or _CONDITIONS[label](s, k):
-            return k, psig, row, sym(psig[2]), frozenset(fired)
+            return p, k, psig, sym(psig[2]), frozenset(fired), row[2], s
     raise TableMissError(f"p={p}: no condition of the row for sig_p = {psig} holds")
 
 
@@ -350,20 +362,11 @@ def classify(s: Signature, p: int) -> LocalClassification:
     """Minimal-model scale u_p = p^k, Kodaira symbol, and condition trace.
 
     k, the matched row and its conditions are as in ``_local``; every
-    condition evaluated is recorded in conditions_fired.  The model at
-    scale k (s itself at k = 0) is built once, for minimal_sig.
+    condition evaluated is recorded in conditions_fired.  No model is
+    built: minimal_sig builds the one at scale k when read.
     """
-    k, psig, row, sym, fired = _local(s, p)
-    u_p = Fraction(p) ** k
-    return LocalClassification(
-        p=p,
-        u_p=u_p,
-        minimal_psig=PSignature(*psig),
-        kodaira=sym,
-        conditions_fired=fired,
-        minimal_sig=s if k == 0 else transform(s, u_p),
-        row_pal=row[2],
-    )
+    p, k, psig, *rest = _local(s, p)
+    return LocalClassification(p, k, PSignature(*psig), *rest)
 
 
 def row_pal_value(c: LocalClassification, d: int) -> Fraction:
@@ -390,25 +393,25 @@ def global_minimal(s: Signature) -> tuple[Signature, Fraction]:
     primes |= prime_factors(s.c4.denominator * s.c6.denominator)
     u = Fraction(1)
     for p in sorted(primes):
-        u *= Fraction(p) ** _local(s, p)[0]
+        u *= Fraction(p) ** _local(s, p)[1]
     return (s, u) if u == 1 else (transform(s, u), u)
 
 
 def pal_u(c: LocalClassification, d: int) -> Fraction:
     """Twist rescaling value u_p(E^d) of the minimal model, at p = c.p."""
     check_d(d)
-    return _pal_u(c.p, c.minimal_psig, c.kodaira, c.minimal_sig, 0, d)
+    return _pal_u(c, d)
 
 
-def _pal_u(p: int, psig: tuple, kodaira: KodairaSymbol, s: Signature, k: int, d: int) -> Fraction:
-    """pal_u at p of the model transform(s, p^k), whose p-signature and
-    Kodaira symbol are psig and kodaira, for a d already checked to be a
-    square-free integer.  c6 of that model is read off s at scale k."""
+def _pal_u(c: tuple, d: int) -> Fraction:
+    """pal_u of the fields c of a ``LocalClassification`` (or the bare
+    tuple of ``_local``), for a d already checked to be a square-free
+    integer.  c6 of the minimal model is read off sig at scale k."""
+    p, k, (vc4, vc6, vd), kodaira, _fired, _row_pal, s = c
     if p != 2:
         if d % p == 0 and kodaira.starred:
             return Fraction(p)
         return Fraction(1)
-    vc4, vc6, vd = psig
     if d % 4 == 1:
         return Fraction(1)
     if d % 4 == 2:  # square-free even d; d/2 is an odd integer
@@ -434,9 +437,7 @@ def _pal_u(p: int, psig: tuple, kodaira: KodairaSymbol, s: Signature, k: int, d:
 def global_pal(minimal_sig: Signature, d: int) -> Fraction:
     """u(E^d): product of pal_u over the primes dividing 2d (pal_u is 1 at
     every odd p not dividing d)."""
-    primes = {2} | check_d(d)
     u = Fraction(1)
-    for p in sorted(primes):
-        k, psig, _row, sym, _fired = _local(minimal_sig, p)
-        u *= _pal_u(p, psig, sym, minimal_sig, k, d)
+    for p in sorted({2} | check_d(d)):
+        u *= _pal_u(_local(minimal_sig, p), d)
     return u

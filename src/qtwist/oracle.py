@@ -42,7 +42,6 @@ class HeightReport(NamedTuple):
 
 
 def _mpf_of(x: Fraction) -> mp.mpf:
-    x = Fraction(x)
     return mp.mpf(x.numerator) / mp.mpf(x.denominator)
 
 

@@ -50,15 +50,15 @@ def empirical_prob(kind: str, t: Optional[RatLike], bound: int) -> dict:
     primes, so each branch is counted with one sieve pass; counting
     positive d suffices because every condition is sign-blind.
     """
-    rows = graphs.decision_rows(kind, t)
+    rows = graphs.prob_table(kind, t)
     mask = _squarefree_mask(bound)
     total = mask.count(1)
     freq: dict = {}
-    for cond, vertex in rows:
-        if cond.p is None:
+    for row in rows:
+        if row.p is None:
             count = total
         else:
-            div = mask[cond.p::cond.p].count(1)
-            count = div if cond.divisible else total - div
-        freq[vertex] = freq.get(vertex, 0.0) + count / total
+            div = mask[row.p::row.p].count(1)
+            count = div if row.divisible else total - div
+        freq[row.vertex] = freq.get(row.vertex, 0.0) + count / total
     return freq

@@ -76,14 +76,16 @@ def pooled_ts(kind, per_branch):
     return dict(buckets)
 
 
-def squarefree_ds(cond, n):
-    """n square-free d matching a decision row's DCondition."""
+def squarefree_ds(p, divisible, n):
+    """n square-free d on one side of a decision row's condition: with
+    p | d when divisible, else with p not dividing d (every d when p is
+    None).  The side is tested here, apart from ``FaltingsResult.matches``."""
     out = []
     d = 0
     while len(out) < n:
         d += 1
         for cand in (d, -d):
-            if cond.matches(cand) and all(cand % (p * p) for p in prime_factors(cand)) \
-                    and len(out) < n:
+            if (p is None or (cand % p == 0) == divisible) \
+                    and all(cand % (q * q) for q in prime_factors(cand)) and len(out) < n:
                 out.append(cand)
     return out

@@ -35,19 +35,17 @@ def test_1_theorem_equals_volume_argmax_everywhere():
     for kind in sorted(graphs.GENUS0):
         for ts in pooled_ts(kind, 50).values():
             for t in ts:
-                for cond, vertex in graphs.decision_rows(kind, t):
-                    for d in squarefree_ds(cond, 20):
-                        r = graphs.faltings_by_theorem(kind, t, d)
-                        assert r.vertex == vertex
-                        assert graphs.faltings_by_volumes(kind, t, d) == vertex, \
+                for row in graphs.prob_table(kind, t):
+                    for d in squarefree_ds(row.p, row.divisible, 20):
+                        assert graphs.faltings_by_theorem(kind, t, d) == row
+                        assert graphs.faltings_by_volumes(kind, t, d) == row.vertex, \
                             (kind, t, d)
                         checked += 1
     for kind in sorted(graphs.GENUS_GE1):
-        for cond, vertex in graphs.decision_rows(kind, None):
-            for d in squarefree_ds(cond, 20):
-                r = graphs.faltings_by_theorem(kind, None, d)
-                assert r.vertex == vertex
-                assert graphs.faltings_by_volumes(kind, None, d) == vertex, (kind, d)
+        for row in graphs.prob_table(kind, None):
+            for d in squarefree_ds(row.p, row.divisible, 20):
+                assert graphs.faltings_by_theorem(kind, None, d) == row
+                assert graphs.faltings_by_volumes(kind, None, d) == row.vertex, (kind, d)
                 checked += 1
     elapsed = time.monotonic() - start
     assert checked > 50_000

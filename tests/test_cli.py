@@ -1,5 +1,4 @@
 import json
-import os
 import re
 import shlex
 import subprocess
@@ -13,6 +12,7 @@ from qtwist.cli import run
 from qtwist.weierstrass import AInvariants, signature_of
 
 from reference import L211_CURVES, l39_j
+from subprocs import src_env
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -41,13 +41,18 @@ N_HARD = 10000000000000000000009 * 30000000000000000000029
 M4423 = 2**4423 - 1
 
 
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
 def invoke(*args, capsys=None):
     """Run the CLI in-process; returns (exit_code, parsed JSON or raw text,
-    stderr)."""
+    stderr).  The parse is strict: NaN and Infinity, which Python's json
+    prints but JSON lacks, fail the test."""
     code = run(list(args))
     captured = capsys.readouterr()
     try:
-        return code, json.loads(captured.out), captured.err
+        return code, json.loads(captured.out, parse_constant=_not_json), captured.err
     except json.JSONDecodeError:
         return code, captured.out, captured.err
 
@@ -76,6 +81,14 @@ class TestGoldenExamples:
         out = ok("classify", "--ainvs", "1,1,1,-30,-76", "--p", "11", capsys=capsys)
         assert out["kodaira"] == "II"
         assert out["u_p"] == "1"
+
+    @pytest.mark.parametrize("argv, psig, kodaira", [
+        (["--ainvs=0,0,1,0,0", "--p=3"], [None, 3, 3], "II"),       # c4 = 0
+        (["--ainvs=0,0,0,-1,0", "--p=2"], [4, None, 6], "III"),     # c6 = 0
+    ], ids=["c4_0", "c6_0"])
+    def test_classify_valuation_of_0_is_null(self, argv, psig, kodaira, capsys):
+        out = ok("classify", *argv, capsys=capsys)
+        assert (out["minimal_p_signature"], out["kodaira"], out["u_p"]) == (psig, kodaira, "1")
 
     def test_cusp_exit_2(self, capsys):
         assert "cusp" in refused("faltings", "--type", "L3_9", "--t", "0", "--d", "5",
@@ -287,7 +300,7 @@ class TestEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, qtwist.cli; print('numpy' in sys.modules)"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=src_env())
         assert proc.returncode == 0
         assert proc.stdout.strip() == "False"
 
@@ -302,7 +315,7 @@ class TestEntryPoint:
                 print(json.dumps([code, "sympy" in sys.modules, "mpmath" in sys.modules]))
         """
         proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=src_env())
         assert proc.returncode == 0, proc.stderr
         return [json.loads(line) for line in proc.stdout.splitlines() if line[:1] == "["]
 
@@ -321,14 +334,14 @@ class TestEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-m", "qtwist.cli", "faltings", "--type", "L3_9",
              "--t", "45", "--d", "3"],
-            capture_output=True, text=True, env={**os.environ, "QTWIST_BITS": "abc"})
+            capture_output=True, text=True, env=src_env(QTWIST_BITS="abc"))
         assert proc.returncode == 0, proc.stderr
 
     def test_console_script(self):
         proc = subprocess.run(
             [sys.executable, "-m", "qtwist.cli", "faltings", "--type", "L2_11",
              "--d", "11"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=src_env())
         assert proc.returncode == 0
         out = json.loads(proc.stdout)
         assert out["vertex"] == "E_11"
@@ -337,7 +350,7 @@ class TestEntryPoint:
     def bare_python_loads_dataclasses(self):
         proc = subprocess.run([sys.executable, "-c",
                                "import sys; print('dataclasses' in sys.modules)"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=src_env())
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.strip() == "True"
 
@@ -357,7 +370,7 @@ class TestEntryPoint:
                               "dataclasses" in sys.modules]))
         """
         proc = subprocess.run([sys.executable, "-c", script, *argv],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=src_env())
         assert proc.returncode == 0, proc.stderr
         code, loaded, dataclasses = json.loads(proc.stdout.splitlines()[-1])
         assert code == 0

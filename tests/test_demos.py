@@ -1,14 +1,13 @@
 """The scripts in demos/ run as subprocesses and exit 0."""
 
 import importlib.util
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from subprocs import ROOT, src_env
+
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
@@ -19,10 +18,8 @@ def test_three_demos():
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.stem)
 def test_demo_exits_0(script):
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, str(script)], capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
     assert "MISMATCH" not in proc.stdout

@@ -99,13 +99,13 @@ class TestLocalTables:
     @staticmethod
     def _cases():
         """(kind, variant, t, [d, ...]): t from every branch, d on both
-        sides of every isogeny prime, so of every row's DCondition."""
+        sides of every isogeny prime, so of every row's condition on d."""
         for kind, variants in FAMILIES.items():
             g = graphs.graph_type(kind)
             ts = [None] if g.genus_ge_1 else [
                 t for pool in pooled_ts(kind, 5).values() for t in pool]
             ds = [d for p in g.primes for divisible in (True, False)
-                  for d in squarefree_ds(graphs.DCondition(p, divisible), 16)]
+                  for d in squarefree_ds(p, divisible, 16)]
             for variant in variants:
                 for t in ts:
                     yield kind, variant, t, ds

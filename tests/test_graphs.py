@@ -8,7 +8,7 @@ from qtwist.graphs import (
     GENUS0,
     GENUS_GE1,
     CuspError,
-    DCondition,
+    FaltingsResult,
     GraphType,
     PrimeBlock,
     faltings_by_theorem,
@@ -18,7 +18,6 @@ from qtwist.graphs import (
     prob_table,
     u_vectors,
 )
-from qtwist import graphs
 from qtwist.exactnum import is_prime
 
 from pools import pooled_ts, squarefree_ds
@@ -167,7 +166,7 @@ class TestSpecValidation:
     """Each spec checks at construction that its decision rows cover every
     branch and split the square-free d exactly once."""
 
-    WELL_FORMED = {("all",): ((DCondition(3, False), "E_1"), (DCondition(3, True), "E_3"))}
+    WELL_FORMED = {("all",): (FaltingsResult("E_1", 3, False), FaltingsResult("E_3", 3, True))}
 
     @staticmethod
     def spec(decisions, exponents=((0, 0), (0, 1))):
@@ -180,10 +179,10 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("decisions", [
         {},                                                       # branch without rows
-        {("all",): ((DCondition(3, False), "E_1"),)},             # p | d uncovered
-        {("all",): ((DCondition(3, False), "E_1"), (DCondition(2, True), "E_3"))},
-        {("all",): ((DCondition(), "E_1"), (DCondition(), "E_3"))},
-        {("all",): ((DCondition(), "E_9"),)},                     # no such vertex
+        {("all",): (FaltingsResult("E_1", 3, False),)},           # p | d uncovered
+        {("all",): (FaltingsResult("E_1", 3, False), FaltingsResult("E_3", 2, True))},
+        {("all",): (FaltingsResult("E_1"), FaltingsResult("E_3"))},
+        {("all",): (FaltingsResult("E_9"),)},                     # no such vertex
     ])
     def test_broken_spec_raises(self, decisions):
         with pytest.raises(ValueError):
@@ -206,10 +205,10 @@ class TestSpecValidation:
 
 class TestProbabilities:
     def test_branch_densities(self):
-        assert DCondition(3, True).probability == Fraction(1, 4)
-        assert DCondition(3, False).probability == Fraction(3, 4)
-        assert DCondition(11, True).probability == Fraction(1, 12)
-        assert DCondition().probability == 1
+        assert FaltingsResult("E_3", 3, True).probability == Fraction(1, 4)
+        assert FaltingsResult("E_1", 3, False).probability == Fraction(3, 4)
+        assert FaltingsResult("E_11", 11, True).probability == Fraction(1, 12)
+        assert FaltingsResult("E_1").probability == 1
 
     def test_tables_sum_to_one(self):
         for kind in ALL_TYPES:
@@ -229,6 +228,9 @@ class TestDecisions:
         assert (r.vertex, r.probability) == ("E_3", Fraction(1, 4))
         r = faltings_by_theorem("L3_9", 45, 3)
         assert (r.vertex, r.probability) == ("E_9", Fraction(1, 4))
+        # the answer is the branch's stored row
+        assert r == FaltingsResult("E_9", 3, True) and r in prob_table("L3_9", 45)
+        assert repr(r) == "FaltingsResult(vertex='E_9', p=3, divisible=True)"
         assert faltings_by_theorem("L3_9", 27, 7).vertex == "E_9"
 
     def test_l211(self):
@@ -256,9 +258,9 @@ class TestIntegerScores:
     @staticmethod
     def ds(g, rows):
         # both sides of every row's d-condition and of every type prime
-        conds = {cond for cond, _ in rows}
-        conds |= {DCondition(p, div) for p in g.primes for div in (False, True)}
-        return {d for cond in conds for d in squarefree_ds(cond, 2)}
+        conds = {(r.p, r.divisible) for r in rows}
+        conds |= {(p, div) for p in g.primes for div in (False, True)}
+        return {d for p, div in conds for d in squarefree_ds(p, div, 2)}
 
     @pytest.mark.parametrize("kind", ALL_TYPES)
     def test_int_argmax_equals_fraction_argmax(self, kind):
@@ -268,7 +270,7 @@ class TestIntegerScores:
         else:
             ts = [t for pool in pooled_ts(kind, 2).values() for t in pool]
         for t in ts:
-            for d in self.ds(g, graphs.decision_rows(kind, t)):
+            for d in self.ds(g, prob_table(kind, t)):
                 uv = u_vectors(kind, t, d)
                 assert all(type(u) is int for u in uv.uE + uv.uEd), (kind, t, d, uv)
                 scores = [Fraction(ue) ** 2 * Fraction(ud) ** 2 * v
@@ -293,8 +295,7 @@ class TestBranchSweep:
     def test_theorem_equals_volumes(self, kind):
         for key, ts in pooled_ts(kind, 5).items():
             for t in ts:
-                for cond, vertex in graphs.decision_rows(kind, t):
-                    for d in squarefree_ds(cond, 4):
-                        r = faltings_by_theorem(kind, t, d)
-                        assert r.vertex == vertex
-                        assert faltings_by_volumes(kind, t, d) == r.vertex, (kind, t, d)
+                for row in prob_table(kind, t):
+                    for d in squarefree_ds(row.p, row.divisible, 4):
+                        assert faltings_by_theorem(kind, t, d) == row
+                        assert faltings_by_volumes(kind, t, d) == row.vertex, (kind, t, d)

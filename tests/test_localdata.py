@@ -28,6 +28,7 @@ from qtwist.localdata import (
 )
 from qtwist.weierstrass import (
     AInvariants,
+    PSignature,
     Signature,
     p_signature,
     signature_of,
@@ -510,9 +511,9 @@ def signatures(draw):
 
 
 class TestModelCount:
-    """Classifying builds no model: classify builds one for minimal_sig
-    when u_p != 1, global_minimal one for the product of the scales when
-    u != 1, and global_pal none."""
+    """Classifying builds no model: classify builds none, reading its
+    minimal_sig builds one when u_p != 1, global_minimal one for the
+    product of the scales when u != 1, and global_pal none."""
 
     @given(signatures(), st.sampled_from((1, -1, 2, -3, 5, 6, -7, 10, -15)))
     @settings(max_examples=100, deadline=None)
@@ -529,7 +530,9 @@ class TestModelCount:
             for p in PRIMES:
                 calls.clear()
                 c = classify(s, p)
-                assert len(calls) == (c.u_p != 1), (p, calls)
+                assert calls == [], (p, calls)
+                m = c.minimal_sig
+                assert calls == ([c.u_p] if c.u_p != 1 else []) and (c.u_p != 1 or m is s), p
             calls.clear()
             m, u = global_minimal(s)
             assert calls == ([u] if u != 1 else []) and (u != 1 or m is s)
@@ -542,6 +545,15 @@ class TestModelCount:
 
 
 class TestClassifyInvariants:
+    @given(signatures())
+    @settings(max_examples=100, deadline=None)
+    def test_classify_wraps_local(self, s):
+        # one field layout: classify is _local's bare tuple, named
+        for p in PRIMES:
+            c = classify(s, p)
+            assert tuple(c) == localdata._local(s, p), p
+            assert type(c.minimal_psig) is PSignature and c.sig is s
+
     @given(signatures())
     @settings(max_examples=150, deadline=None)
     def test_minimal_model_is_s_rescaled(self, s):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from qtwist.graphs import DCondition, FaltingsResult, UVectors
+from qtwist.graphs import FaltingsResult, UVectors
 from qtwist.localdata import KodairaSymbol, LocalClassification
 from qtwist.oracle import HeightReport, LatticeApprox, VertexHeight
 from qtwist.sieve import DensityReport
@@ -30,11 +30,10 @@ def _records():
         lambda: Signature(496, 20008, -161051),
         lambda: PSignature(0, 0, 5),
         lambda: KodairaSymbol("In", 5),
-        lambda: LocalClassification(11, Fraction(1), PSignature(0, 0, 5), KodairaSymbol("In", 5),
-                                    frozenset(), S11, (0, 0)),
-        lambda: DCondition(3, True),
+        lambda: LocalClassification(11, 0, PSignature(0, 0, 5), KodairaSymbol("In", 5),
+                                    frozenset(), (0, 0), S11),
         lambda: UVectors((1, 3), (1, 1)),
-        lambda: FaltingsResult("E_3", "d!=0(3)", Fraction(3, 4)),
+        lambda: FaltingsResult("E_3", 3, True),
         lambda: DensityReport(3, 10**4, 0.25, 0.6),
         lambda: LatticeApprox(mp.mpf(2), mp.mpf(0)),
         vertex,
