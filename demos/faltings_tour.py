@@ -23,8 +23,8 @@ def main():
     t, d = args.t, args.d
 
     print(f"== chain family at t = {t}, twist by d = {d} ==\n")
-    labels = ("E_1", "E_3", "E_9")
-    sigs = families.l39_signatures(t)
+    labels = graphs.graph_type("L3_9").vertices
+    sigs = families.class_signatures("L3_9", t)
     for label, s in zip(labels, sigs):
         print(f"{label}: c4 = {fmt_rat(s.c4)}, c6 = {fmt_rat(s.c6)}, "
               f"Delta = {fmt_rat(s.delta)}")

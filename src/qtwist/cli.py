@@ -1,13 +1,13 @@
 """Command-line front end.
 
 Subcommands: classify, minimal, twist, faltings, prob, family, verify,
-density, empirical.  Output is JSON (default) with exact rationals as
-"num/den" strings; --pretty prints key: value lines.  Exit codes:
-0 success, 2 invalid input, 3 internal table miss / tie.  Every exit 2,
-argparse's own refusals included, prints nothing on stdout and one JSON
-{"error": ...} on stderr.  No option has argparse choices: the registries
-(``graphs`` for the types, ``families.FAMILIES`` for the variants) refuse
-what they do not hold.
+density, empirical.  Output is one JSON object with exact rationals as
+"num/den" strings; --pretty indents the same JSON.  A curve is given by
+exactly one of --ainvs and --sig.  Exit codes: 0 success, 2 invalid
+input, 3 internal table miss / tie.  Every exit 2, argparse's own refusals
+included, prints nothing on stdout and one JSON {"error": ...} on stderr.
+No option has argparse choices: the registries (``graphs`` for the types,
+``families.FAMILIES`` for the variants) refuse what they do not hold.
 
 A call runs in a fresh process, so each subcommand imports the modules it
 runs when it runs, and the module level imports ``exactnum`` alone.
@@ -28,17 +28,16 @@ SCHEMA_VERSION = 2
 def _sig_from_args(args):
     from .weierstrass import AInvariants, Signature, signature_of
 
-    if getattr(args, "ainvs", None):
+    # argparse has checked that exactly one of the two is given
+    if args.ainvs is not None:
         parts = [parse_rat(x) for x in args.ainvs.split(",")]
         if len(parts) != 5:
             raise ValueError("--ainvs needs a1,a2,a3,a4,a6")
         return signature_of(AInvariants(*parts))
-    if getattr(args, "sig", None):
-        parts = [parse_rat(x) for x in args.sig.split(",")]
-        if len(parts) != 3:
-            raise ValueError("--sig needs c4,c6,delta")
-        return Signature(*parts)
-    raise ValueError("one of --ainvs or --sig is required")
+    parts = [parse_rat(x) for x in args.sig.split(",")]
+    if len(parts) != 3:
+        raise ValueError("--sig needs c4,c6,delta")
+    return Signature(*parts)
 
 
 def _sig_json(s) -> dict:
@@ -87,6 +86,12 @@ def _t_json(t):
     return fmt_rat(t) if t is not None else None
 
 
+def _row_json(r) -> dict:
+    """A decision row (``graphs.FaltingsResult``), as faltings and prob print it."""
+    return {"vertex": r.vertex, "d_condition": r.d_condition,
+            "probability": fmt_rat(r.probability)}
+
+
 def _cmd_faltings(args):
     from . import graphs
 
@@ -96,8 +101,7 @@ def _cmd_faltings(args):
     if cross != res.vertex:
         raise TieError(
             f"volume argmax {cross} disagrees with decision table {res.vertex}")
-    return {"type": args.type, "t": _t_json(t), "d": args.d, "vertex": res.vertex,
-            "d_condition": res.d_condition, "probability": fmt_rat(res.probability)}
+    return {"type": args.type, "t": _t_json(t), "d": args.d, **_row_json(res)}
 
 
 def _cmd_prob(args):
@@ -105,9 +109,7 @@ def _cmd_prob(args):
 
     t = _parse_t(args)
     rows = graphs.prob_table(args.type, t)
-    return {"type": args.type, "t": _t_json(t),
-            "branches": [{"vertex": r.vertex, "d_condition": r.d_condition,
-                          "probability": fmt_rat(r.probability)} for r in rows]}
+    return {"type": args.type, "t": _t_json(t), "branches": [_row_json(r) for r in rows]}
 
 
 # older names of two family types, which the benchmark's cli_cold workload
@@ -163,8 +165,9 @@ def _cmd_empirical(args):
 
 
 def _add_curve_flags(p):
-    p.add_argument("--ainvs", help="a1,a2,a3,a4,a6 (rationals)")
-    p.add_argument("--sig", help="c4,c6,delta (rationals)")
+    curve = p.add_mutually_exclusive_group(required=True)
+    curve.add_argument("--ainvs", help="a1,a2,a3,a4,a6 (rationals)")
+    curve.add_argument("--sig", help="c4,c6,delta (rationals)")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -181,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Faltings curves in twisted isogeny classes: local "
                     "tables, decision rules, and numeric verification.")
     ap.add_argument("--pretty", action="store_true",
-                    help="human-readable output instead of JSON")
+                    help="indent the JSON output")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="local data of a curve at p")
@@ -237,22 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _emit(obj: dict, pretty: bool) -> None:
-    if pretty:
-        def flat(prefix, v):
-            if isinstance(v, dict):
-                for k, w in v.items():
-                    flat(f"{prefix}{k}.", w)
-            elif isinstance(v, list):
-                for i, w in enumerate(v):
-                    flat(f"{prefix}{i}.", w)
-            else:
-                print(f"{prefix[:-1]}: {v}")
-        flat("", obj)
-    else:
-        print(json.dumps(obj))
-
-
 def run(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -265,7 +252,7 @@ def run(argv=None) -> int:
         return 3
     out = {"schema_version": SCHEMA_VERSION, "command": args.command}
     out.update(result)
-    _emit(out, args.pretty)
+    print(json.dumps(out, indent=2 if args.pretty else None))
     return 0
 
 

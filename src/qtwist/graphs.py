@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, NamedTuple, Optional
 
-from .exactnum import CuspError, RatLike, TieError, check_d, residue, vp
+from .exactnum import CuspError, RatLike, TieError, check_d, residue, vp_rat
 
 
 class FaltingsResult(NamedTuple):
@@ -126,7 +126,9 @@ class GraphType:
 # block's rows; the keys of one block are exclusive and exhaustive.  Every
 # classifier is a threshold list on v_p(t) (_by_valuation), at one
 # valuation split by the residue of t's p-free part; _by_offset, which
-# reads v_p(t + p^c), is the one exception.
+# reads v_p(t + p^c), is the one exception.  t comes from ``check_t``, so it
+# is a nonzero Fraction, and p is a registry prime (test_graph_shapes
+# checks each is prime): they read valuations with ``vp_rat``, unchecked.
 
 def _by_valuation(p: int, cuts, below: str):
     """Key of the first (k, key) in cuts with v_p(t) >= k, else below.
@@ -138,7 +140,7 @@ def _by_valuation(p: int, cuts, below: str):
     k_res = 2 if p == 2 else 1
 
     def key(t):
-        v = vp(t, p)
+        v = vp_rat(t, p)
         for k, name in cuts:
             if isinstance(name, dict):
                 if v == k:
@@ -154,9 +156,9 @@ def _by_offset(p: int, c: int, m: int):
     """L2_2 (p, c, m) = (2, 6, 4) and L2_3 (3, 3, 6): at v_p(t) = c the
     branch is fixed by v_p(t + p^c) mod m; t = -p^c is excluded."""
     def key(t):
-        v = vp(t, p)
+        v = vp_rat(t, p)
         if v == c:
-            return "high" if vp(t + p**c, p) % m >= m // 2 else "low"
+            return "high" if vp_rat(t + p**c, p) % m >= m // 2 else "low"
         if v >= c + 2:
             return f"v>={c + 2}"
         if v == c + 1:
@@ -458,12 +460,11 @@ def u_vectors(kind: str, t: Optional[RatLike], d: int) -> UVectors:
     the componentwise product of the prime blocks' powers of p."""
     g = graph_type(kind)
     check_d(d)
-    t = check_t(kind, t)
     n = len(g.vertices)
     uE = [1] * n
     uEd = [1] * n
-    for block in g.blocks:
-        uE_exp, uEd_exp = block.rows[block.key(t)]
+    for block, key in zip(g.blocks, branch_key(kind, t)):
+        uE_exp, uEd_exp = block.rows[key]
         p = block.p
         for i in range(n):
             uE[i] *= p ** uE_exp[i]
@@ -477,7 +478,7 @@ def faltings_by_theorem(kind: str, t: Optional[RatLike], d: int) -> FaltingsResu
     """The decision row matching (type, t, d)."""
     check_d(d)
     # the registry checked at import that each branch's rows partition d
-    return next(r for r in graph_type(kind).decisions[branch_key(kind, t)] if r.matches(d))
+    return next(r for r in prob_table(kind, t) if r.matches(d))
 
 
 def faltings_by_volumes(kind: str, t: Optional[RatLike], d: int) -> str:

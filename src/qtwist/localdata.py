@@ -14,10 +14,11 @@ largest realizable scale k.  That model is p-minimal by construction, so no
 row rescales; a row's 2f/2g condition (which would mean "not minimal" when
 false) always holds there.  The conditions read their residues off the
 integers of s at scale k with ``exactnum.residue``, so classifying builds
-no model.  ``_local`` gives the answer at p as a bare tuple of the fields
-of ``LocalClassification``, which ``classify`` wraps; reading its
-minimal_sig builds the model at scale k.  ``global_minimal`` builds one
-model, for the product of the per-prime scales.
+no model.  ``classify`` gives the answer at p as one
+``LocalClassification``, which ``global_minimal`` and ``global_pal`` read
+too; reading its minimal_sig builds the model at scale k.
+``global_minimal`` builds one model, for the product of the per-prime
+scales.
 """
 
 from __future__ import annotations
@@ -64,10 +65,10 @@ class KodairaSymbol(_KodairaSymbol):
 
 
 class LocalClassification(NamedTuple):
-    """The one answer of ``_local``: the minimal-model scale u_p = p^k of
-    sig at p, its p-signature and Kodaira symbol, the conditions evaluated
-    and the matched table row's pal entry (see the row format; the tests
-    cross-check it against pal_u)."""
+    """The one answer of ``classify``: the minimal-model scale u_p = p^k
+    of sig at p, its p-signature and Kodaira symbol, the conditions
+    evaluated and the matched table row's pal entry (see the row format;
+    the tests cross-check it against pal_u)."""
     p: int
     k: int
     minimal_psig: PSignature
@@ -329,16 +330,17 @@ def _row(p: int, psig: tuple):
 
 # ---------------------------------------------------------------------------
 
-def _local(s: Signature, p: int) -> tuple:
-    """The fields of ``LocalClassification`` for s at p, as a bare tuple,
-    with no model built.
+def classify(s: Signature, p: int) -> LocalClassification:
+    """Minimal-model scale u_p = p^k, Kodaira symbol, and condition trace.
 
     k is the largest scale whose model is realizable: the largest k keeping
     transform(s, p^k) p-integral, or one less when Kraus' criterion fails
     there.  One step back always suffices: it raises v3(c6) by 6, and at
     p = 2 it makes 16 | c4 and 64 | c6.  The valuations are taken once, and
     the p-signature at scale k is read off them.  It picks one table row,
-    whose conditions are tried in order on the residues of s at scale k.
+    whose conditions are tried in order on the residues of s at scale k;
+    every condition evaluated is recorded in conditions_fired.  No model is
+    built: minimal_sig builds the one at scale k when read.
     """
     vc4, vc6, vd = p_signature(s, p)
     k = min(v // w for v, w in ((vc4, 4), (vc6, 6), (vd, 12)) if v != math.inf)
@@ -354,19 +356,9 @@ def _local(s: Signature, p: int) -> tuple:
         if label is not None:
             fired.add(label)
         if label is None or _CONDITIONS[label](s, k):
-            return p, k, psig, sym(psig[2]), frozenset(fired), row[2], s
+            return LocalClassification(p, k, PSignature(*psig), sym(psig[2]), frozenset(fired),
+                                       row[2], s)
     raise TableMissError(f"p={p}: no condition of the row for sig_p = {psig} holds")
-
-
-def classify(s: Signature, p: int) -> LocalClassification:
-    """Minimal-model scale u_p = p^k, Kodaira symbol, and condition trace.
-
-    k, the matched row and its conditions are as in ``_local``; every
-    condition evaluated is recorded in conditions_fired.  No model is
-    built: minimal_sig builds the one at scale k when read.
-    """
-    p, k, psig, *rest = _local(s, p)
-    return LocalClassification(p, k, PSignature(*psig), *rest)
 
 
 def row_pal_value(c: LocalClassification, d: int) -> Fraction:
@@ -393,7 +385,7 @@ def global_minimal(s: Signature) -> tuple[Signature, Fraction]:
     primes |= prime_factors(s.c4.denominator * s.c6.denominator)
     u = Fraction(1)
     for p in sorted(primes):
-        u *= Fraction(p) ** _local(s, p)[1]
+        u *= Fraction(p) ** classify(s, p).k
     return (s, u) if u == 1 else (transform(s, u), u)
 
 
@@ -403,10 +395,9 @@ def pal_u(c: LocalClassification, d: int) -> Fraction:
     return _pal_u(c, d)
 
 
-def _pal_u(c: tuple, d: int) -> Fraction:
-    """pal_u of the fields c of a ``LocalClassification`` (or the bare
-    tuple of ``_local``), for a d already checked to be a square-free
-    integer.  c6 of the minimal model is read off sig at scale k."""
+def _pal_u(c: LocalClassification, d: int) -> Fraction:
+    """pal_u of c for a d already checked to be a square-free integer.
+    c6 of the minimal model is read off sig at scale k."""
     p, k, (vc4, vc6, vd), kodaira, _fired, _row_pal, s = c
     if p != 2:
         if d % p == 0 and kodaira.starred:
@@ -439,5 +430,5 @@ def global_pal(minimal_sig: Signature, d: int) -> Fraction:
     every odd p not dividing d)."""
     u = Fraction(1)
     for p in sorted({2} | check_d(d)):
-        u *= _pal_u(_local(minimal_sig, p), d)
+        u *= _pal_u(classify(minimal_sig, p), d)
     return u

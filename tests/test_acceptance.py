@@ -209,7 +209,7 @@ def test_9_identity_suites():
         if t == 0:
             continue
         seen += 1
-        for s in families.l39_signatures(t):
+        for s in families.class_signatures("L3_9", t):
             assert s.c4**3 - s.c6**2 == 1728 * s.delta
         # Fricke symmetry: j_1(27/t) = j_9(t)
         assert l39_j(1, fricke_w9(t)) == l39_j(9, t)

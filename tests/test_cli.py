@@ -26,7 +26,7 @@ SUBCOMMAND_MODULES = [
     (["twist", "--ainvs", "1,1,1,-30,-76", "--d", "11"], {"localdata"}),
     (["faltings", "--type", "L3_9", "--t", "45", "--d", "3"], {"graphs"}),
     (["prob", "--type", "L3_9", "--t", "3"], {"graphs"}),
-    (["family", "l39", "--t", "45"], {"families", "graphs"}),
+    (["family", "L3_9", "--t", "45"], {"families", "graphs"}),
     (["family", "L2_11"], {"families", "graphs"}),
     (["density", "--p", "3", "--n", "10000"], {"sieve", "graphs"}),
     (["empirical", "--type", "L3_9", "--t", "3", "--n", "10000"], {"sieve", "graphs"}),
@@ -39,6 +39,8 @@ SUBCOMMAND_MODULES = [
 N_HARD = 10000000000000000000009 * 30000000000000000000029
 # a Mersenne prime of 1332 digits, past is_prime's 1000-digit limit
 M4423 = 2**4423 - 1
+# the subcommands that read a curve, with their other arguments
+CURVE_COMMANDS = [("classify", ["--p", "11"]), ("minimal", []), ("twist", ["--d", "11"])]
 
 
 def _not_json(constant):
@@ -130,13 +132,13 @@ class TestValidation:
                                       ((496, 4), (20008, 6), (-161051, 12)))],
         # L3_9 has one family, "a": a variant is refused, not ignored
         ["verify", "--type", "L3_9", "--t", "45", "--d", "3", "--variant", "b"],
-        ["family", "l39", "--t", "45", "--variant", "b"],
-        ["family", "l211", "--t", "45"],
+        ["family", "L3_9", "--t", "45", "--variant", "b"],
+        ["family", "L2_11", "--t", "45"],
         # a zero denominator is named, not left to Fraction's "Fraction(1, 0)"
         ["faltings", "--type", "L3_9", "--t", "1/0", "--d", "1"],
         ["minimal", "--ainvs=1/0,1,1,1,1"],
         # FAMILIES alone knows the variants: argparse has no second list
-        ["family", "l211", "--variant", "c"],
+        ["family", "L2_11", "--variant", "c"],
         ["verify", "--type", "L2_11", "--d", "1", "--variant", "c"],
         # the registry alone knows the types: argparse has no second list
         ["faltings", "--type", "L2_9", "--t", "1", "--d", "1"],
@@ -151,6 +153,9 @@ class TestValidation:
         ["faltings", "--type", "L3_9", "--t", "45"],
         ["nosuch"],
         [],
+        # a curve is exactly one of --ainvs and --sig: both, or neither, is refused
+        *([cmd, "--ainvs=1,1,1,-30,-76", "--sig=1,2,3", *rest] for cmd, rest in CURVE_COMMANDS),
+        *([cmd, *rest] for cmd, rest in CURVE_COMMANDS),
     ])
     def test_bad_input_exit_2(self, argv, capsys):
         error = refused(*argv, capsys=capsys)
@@ -165,6 +170,10 @@ class TestValidation:
             assert error == f"unknown graph type 'L2_9'; the types are {', '.join(ALL_TYPES)}"
         if "L2_5" in argv:
             assert error == "no family of curves for type L2_5, variant 'a'"
+        if "--sig=1,2,3" in argv:  # both curve flags
+            assert error == f"qtwist {argv[0]}: argument --sig: not allowed with argument --ainvs"
+        if argv and (argv[0], argv[1:]) in CURVE_COMMANDS:  # neither
+            assert error == f"qtwist {argv[0]}: one of the arguments --ainvs --sig is required"
 
     @pytest.mark.parametrize("t", ["1e-100000", "1e-2000000000", "1." + "1" * 4000 + "e-1000"],
                              ids=["1e-100000", "1e-2000000000", "5001_digits"])
@@ -201,7 +210,7 @@ class TestValidation:
     def test_output_past_print_limit_exit_2(self, capsys):
         # the answer exists, but one of its numbers is longer than Python
         # prints an integer
-        assert refused("family", "l39", "--t", f"1/{10**400}", capsys=capsys) == (
+        assert refused("family", "L3_9", "--t", f"1/{10**400}", capsys=capsys) == (
             "the output has a 4803-digit number, which is past the "
             f"{sys.get_int_max_str_digits()}-digit print limit")
 
@@ -274,9 +283,12 @@ class TestSubcommands:
         ok("empirical", "--type", "L3_9", "--t", "3", "--n", "10000", capsys=capsys)
 
     def test_pretty(self, capsys):
-        out = ok("--pretty", "faltings", "--type", "L3_9", "--t", "45", "--d", "3",
-                 capsys=capsys)
-        assert isinstance(out, str) and "E_9" in out
+        # --pretty indents the same JSON: a null, an empty list and a true
+        # come back as they are
+        for argv in (["prob", "--type", "L2_11"],
+                     ["classify", "--ainvs", "1,1,1,-30,-76", "--p", "11"],
+                     ["verify", "--type", "L3_9", "--t", "45", "--d", "3", "--bits", "64"]):
+            assert ok("--pretty", *argv, capsys=capsys) == ok(*argv, capsys=capsys), argv
 
 
 def _readme_commands():

@@ -28,12 +28,12 @@ ts = st.fractions(min_value=-80, max_value=80).filter(
 class TestL39:
     def test_cusp(self):
         with pytest.raises(CuspError):
-            l39_signatures(0)
+            class_signatures("L3_9", 0)
 
     @given(ts)
     @settings(max_examples=100, deadline=None)
     def test_signature_identity_and_j(self, t):
-        sigs = l39_signatures(t)
+        sigs = class_signatures("L3_9", t)
         assert len(sigs) == 3
         for s, i in zip(sigs, (1, 3, 9)):
             assert s.c4**3 - s.c6**2 == 1728 * s.delta
@@ -43,7 +43,7 @@ class TestL39:
     @settings(max_examples=100, deadline=None)
     def test_three_isogeny_chain_discriminants(self, t):
         # Delta ratios along the chain are cubes of rationals times 3-powers
-        s1, s3, s9 = l39_signatures(t)
+        s1, s3, s9 = class_signatures("L3_9", t)
         q = t * t + 9 * t + 27
         assert s1.delta == t * q
         assert s3.delta == t**3 * q**3
@@ -59,7 +59,7 @@ class TestL39:
         assert fricke_w9(w) == t
 
     def test_integral_example(self):
-        s1, s3, s9 = l39_signatures(45)
+        s1, s3, s9 = class_signatures("L3_9", 45)
         assert s1.delta == 45 * (45**2 + 9 * 45 + 27)
         # middle curve: same j-denominator prime support
         assert j_invariant(s3) == l39_j(3, 45)

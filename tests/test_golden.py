@@ -14,7 +14,7 @@ import math
 import random
 from fractions import Fraction
 
-from qtwist.families import l39_signatures
+from qtwist.families import class_signatures
 from qtwist.localdata import KodairaSymbol, classify, global_minimal, global_pal
 from qtwist.weierstrass import AInvariants, PSignature, Signature, signature_of, transform, twist_sig
 
@@ -63,7 +63,7 @@ def _signature(rng: random.Random) -> Signature:
             t = Fraction(rng.randint(-300, 300), rng.randint(1, 60))
             if t == 0:
                 continue
-            s = l39_signatures(t)[rng.randrange(3)]
+            s = class_signatures("L3_9", t)[rng.randrange(3)]
         if rng.random() < 0.5:
             s = transform(s, math.prod(Fraction(p) ** rng.randint(-2, 2) for p in (2, 3, 5, 7)))
         return twist_sig(s, rng.choice(TWISTS))

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qtwist import exactnum, localdata
-from qtwist.families import l39_signatures
+from qtwist.families import class_signatures
 from qtwist.localdata import (
     KodairaSymbol,
     classify,
@@ -493,7 +493,7 @@ PRIMES = (2, 3, 5, 7, 11)
 
 @st.composite
 def signatures(draw):
-    """Rescaled integral a-invariants, or a member of the l39 chain, each
+    """Rescaled integral a-invariants, or a member of the L3_9 chain, each
     twisted by a small d."""
     if draw(st.booleans()):
         a = [draw(st.integers(-60, 60)) for _ in range(5)]
@@ -504,7 +504,7 @@ def signatures(draw):
     else:
         t = draw(st.fractions(min_value=-300, max_value=300, max_denominator=60))
         assume(t != 0)
-        s = l39_signatures(t)[draw(st.integers(0, 2))]
+        s = class_signatures("L3_9", t)[draw(st.integers(0, 2))]
     u = math.prod(Fraction(p) ** draw(st.integers(-2, 2)) for p in PRIMES)
     d = draw(st.sampled_from((1, -1, 2, -2, 3, -3, 6, -6, 5, -7, 11, -15)))
     return twist_sig(transform(s, u), d)
@@ -546,19 +546,11 @@ class TestModelCount:
 
 class TestClassifyInvariants:
     @given(signatures())
-    @settings(max_examples=100, deadline=None)
-    def test_classify_wraps_local(self, s):
-        # one field layout: classify is _local's bare tuple, named
-        for p in PRIMES:
-            c = classify(s, p)
-            assert tuple(c) == localdata._local(s, p), p
-            assert type(c.minimal_psig) is PSignature and c.sig is s
-
-    @given(signatures())
     @settings(max_examples=150, deadline=None)
     def test_minimal_model_is_s_rescaled(self, s):
         for p in PRIMES:
             c = classify(s, p)
+            assert type(c.minimal_psig) is PSignature and c.sig is s
             assert c.minimal_sig == transform(s, c.u_p), p
             assert c.minimal_psig == p_signature(c.minimal_sig, p), p
             assert realizable(c.minimal_sig, p), p

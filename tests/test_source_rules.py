@@ -10,12 +10,18 @@
   ``exactnum``: each subcommand imports what it runs (see test_cli.py).
 * No ``add_argument`` call in ``cli.py`` passes ``choices``: the registries
   are the only list of types and variants, and refuse what they lack.
+
+One rule reads the tests and demos instead: the names ``l39_signatures``,
+``"l39"`` and ``"l211"``, which stay only while the benchmark calls them,
+appear only in the one test that pins each.
 """
 
 import ast
 from pathlib import Path
 
 import qtwist
+
+ROOT = Path(__file__).resolve().parent.parent
 
 TREES = {path.name: ast.parse(path.read_text(), filename=str(path))
          for path in sorted(Path(qtwist.__file__).parent.glob("*.py"))}
@@ -96,3 +102,17 @@ def test_cli_arguments_have_no_choices():
     assert calls
     assert [node.lineno for node in calls
             if any(kw.arg == "choices" for kw in node.keywords)] == []
+
+
+# each benchmark-only alias, and the one test file that pins it
+ALIAS_PINS = {"l39_signatures": "test_families.py", '"l39"': "test_cli.py",
+              '"l211"': "test_cli.py"}
+
+
+def test_benchmark_aliases_only_in_their_pins():
+    paths = [path for folder in ("tests", "demos") for path in sorted((ROOT / folder).rglob("*.py"))
+             if path != Path(__file__).resolve()]
+    assert paths
+    found = {(alias, path.name) for path in paths for alias in ALIAS_PINS
+             if alias in path.read_text()}
+    assert found == set(ALIAS_PINS.items())
