@@ -1,15 +1,3 @@
 """Exact decision machinery for Faltings curves in quadratically twisted
 isogeny classes of rational elliptic curves, with numeric oracles.
 """
-
-from .weierstrass import AInvariants, Signature, signature_of, transform, twist_sig
-
-__all__ = [
-    "AInvariants",
-    "Signature",
-    "signature_of",
-    "transform",
-    "twist_sig",
-]
-
-__version__ = "1.0.0"

@@ -23,9 +23,12 @@ routine that takes an integer apart; the d check ``check_d``, the one
 square-free test, factors d, checks that no p^2 divides it and returns
 the primes of d.
 
-``residue`` is the one residue mod p^k: of x / p^e for any integer e, so
-that a table condition reads the residue of a rescaled number without
-building it, and with e = vp(x) the residue of x's p-free part.
+``vp`` is the one p-adic valuation, of an int or a Fraction alike (it
+reads numerator and denominator).  ``residue`` is the one residue mod p^k:
+of x / p^e for any integer e, so that a table condition reads the residue
+of a rescaled number without building it, and with e = vp(x) the residue
+of x's p-free part.  Neither tests that p is prime: the input checks
+(``check_prime`` in ``weierstrass.p_signature``) do that where p enters.
 
 ``parse_rat`` and ``fmt_rat`` keep to the digits Python converts between
 an integer and a string (``sys.get_int_max_str_digits()``, 4300 by
@@ -180,8 +183,8 @@ def check_prime(p: int) -> None:
         raise ValueError(f"p = {p} is not prime")
 
 
-def vp_int(n: int, p: int) -> int:
-    """Valuation of a nonzero integer (no primality check, internal)."""
+def _vp_int(n: int, p: int) -> int:
+    """Valuation of a nonzero integer."""
     v = 0
     while n % p == 0:
         n //= p
@@ -189,15 +192,10 @@ def vp_int(n: int, p: int) -> int:
     return v
 
 
-def vp_rat(x: Fraction, p: int) -> Union[int, float]:
-    """``vp`` of a Fraction for a p already checked to be prime (internal)."""
-    return math.inf if x == 0 else vp_int(x.numerator, p) - vp_int(x.denominator, p)
-
-
 def vp(x: RatLike, p: int) -> Union[int, float]:
-    """p-adic valuation of a rational; inf for x = 0."""
-    check_prime(p)
-    return vp_rat(Fraction(x), p)
+    """p-adic valuation of an int or a Fraction; inf for x = 0.  p must be
+    prime and is not checked: the callers pass a checked or a registry prime."""
+    return math.inf if x == 0 else _vp_int(x.numerator, p) - _vp_int(x.denominator, p)
 
 
 def residue(x: Fraction, p: int, k: int, e: int = 0) -> int:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, NamedTuple, Optional
 
-from .exactnum import CuspError, RatLike, TieError, check_d, residue, vp_rat
+from .exactnum import CuspError, RatLike, TieError, check_d, residue, vp
 
 
 class FaltingsResult(NamedTuple):
@@ -62,9 +62,9 @@ class PrimeBlock(NamedTuple):
 
     ``classify`` maps t to a branch key; it is None for genus >= 1 types,
     whose single branch is keyed "all".  ``rows`` maps each key to the
-    exponents of p in u(E), and in u(E^d) when p | d (None: u(E^d) is 1
-    at p for every d), one non-negative int per vertex.  When p does not
-    divide d, u(E^d) is 1 at p.
+    exponents of p in u(E), and in u(E^d) when p | d, one non-negative int
+    per vertex.  None on either side means no power of p: u(E), or u(E^d)
+    for every d, is 1 at p.  When p does not divide d, u(E^d) is 1 at p.
     """
     p: int
     classify: Optional[Callable[[Fraction], str]]
@@ -128,7 +128,7 @@ class GraphType:
 # valuation split by the residue of t's p-free part; _by_offset, which
 # reads v_p(t + p^c), is the one exception.  t comes from ``check_t``, so it
 # is a nonzero Fraction, and p is a registry prime (test_graph_shapes
-# checks each is prime): they read valuations with ``vp_rat``, unchecked.
+# checks each is prime): ``vp``, which does not test p, reads the valuations.
 
 def _by_valuation(p: int, cuts, below: str):
     """Key of the first (k, key) in cuts with v_p(t) >= k, else below.
@@ -140,7 +140,7 @@ def _by_valuation(p: int, cuts, below: str):
     k_res = 2 if p == 2 else 1
 
     def key(t):
-        v = vp_rat(t, p)
+        v = vp(t, p)
         for k, name in cuts:
             if isinstance(name, dict):
                 if v == k:
@@ -156,9 +156,9 @@ def _by_offset(p: int, c: int, m: int):
     """L2_2 (p, c, m) = (2, 6, 4) and L2_3 (3, 3, 6): at v_p(t) = c the
     branch is fixed by v_p(t + p^c) mod m; t = -p^c is excluded."""
     def key(t):
-        v = vp_rat(t, p)
+        v = vp(t, p)
         if v == c:
-            return "high" if vp_rat(t + p**c, p) % m >= m // 2 else "low"
+            return "high" if vp(t + p**c, p) % m >= m // 2 else "low"
         if v >= c + 2:
             return f"v>={c + 2}"
         if v == c + 1:
@@ -171,7 +171,8 @@ def _by_offset(p: int, c: int, m: int):
 # ---------------------------------------------------------------------------
 # the registry
 #
-# Block rows: branch key -> (exponents of p in u(E), in u(E^d) for p | d).
+# Block rows: branch key -> (exponents of p in u(E), in u(E^d) for p | d),
+# None where there is no power of p.
 # Decision rows: branch key (a tuple for two-prime types) -> the theorem's
 # rows for that branch, built by _every or _split.
 
@@ -184,12 +185,6 @@ def _split(p, ndiv, div):
     """Rows of a branch won by ndiv when p does not divide d, by div when it does."""
     return (FaltingsResult(ndiv, p, False), FaltingsResult(div, p, True))
 
-
-_ONES2 = (0, 0)
-_ONES3 = (0, 0, 0)
-_ONES4 = (0, 0, 0, 0)
-_ONES6 = (0,) * 6
-_ONES8 = (0,) * 8
 
 _TYPES: dict = {}
 
@@ -220,8 +215,8 @@ def _rect(p, q, blocks, decisions):
 _line("L2_2", 2, 2, [PrimeBlock(2, _by_offset(2, 6, 4), {
     "v>=8": ((0, 1), None),
     "high": ((0, 1), (1, 0)),
-    "low": (_ONES2, (0, 1)),
-    "v<=4": (_ONES2, None),
+    "low": (None, (0, 1)),
+    "v<=4": (None, None),
 })], {"v>=8": _every("E_2"),
       "high": _split(2, "E_2", "E_1"),
       "low": _split(2, "E_1", "E_2"),
@@ -230,8 +225,8 @@ _line("L2_2", 2, 2, [PrimeBlock(2, _by_offset(2, 6, 4), {
 _line("L2_3", 3, 2, [PrimeBlock(3, _by_offset(3, 3, 6), {
     "v>=5": ((0, 1), None),
     "high": ((0, 1), (1, 0)),
-    "low": (_ONES2, (0, 1)),
-    "v<=1": (_ONES2, None),
+    "low": (None, (0, 1)),
+    "v<=1": (None, None),
 })], {"v>=5": _every("E_3"),
       "high": _split(3, "E_3", "E_1"),
       "low": _split(3, "E_1", "E_3"),
@@ -241,8 +236,8 @@ _line("L2_5", 5, 2, [PrimeBlock(5, _by_valuation(5, [(3, "v>=3"), (2, "v=2"), (1
                                                    "v<=0"), {
     "v>=3": ((0, 1), None),
     "v=2": ((0, 1), (1, 0)),
-    "v=1": (_ONES2, (0, 1)),
-    "v<=0": (_ONES2, None),
+    "v=1": (None, (0, 1)),
+    "v<=0": (None, None),
 })], {"v>=3": _every("E_5"),
       "v=2": _split(5, "E_5", "E_1"),
       "v=1": _split(5, "E_1", "E_5"),
@@ -250,23 +245,23 @@ _line("L2_5", 5, 2, [PrimeBlock(5, _by_valuation(5, [(3, "v>=3"), (2, "v=2"), (1
 
 _line("L2_7", 7, 2, [PrimeBlock(7, _by_valuation(7, [(2, "v>=2"), (1, "v=1")], "v<=0"), {
     "v>=2": ((0, 1), None),
-    "v=1": (_ONES2, (0, 1)),
-    "v<=0": (_ONES2, None),
+    "v=1": (None, (0, 1)),
+    "v<=0": (None, None),
 })], {"v>=2": _every("E_7"),
       "v=1": _split(7, "E_1", "E_7"),
       "v<=0": _every("E_1")})
 
 _line("L2_13", 13, 2, [PrimeBlock(13, _by_valuation(13, [(1, "v>0")], "v<=0"), {
     "v>0": ((0, 1), None),
-    "v<=0": (_ONES2, None),
+    "v<=0": (None, None),
 })], {"v>0": _every("E_13"), "v<=0": _every("E_1")})
 
 _line("L3_9", 3, 3, [PrimeBlock(3, _by_valuation(3, [(3, "v>=3"), (2, "v=2"), (1, "v=1")],
                                                    "v<=0"), {
     "v>=3": ((0, 1, 2), None),
     "v=2": ((0, 1, 1), (0, 0, 1)),
-    "v=1": (_ONES3, (0, 1, 1)),
-    "v<=0": (_ONES3, None),
+    "v=1": (None, (0, 1, 1)),
+    "v<=0": (None, None),
 })], {"v>=3": _every("E_9"),
       "v=2": _split(3, "E_3", "E_9"),
       "v=1": _split(3, "E_1", "E_3"),
@@ -274,7 +269,7 @@ _line("L3_9", 3, 3, [PrimeBlock(3, _by_valuation(3, [(3, "v>=3"), (2, "v=2"), (1
 
 _line("L3_25", 5, 3, [PrimeBlock(5, _by_valuation(5, [(1, "v>=1")], "v<=0"), {
     "v>=1": ((0, 1, 2), None),
-    "v<=0": (_ONES3, None),
+    "v<=0": (None, None),
 })], {"v>=1": _every("E_25"), "v<=0": _every("E_1")})
 
 _register("T4", ("E_1", "E_2", "E_4", "E_12"), (1, 2, 4, 4),
@@ -286,8 +281,8 @@ _register("T4", ("E_1", "E_2", "E_4", "E_12"), (1, 2, 4, 4),
               "v=5": ((0, 1, 1, 1), (0, 0, 1, 0)),
               "v=4,1(4)": ((0, 1, 1, 1), (0, 0, 0, 1)),
               "v=4,3(4)": ((0, 1, 1, 2), None),
-              "v=3": (_ONES4, (0, 1, 1, 1)),
-              "v<=2": (_ONES4, None),
+              "v=3": (None, (0, 1, 1, 1)),
+              "v<=2": (None, None),
           })],
           {"v>=6": _every("E_4"),
            "v=5": _split(2, "E_2", "E_4"),
@@ -304,7 +299,7 @@ _register("T6", ("E_1", "E_2", "E_12", "E_4", "E_8", "E_22"), (1, 2, 4, 4, 8, 8)
               "v>=3": ((0, 1, 2, 1, 1, 1), None),
               "v=2,3(4)": ((0, 1, 1, 2, 3, 2), None),
               "v=2,1(4)": ((0, 1, 1, 2, 2, 3), None),
-              "v<=1": (_ONES6, None),
+              "v<=1": (None, None),
           })],
           {"v>=3": _every("E_12"),
            "v=2,3(4)": _every("E_8"),
@@ -330,11 +325,11 @@ _register("T8", ("E_1", "E_2", "E_21", "E_4", "E_41", "E_8", "E_81", "E_16"),
 _rect(2, 3, [
     PrimeBlock(2, _by_valuation(2, [(2, "v2>=2")], "v2<=1"), {
         "v2>=2": ((0, 1, 0, 1), None),
-        "v2<=1": (_ONES4, None)}),
+        "v2<=1": (None, None)}),
     PrimeBlock(3, _by_valuation(3, [(2, "v3>=2"), (1, "v3=1")], "v3<=0"), {
         "v3>=2": ((0, 0, 1, 1), None),
         "v3=1": ((0, 0, 1, 1), (1, 1, 0, 0)),
-        "v3<=0": (_ONES4, None)}),
+        "v3<=0": (None, None)}),
 ], {("v2>=2", "v3>=2"): _every("E_6"),
     ("v2>=2", "v3=1"): _split(3, "E_6", "E_2"),
     ("v2>=2", "v3<=0"): _every("E_2"),
@@ -346,12 +341,12 @@ _rect(2, 5, [
     PrimeBlock(2, _by_valuation(2, [(2, "v2>1"), (1, "v2=1")], "v2<=0"), {
         "v2>1": ((0, 1, 0, 1), None),
         "v2=1": ((0, 1, 0, 1), (1, 0, 1, 0)),
-        "v2<=0": (_ONES4, None)}),
+        "v2<=0": (None, None)}),
     PrimeBlock(5, _by_valuation(5, [(1, "other"),
                                      (0, {1: "other", 2: "other", 3: "other", 4: "t=4(5)"})],
                                 "other"), {
         "t=4(5)": ((0, 0, 1, 1), None),
-        "other": (_ONES4, None)}),
+        "other": (None, None)}),
 ], {("v2>1", "other"): _every("E_2"),
     ("v2>1", "t=4(5)"): _every("E_10"),
     ("v2=1", "other"): _split(2, "E_2", "E_1"),
@@ -364,10 +359,10 @@ _register("R6", ("E_1", "E_2", "E_3", "E_6", "E_9", "E_18"), (1, 2, 3, 6, 9, 18)
            ("E_1", "E_2", 2), ("E_3", "E_6", 2), ("E_9", "E_18", 2)),
           [PrimeBlock(2, _by_valuation(2, [(1, "v2>0")], "v2<=0"), {
               "v2>0": ((0, 1, 0, 1, 0, 1), None),
-              "v2<=0": (_ONES6, None)}),
+              "v2<=0": (None, None)}),
            PrimeBlock(3, _by_valuation(3, [(1, "v3!=0"), (0, "v3=0")], "v3!=0"), {
                "v3=0": ((0, 0, 1, 1, 2, 2), None),
-               "v3!=0": (_ONES6, None)})],
+               "v3!=0": (None, None)})],
           {("v2>0", "v3!=0"): _every("E_2"),
            ("v2>0", "v3=0"): _every("E_18"),
            ("v2<=0", "v3!=0"): _every("E_1"),
@@ -380,12 +375,12 @@ _register("S8", ("E_1", "E_3", "E_2", "E_6", "E_21", "E_12", "E_4", "E_31"),
            ("E_21", "E_12", 3), ("E_4", "E_31", 3)),
           [PrimeBlock(2, _by_valuation(2, [(1, "v2!=0"),
                                             (0, {1: "v2=0,1(4)", 3: "v2=0,3(4)"})], "v2!=0"), {
-              "v2!=0": (_ONES8, None),
+              "v2!=0": (None, None),
               "v2=0,3(4)": ((0, 0, 1, 1, 1, 2, 2, 1), None),
               "v2=0,1(4)": ((0, 0, 1, 1, 2, 1, 1, 2), None)}),
            PrimeBlock(3, _by_valuation(3, [(1, "v3>=1")], "v3<=0"), {
                "v3>=1": ((0, 1, 0, 1, 0, 1, 0, 1), None),
-               "v3<=0": (_ONES8, None)})],
+               "v3<=0": (None, None)})],
           {("v2!=0", "v3>=1"): _every("E_3"),
            ("v2=0,3(4)", "v3>=1"): _every("E_12"),
            ("v2=0,1(4)", "v3>=1"): _every("E_31"),
@@ -393,18 +388,18 @@ _register("S8", ("E_1", "E_3", "E_2", "E_6", "E_21", "E_12", "E_4", "E_31"),
            ("v2=0,3(4)", "v3<=0"): _every("E_4"),
            ("v2=0,1(4)", "v3<=0"): _every("E_21")})
 
-# genus >= 1: no t, one branch; u(E) = ones except for L4
+# genus >= 1: no t, one branch; u(E) has no power of p except for L4
 for _p in (11, 17, 19, 43, 67, 163):
-    _line(f"L2_{_p}", _p, 2, [PrimeBlock(_p, None, {"all": (_ONES2, (0, 1))})],
+    _line(f"L2_{_p}", _p, 2, [PrimeBlock(_p, None, {"all": (None, (0, 1))})],
           {"all": _split(_p, "E_1", f"E_{_p}")})
-_line("L2_37", 37, 2, [PrimeBlock(37, None, {"all": (_ONES2, None)})], {"all": _every("E_1")})
+_line("L2_37", 37, 2, [PrimeBlock(37, None, {"all": (None, None)})], {"all": _every("E_1")})
 _line("L4", 3, 4, [PrimeBlock(3, None, {"all": ((0, 1, 1, 1), (0, 0, 1, 1))})],
       {"all": _split(3, "E_3", "E_9")})
-_rect(2, 7, [PrimeBlock(7, None, {"all": (_ONES4, (0, 0, 1, 1))})],
+_rect(2, 7, [PrimeBlock(7, None, {"all": (None, (0, 0, 1, 1))})],
       {"all": _split(7, "E_1", "E_7")})
-_rect(3, 5, [PrimeBlock(5, None, {"all": (_ONES4, (0, 0, 1, 1))})],
+_rect(3, 5, [PrimeBlock(5, None, {"all": (None, (0, 0, 1, 1))})],
       {"all": _split(5, "E_1", "E_5")})
-_rect(3, 7, [PrimeBlock(3, None, {"all": (_ONES4, (0, 1, 0, 1))})],
+_rect(3, 7, [PrimeBlock(3, None, {"all": (None, (0, 1, 0, 1))})],
       {"all": _split(3, "E_1", "E_3")})
 
 GENUS0 = {kind for kind, g in _TYPES.items() if not g.genus_ge_1}
@@ -466,8 +461,9 @@ def u_vectors(kind: str, t: Optional[RatLike], d: int) -> UVectors:
     for block, key in zip(g.blocks, branch_key(kind, t)):
         uE_exp, uEd_exp = block.rows[key]
         p = block.p
-        for i in range(n):
-            uE[i] *= p ** uE_exp[i]
+        if uE_exp is not None:
+            for i in range(n):
+                uE[i] *= p ** uE_exp[i]
         if uEd_exp is not None and d % p == 0:
             for i in range(n):
                 uEd[i] *= p ** uEd_exp[i]

@@ -390,14 +390,9 @@ def global_minimal(s: Signature) -> tuple[Signature, Fraction]:
 
 
 def pal_u(c: LocalClassification, d: int) -> Fraction:
-    """Twist rescaling value u_p(E^d) of the minimal model, at p = c.p."""
-    check_d(d)
-    return _pal_u(c, d)
-
-
-def _pal_u(c: LocalClassification, d: int) -> Fraction:
-    """pal_u of c for a d already checked to be a square-free integer.
-    c6 of the minimal model is read off sig at scale k."""
+    """Twist rescaling value u_p(E^d) of the minimal model, at p = c.p.
+    d is not checked: it must be a square-free integer (``global_pal``
+    checks it).  c6 of the minimal model is read off sig at scale k."""
     p, k, (vc4, vc6, vd), kodaira, _fired, _row_pal, s = c
     if p != 2:
         if d % p == 0 and kodaira.starred:
@@ -430,5 +425,5 @@ def global_pal(minimal_sig: Signature, d: int) -> Fraction:
     every odd p not dividing d)."""
     u = Fraction(1)
     for p in sorted({2} | check_d(d)):
-        u *= _pal_u(classify(minimal_sig, p), d)
+        u *= pal_u(classify(minimal_sig, p), d)
     return u

@@ -52,7 +52,9 @@ def _volume_once(s: Signature) -> mp.mpf:
 
     One root r is taken in closed form: the one isolated from the other
     two, x and y, so that prod = (r - x)(r - y) = 3r^2 + A does not
-    cancel. The gap between x and y comes from the exact discriminant
+    cancel. For Delta < 0, Cardano's radicand B^2/4 + A^3/27 is read from
+    Delta as the exact -Delta/1728, which a floating-point sum could
+    round below 0. The gap between x and y comes from the exact discriminant
     prod^2 (x - y)^2 = -4A^3 - 27B^2 = Delta/16, so nearly equal roots
     cost no precision. Both AGM products below are symmetric in the two
     gaps of r, so which of x, y is larger never matters.
@@ -68,8 +70,8 @@ def _volume_once(s: Signature) -> mp.mpf:
         r = R * mp.cos((theta if B <= 0 else theta + 2 * mp.pi) / 3)
     else:
         # Cardano with the larger-magnitude real cube root, so that
-        # u - A/(3u) does not cancel
-        u = mp.cbrt(abs(B) / 2 + mp.sqrt(B * B / 4 + A**3 / 27))
+        # u - A/(3u) does not cancel; the radicand is -Delta/1728
+        u = mp.cbrt(abs(B) / 2 + mp.sqrt(_mpf_of(-s.delta / 1728)))
         if B >= 0:
             u = -u
         r = u - A / (3 * u)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactnum import RatLike, check_d, check_prime, vp_rat
+from .exactnum import RatLike, check_d, check_prime, vp
 
 
 class AInvariants(NamedTuple):
@@ -76,7 +76,7 @@ def signature_of(a: AInvariants) -> Signature:
 def p_signature(s: Signature, p: int) -> PSignature:
     """The p-adic valuations of (c4, c6, Delta); ValueError unless p is prime."""
     check_prime(p)
-    return PSignature(vp_rat(s.c4, p), vp_rat(s.c6, p), vp_rat(s.delta, p))
+    return PSignature(vp(s.c4, p), vp(s.c6, p), vp(s.delta, p))
 
 
 def transform(s: Signature, u: RatLike) -> Signature:

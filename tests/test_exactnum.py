@@ -106,12 +106,6 @@ class TestVp:
     def test_zero(self):
         assert vp(0, 7) == math.inf
 
-    def test_rejects_nonprime(self):
-        with pytest.raises(ValueError):
-            vp(10, 6)
-        with pytest.raises(ValueError):
-            vp(10, 1)
-
     @given(st.integers(min_value=-10**6, max_value=10**6).filter(lambda n: n != 0),
            st.sampled_from([2, 3, 5, 7, 11]))
     def test_defining_property(self, n, p):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from qtwist import graphs
 from qtwist.graphs import (
     ALL_TYPES,
     GENUS0,
@@ -26,6 +27,13 @@ SAMPLE_T = {kind: (None if kind in GENUS_GE1 else Fraction(1)) for kind in ALL_T
 
 
 class TestRegistry:
+    def test_no_power_of_p_is_none(self):
+        # None is the one way a block row says "no power of p", on either side
+        for kind in ALL_TYPES:
+            for block in graph_type(kind).blocks:
+                for key, exps in block.rows.items():
+                    assert all(exp is None or any(exp) for exp in exps), (kind, key)
+
     def test_type_count(self):
         # 12 two-vertex line types plus 13 larger shapes
         assert len(ALL_TYPES) == 25
@@ -144,6 +152,23 @@ BRANCH_TABLE = [
 class TestBranchTable:
     """The classifiers against the hand-written table, not against
     themselves (the pools in pools.py take their keys from the classifiers)."""
+
+    def test_classifiers_read_exactnum_vp(self, monkeypatch):
+        # every branch classifier reads its valuations through the one vp,
+        # looked up in graphs' globals, so a tracer that rebinds it there
+        # counts them
+        calls = []
+        real = graphs.vp
+
+        def counting(x, p):
+            calls.append(p)
+            return real(x, p)
+
+        monkeypatch.setattr(graphs, "vp", counting)
+        for kind in sorted(GENUS0):
+            calls.clear()
+            branch_key(kind, Fraction(7, 5))
+            assert set(calls) >= set(graph_type(kind).primes), kind
 
     @staticmethod
     def key(k):

@@ -162,13 +162,6 @@ class TestClassifyScaling:
 
 
 class TestPal:
-    def test_rejects_bad_d(self):
-        c = classify(S11, 11)
-        with pytest.raises(ValueError):
-            pal_u(c, 12)
-        with pytest.raises(ValueError):
-            pal_u(c, 0)
-
     def test_odd_p_values(self):
         c = classify(S121A2, 11)  # II, unstarred
         assert pal_u(c, 11) == 1
@@ -211,6 +204,22 @@ class TestPal:
             calls.clear()
             assert global_pal(S121A2, dd) == wanted
             assert len(calls) == 1, calls
+
+    def test_global_pal_reads_pal_u_per_prime(self, monkeypatch):
+        # global_pal looks pal_u up in localdata's globals, once per prime
+        # of 2d, so a tracer that rebinds it there counts every call
+        calls = []
+        real = localdata.pal_u
+
+        def counting(c, d):
+            calls.append(c.p)
+            return real(c, d)
+
+        monkeypatch.setattr(localdata, "pal_u", counting)
+        for d, primes in ((1, [2]), (-1, [2]), (11, [2, 11]), (-15, [2, 3, 5]), (6, [2, 3])):
+            calls.clear()
+            global_pal(S121A2, d)
+            assert calls == primes, d
 
     def test_row_pal_matches_table_one(self):
         for s in (S11, S121A2, S121B1, S32):

@@ -6,6 +6,7 @@ import pytest
 from mpmath import mp
 
 from qtwist import families
+from qtwist.exactnum import check_d
 from qtwist.oracle import (
     lattice_volume,
     neron_volume,
@@ -222,6 +223,38 @@ class TestVerifyClass:
             tol = mp.mpf(2) ** (8 - bits)
             assert rep.margin >= 3 * (1 - tol)
             assert max(v.claimed_error for v in rep.vertices) <= tol
+
+    @staticmethod
+    def _sweep(n=200):
+        """Seeded (type, t, d, bits, variant): L3_9 at t = +-(u/v) 10^e 3^k
+        with u, v <= 40, |e| <= 40, |k| <= 6, one call in ten L2_11;
+        square-free |d| <= 10^4; 64 to 1024 bits."""
+        rng = random.Random(20261018)
+        out = []
+        while len(out) < n:
+            bits = rng.choice((64, 128, 256, 512, 1024))
+            d = rng.choice((1, -1)) * rng.randint(1, 10**4)
+            try:
+                check_d(d)
+            except ValueError:
+                continue
+            if rng.random() < 0.1:
+                out.append(("L2_11", None, d, bits, rng.choice("ab")))
+                continue
+            t = (rng.choice((1, -1)) * Fraction(rng.randint(1, 40), rng.randint(1, 40))
+                 * Fraction(10) ** rng.randint(-40, 40) * Fraction(3) ** rng.randint(-6, 6))
+            out.append(("L3_9", t, d, bits, "a"))
+        return out
+
+    def test_sweep_over_heights_and_signs(self):
+        # Delta < 0 at many t < 0: Cardano's radicand read off Delta stays
+        # >= 0, where a floating-point sum could round below 0
+        for kind, t, d, bits, variant in self._sweep():
+            rep = verify_class(kind, t, d, precision_bits=bits, variant=variant)
+            assert rep.match, (kind, t, d, bits)
+            with mp.workprec(bits + 30):
+                tol = mp.mpf(2) ** (8 - bits)
+                assert max(v.claimed_error for v in rep.vertices) <= tol, (kind, t, d, bits)
 
     def test_no_family(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,9 @@
   ``exactnum``: each subcommand imports what it runs (see test_cli.py).
 * No ``add_argument`` call in ``cli.py`` passes ``choices``: the registries
   are the only list of types and variants, and refuse what they lack.
+* No module defines both a function ``f`` and a function ``_f``: a public
+  function is not a checking wrapper around a private twin, so a tracer
+  that rebinds ``f`` sees every call.
 
 One rule reads the tests and demos instead: the names ``l39_signatures``,
 ``"l39"`` and ``"l211"``, which stay only while the benchmark calls them,
@@ -116,3 +119,13 @@ def test_benchmark_aliases_only_in_their_pins():
     found = {(alias, path.name) for path in paths for alias in ALIAS_PINS
              if alias in path.read_text()}
     assert found == set(ALIAS_PINS.items())
+
+
+def test_no_function_has_a_private_twin():
+    assert TREES
+    twins = []
+    for name, tree in TREES.items():
+        defined = {node.name for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        twins += [f"{name}:{f}" for f in sorted(defined) if "_" + f in defined]
+    assert twins == []
