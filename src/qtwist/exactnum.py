@@ -20,8 +20,9 @@ with Brent's variant of Pollard's rho (Brent 1980) within a fixed budget,
 ``RHO_MAX_STEPS``.  Past either limit they raise ``ValueError``, so that
 neither runs for more than a few seconds.  ``prime_factors`` is the only
 routine that takes an integer apart; the d check ``check_d``, the one
-square-free test, factors d, checks that no p^2 divides it and returns
-the primes of d.
+square-free test, factors d, checks that its primes multiply to |d| and
+returns them as a frozenset.  It remembers the last d that passed, as one
+query checks its d in a row (``faltings`` twice, ``verify`` four times).
 
 ``vp`` is the one p-adic valuation, of an int or a Fraction alike (it
 reads numerator and denominator).  ``residue`` is the one residue mod p^k:
@@ -37,6 +38,7 @@ default); ``parse_rat`` checks an exponent before it builds 10^exponent.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import sys
@@ -195,7 +197,8 @@ def _vp_int(n: int, p: int) -> int:
 def vp(x: RatLike, p: int) -> Union[int, float]:
     """p-adic valuation of an int or a Fraction; inf for x = 0.  p must be
     prime and is not checked: the callers pass a checked or a registry prime."""
-    return math.inf if x == 0 else _vp_int(x.numerator, p) - _vp_int(x.denominator, p)
+    num = x.numerator
+    return _vp_int(num, p) - _vp_int(x.denominator, p) if num else math.inf
 
 
 def residue(x: Fraction, p: int, k: int, e: int = 0) -> int:
@@ -339,15 +342,19 @@ def prime_factors(n: int) -> set:
     return primes
 
 
-def check_d(d: int) -> set:
-    """The set of primes of d if d is a nonzero square-free integer with
-    |d| <= D_MAX, else ValueError: d is factored once."""
+@functools.lru_cache(maxsize=1, typed=True)
+def check_d(d: int) -> frozenset:
+    """The primes of d, a frozenset that no caller can change, if d is a
+    nonzero square-free integer (its primes multiply to |d|) with |d| <=
+    D_MAX, else ValueError.  The last d that passed is remembered, typed
+    (3.0 and Fraction(3) stay refused after 3): one query checks its d in
+    a row, twice in ``faltings`` and four times in ``verify``."""
     if abs(d) > D_MAX:
         raise ValueError(f"d = {d} exceeds 10^18 in absolute value")
     primes = prime_factors(d) if d else set()
-    if d == 0 or any(d % (p * p) == 0 for p in primes):
+    if d == 0 or math.prod(primes) != abs(d):
         raise ValueError(f"d = {d} is not a nonzero square-free integer")
-    return primes
+    return frozenset(primes)
 
 
 # the decimal exponent of a string that Fraction reads, as in "1.5e-7"

@@ -419,7 +419,8 @@ def graph_type(kind: str) -> GraphType:
 # lookups
 
 def check_t(kind: str, t: Optional[RatLike]) -> Optional[Fraction]:
-    """t as a Fraction for a genus-0 type, None for a genus >= 1 type.
+    """t as a Fraction for a genus-0 type (a Fraction is returned as is,
+    anything else goes through ``Fraction``), None for a genus >= 1 type.
 
     Raises ValueError when a genus-0 type gets no t or a genus >= 1 type
     gets one, and CuspError at the cusp t = 0 or an excluded value.
@@ -431,7 +432,8 @@ def check_t(kind: str, t: Optional[RatLike]) -> Optional[Fraction]:
         return None
     if t is None:
         raise ValueError(f"type {kind} needs a hauptmodul value t")
-    t = Fraction(t)
+    if not isinstance(t, Fraction):
+        t = Fraction(t)
     if t == 0:
         raise CuspError("t = 0 is a cusp")
     if t in g.excluded:

@@ -336,6 +336,22 @@ class TestCheckD:
         for d in (1, -1, 2, -30, 10**9 + 7, -(D_MAX - 2)):
             assert check_d(d) == set(sympy.factorint(d)) - {-1}, d
 
+    def test_returns_frozenset(self):
+        # the last d that passed is remembered: no caller may change its primes
+        assert type(check_d(30)) is frozenset and check_d(30) == {2, 3, 5}
+
+    def test_memo_is_typed(self):
+        # 3.0 and Fraction(3) equal 3 and hash alike, but are no int d
+        for d in (3.0, Fraction(3)):
+            check_d(3)
+            with pytest.raises(TypeError):
+                check_d(d)
+
+    def test_refusal_not_remembered(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="square-free"):
+                check_d(12)
+
 
 class TestRatIO:
     def test_round_trip(self):

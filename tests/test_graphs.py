@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qtwist import graphs
+from qtwist import exactnum, graphs
 from qtwist.graphs import (
     ALL_TYPES,
     GENUS0,
@@ -16,6 +16,7 @@ from qtwist.graphs import (
     faltings_by_volumes,
     graph_type,
     branch_key,
+    check_t,
     prob_table,
     u_vectors,
 )
@@ -101,6 +102,11 @@ class TestCusps:
     def test_bad_d(self):
         with pytest.raises(ValueError):
             faltings_by_theorem("L3_9", 3, 12)
+
+    def test_fraction_t_as_is(self):
+        t = Fraction(45)
+        assert check_t("L3_9", t) is t
+        assert type(check_t("L3_9", 45)) is Fraction and check_t("L3_9", 45) == t
 
 
 # (type, t, branch key) worked out by hand from the paper's branch
@@ -267,6 +273,22 @@ class TestDecisions:
     def test_uvector_example(self):
         uv = u_vectors("L3_9", 9, 1)
         assert uv.uE == (1, 3, 3)
+
+    def test_query_factors_d_once(self, monkeypatch):
+        # both decision paths check d; the d check remembers the last d
+        calls = []
+        real = exactnum.prime_factors
+
+        def counting(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(exactnum, "prime_factors", counting)
+        exactnum.check_d.cache_clear()  # an earlier test may have checked d
+        d = -999999937 * 1000000007
+        r = faltings_by_theorem("L3_9", 45, d)
+        assert faltings_by_volumes("L3_9", 45, d) == r.vertex
+        assert calls == [d]
 
     def test_theorem_matches_volumes_sampled(self):
         for kind in ALL_TYPES:

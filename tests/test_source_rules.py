@@ -13,6 +13,10 @@
 * No module defines both a function ``f`` and a function ``_f``: a public
   function is not a checking wrapper around a private twin, so a tracer
   that rebinds ``f`` sees every call.
+* The one memo is ``exactnum.check_d``'s, of the last d alone
+  (``functools.lru_cache(maxsize=1, typed=True)``): one query checks its d
+  in a row.  A memo anywhere else would let the benchmark's repeated
+  inputs pass for speed.
 
 One rule reads the tests and demos instead: the names ``l39_signatures``,
 ``"l39"`` and ``"l211"``, which stay only while the benchmark calls them,
@@ -129,3 +133,20 @@ def test_no_function_has_a_private_twin():
                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
         twins += [f"{name}:{f}" for f in sorted(defined) if "_" + f in defined]
     assert twins == []
+
+
+MEMOS = {"lru_cache", "cache", "cached_property"}
+
+
+def test_only_memo_is_check_d():
+    check_d = [node for node in ast.walk(TREES["exactnum.py"])
+               if isinstance(node, ast.FunctionDef) and node.name == "check_d"]
+    assert len(check_d) == 1
+    decorators = check_d[0].decorator_list
+    assert [ast.unparse(node) for node in decorators] == [
+        "functools.lru_cache(maxsize=1, typed=True)"]
+    memos = [node for tree in TREES.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in MEMOS]
+    assert memos == [decorators[0].func]
+    assert _offending(lambda node: isinstance(node, ast.ImportFrom) and node.module == "functools"
+                      and any(alias.name in MEMOS for alias in node.names)) == []
