@@ -59,10 +59,14 @@ FAMILIES = {
 
 
 def _poly_eval(coeffs, t: Fraction) -> Fraction:
-    acc = Fraction(0)
+    """P(t) for t = a/b as sum(c_i a^i b^(n-i)) / b^n: Horner on the
+    homogeneous form in integers, one Fraction at the end."""
+    a, b = t.numerator, t.denominator
+    acc, bpow = 0, 1
     for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc
+        acc = acc * a + c * bpow
+        bpow *= b
+    return Fraction(acc, bpow // b)
 
 
 def class_signatures(kind: str, t: Optional[RatLike] = None,

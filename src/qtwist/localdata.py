@@ -383,10 +383,12 @@ def global_minimal(s: Signature) -> tuple[Signature, Fraction]:
     primes = {2, 3}
     primes |= prime_factors(math.gcd(s.c4.numerator, s.c6.numerator))
     primes |= prime_factors(s.c4.denominator * s.c6.denominator)
-    u = Fraction(1)
+    num = den = 1  # of u, in integers
     for p in sorted(primes):
-        u *= Fraction(p) ** classify(s, p).k
-    return (s, u) if u == 1 else (transform(s, u), u)
+        k = classify(s, p).k
+        num, den = (num * p**k, den) if k >= 0 else (num, den * p**-k)
+    u = Fraction(num, den)
+    return (s, u) if num == den else (transform(s, u), u)
 
 
 def pal_u(c: LocalClassification, d: int) -> Fraction:

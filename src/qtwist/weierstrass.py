@@ -49,9 +49,13 @@ class Signature(_Signature):
         return cls(*iterable)
 
     def __post_init__(self) -> None:
-        if self.delta == 0:
+        c4, c6, delta = self
+        if not delta:
             raise ValueError("singular: Delta = 0")
-        if self.c4**3 - self.c6**2 != 1728 * self.delta:
+        # c4^3 - c6^2 = 1728*Delta times the common denominator, in integers
+        den4, den6 = c4.denominator**3, c6.denominator**2
+        lhs = (c4.numerator**3 * den6 - c6.numerator**2 * den4) * delta.denominator
+        if lhs != 1728 * delta.numerator * den4 * den6:
             raise ValueError("c4^3 - c6^2 != 1728*Delta")
 
 

@@ -5,9 +5,15 @@ constants.  The tests check those against what is kept here, outside the
 package: the closed-form j of the level-9 chain and its Fricke
 involution, the a-invariants of the two 11-isogeny classes of conductor
 121, and the j-map on the level-11 modular curve.
+
+It also keeps the lattice-volume kernel that ``oracle`` ran on mpmath's
+``mpf`` objects before it moved to the raw layer, so the tests can hold
+the raw kernel to the same bits.
 """
 
 from fractions import Fraction
+
+import mpmath as mp
 
 from qtwist.graphs import check_t
 
@@ -81,3 +87,75 @@ def x011_j(x, y) -> Fraction:
             "indeterminate at x=16 (known value at (16, 60): -11*131^3; "
             "(16, -61) is a cusp)")
     return (_poly(X011_NUM_A, x) + y * _poly(X011_NUM_B, x)) / (x - 16)
+
+
+# ---------------------------------------------------------------------------
+# the lattice-volume kernel on mpf objects, as ``oracle`` had it before it
+# called ``mpmath.libmp`` directly; the volume and the claimed error of
+# ``mpf_lattice_volume`` are those ``oracle.lattice_volume`` gave then
+
+
+def _mpf_of(x: Fraction) -> mp.mpf:
+    return mp.mpf(x.numerator) / mp.mpf(x.denominator)
+
+
+def _volume_once(s) -> mp.mpf:
+    """Fundamental-domain area of the period lattice of dx/(2y) on
+    y^2 = x^3 + Ax + B with A = -c4/48, B = -c6/864, at the working
+    precision.
+
+    One root r is taken in closed form: the one isolated from the other
+    two, x and y, so that prod = (r - x)(r - y) = 3r^2 + A does not
+    cancel. For Delta < 0, Cardano's radicand B^2/4 + A^3/27 is read from
+    Delta as the exact -Delta/1728, which a floating-point sum could
+    round below 0. The gap between x and y comes from the exact discriminant
+    prod^2 (x - y)^2 = -4A^3 - 27B^2 = Delta/16, so nearly equal roots
+    cost no precision. Both AGM products below are symmetric in the two
+    gaps of r, so which of x, y is larger never matters.
+    """
+    A = _mpf_of(-s.c4 / 48)
+    B = _mpf_of(-s.c6 / 864)
+    if s.delta > 0:
+        # trigonometric form. B = -e1 e2 e3 is negative when e2, e3 are
+        # close (both below 0) and positive when e1, e2 are, so e1 is
+        # isolated when B <= 0, else e3
+        R = 2 * mp.sqrt(-A / 3)
+        theta = mp.acos(max(-1, min(1, 3 * B / (A * R))))
+        r = R * mp.cos((theta if B <= 0 else theta + 2 * mp.pi) / 3)
+    else:
+        # Cardano with the larger-magnitude real cube root, so that
+        # u - A/(3u) does not cancel; the radicand is -Delta/1728
+        u = mp.cbrt(abs(B) / 2 + mp.sqrt(_mpf_of(-s.delta / 1728)))
+        if B >= 0:
+            u = -u
+        r = u - A / (3 * u)
+    prod = 3 * r * r + A
+    gap2 = _mpf_of(s.delta / 16) / (prod * prod)  # (x - y)^2
+    if s.delta > 0:
+        gap = mp.sqrt(gap2)
+        far = (abs(3 * r) + gap) / 2  # e1 - e3; the other gap of r is prod/far
+        m = mp.sqrt(far)
+        return mp.pi**2 / (mp.agm(m, mp.sqrt(prod / far)) * mp.agm(m, mp.sqrt(gap)))
+    # real-AGM form for one real root (Cohen, Alg. 7.4.7): with b = |r - x|
+    # and a = 3r, the two AGMs take 2b + a and 2b - a; their product is
+    # 4b^2 - a^2 = -gap2, so the smaller one is taken as -gap2 / (2b + |a|)
+    b = mp.sqrt(prod)
+    hi = 2 * b + abs(3 * r)
+    m = 2 * mp.sqrt(b)
+    return 2 * mp.pi**2 / (mp.agm(m, mp.sqrt(hi)) * mp.agm(m, mp.sqrt(-gap2 / hi)))
+
+
+def mpf_lattice_volume(s, precision_bits: int = 128):
+    """(volume at precision_bits + 30, |it - the volume at
+    precision_bits + 60| taken at precision_bits + 60)."""
+    with mp.workprec(precision_bits + 30):
+        vol = _volume_once(s)
+    with mp.workprec(precision_bits + 60):
+        err = abs(_volume_once(s) - vol)
+    return vol, err
+
+
+def mpf_volume_once(s, prec: int) -> mp.mpf:
+    """The kernel above, run once at precision prec."""
+    with mp.workprec(prec):
+        return _volume_once(s)

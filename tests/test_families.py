@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from qtwist import graphs
 from qtwist.exactnum import CuspError
-from qtwist.families import FAMILIES, class_signatures, l39_signatures
+from qtwist.families import FAMILIES, _poly_eval, class_signatures, l39_signatures
 from qtwist.localdata import classify, global_minimal, global_pal
 from qtwist.weierstrass import AInvariants, j_invariant, signature_of, twist_sig
 
@@ -198,3 +198,29 @@ class TestX011:
         # values at the x=5 torsion points are the j-invariants of the
         # conductor-11 curves (up to the 11-isogeny structure)
         assert x011_j(5, -6) == Fraction(-(11**2))
+
+
+def _horner(coeffs, t):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
+
+
+# negative t, t of large height (up to 2^200 in numerator or denominator)
+# and integral t
+poly_ts = st.one_of(
+    st.fractions(max_denominator=50),
+    st.builds(Fraction, st.integers(-(2**200), 2**200), st.integers(1, 2**200)),
+    st.integers(-(10**30), 10**30).map(Fraction),
+)
+
+
+@given(poly_ts)
+@settings(max_examples=200, deadline=None)
+def test_poly_eval_is_fraction_horner(t):
+    for variants in FAMILIES.values():
+        for models in variants.values():
+            for model in models:
+                for coeffs in model:
+                    assert _poly_eval(coeffs, t) == _horner(coeffs, t)

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from mpmath import mp
+from mpmath import libmp, mp
 
-from qtwist import families
+from qtwist import families, oracle
 from qtwist.exactnum import check_d
 from qtwist.oracle import (
     lattice_volume,
@@ -16,6 +16,8 @@ from qtwist.graphs import prob_table
 from qtwist.localdata import global_minimal
 from qtwist.sieve import empirical_prob, squarefree_density
 from qtwist.weierstrass import AInvariants, Signature, signature_of, transform, twist_sig
+
+from reference import mpf_lattice_volume, mpf_volume_once
 
 S11 = signature_of(AInvariants(0, -1, 1, -10, -20))   # Delta < 0
 S32 = Signature(48, 0, 64)                             # y^2 = x^3 - x, Delta > 0
@@ -160,6 +162,161 @@ class TestLatticeVolume:
             ratio = scaled / base
             assert abs(ratio - mp.mpf(u.numerator) ** 2 / mp.mpf(u.denominator) ** 2) \
                 < mp.mpf(2) ** -100
+
+
+def _ulps(got, want, prec):
+    """|got - want| in units of the last place of want at precision prec
+    (raw mpf tuples, want nonzero)."""
+    with mp.workprec(2 * prec):
+        diff = abs(mp.make_mpf(got) - mp.make_mpf(want))
+        return diff / mp.mpf(2) ** (want[2] + want[3] - prec)
+
+
+def _q(s):
+    """The exact inputs of oracle._volume_once, as lattice_volume builds them."""
+    return (-s.c4 / 48, -s.c6 / 864, -s.delta / 1728, s.delta / 16)
+
+
+def _raw_corpus():
+    """S11, S32 (c6 = 0), S27 (c4 = 0) and the minimal twisted class
+    models: L3_9 at seeded t of both signs (Delta has the sign of t),
+    twisted by d of both signs (d < 0 flips the sign of c6), and both L2_11
+    variants."""
+    rng = random.Random(20261019)
+    out = [S11, S32, S27]
+    for t_sign, d in ((1, 1), (1, -3), (-1, 7), (-1, -4201), (1, 15), (-1, -2)):
+        t = t_sign * Fraction(rng.randint(1, 400), rng.randint(1, 40))
+        out += _minimal_twists("L3_9", t, d)
+    for variant in "ab":
+        out += _minimal_twists("L2_11", None, rng.choice((1, -1, 3, -11, 33)), variant)
+    return out
+
+
+RAW_CORPUS = _raw_corpus()
+RAW_BITS = (64, 128, 256, 512, 1024, 4096)
+
+
+def _near_singular():
+    """Curves with two roots 2^-k apart (a real pair, either sign of the
+    pair, or a complex pair), so that c6^2 is close to c4^3."""
+    rng = random.Random(20261020)
+    out = []
+    for k in (40, 125, 259, 430, 600):
+        for _ in range(4):
+            r = Fraction(rng.choice((1, -1)) * rng.randint(1, 50), rng.randint(1, 9))
+            eps = Fraction(rng.randint(1, 7), 2**k)
+            e = (r, r + eps, -2 * r - eps)
+            out.append(_of_cubic(e[0] * e[1] + e[0] * e[2] + e[1] * e[2], -e[0] * e[1] * e[2]))
+            out.append(_of_cubic(r * r + eps * eps - 4 * r * r, 2 * r * (r * r + eps * eps)))
+    return out
+
+
+class TestRawKernel:
+    """oracle's kernel on mpmath's raw layer against the same kernel on mpf
+    objects (tests/reference.py)."""
+
+    def test_corpus_covers_its_cases(self):
+        # both signs of Delta, each with both signs of c6: for Delta > 0,
+        # c6 < 0 takes the root at theta + 2 pi
+        assert {(s.delta > 0, s.c6 > 0) for s in RAW_CORPUS} == {(True, True), (True, False),
+                                                                  (False, True), (False, False)}
+        assert any(s.c4 == 0 for s in RAW_CORPUS) and any(s.c6 == 0 for s in RAW_CORPUS)
+
+    @pytest.mark.parametrize("bits", RAW_BITS)
+    def test_same_bits_as_mpf_kernel(self, bits):
+        for s in RAW_CORPUS:
+            got = lattice_volume(s, bits)
+            vol, err = mpf_lattice_volume(s, bits)
+            assert got.volume._mpf_ == vol._mpf_, (s, bits)
+            assert got.claimed_error._mpf_ == err._mpf_, (s, bits)
+
+    def test_near_singular_within_a_few_ulps(self):
+        # The AGM's fixed-point roots are the exact floor (math.isqrt), where
+        # mpmath's pure-Python isqrt_fast may give floor - 1, so an AGM may
+        # end one ulp apart (see test_agm_within_one_ulp); one product and
+        # one quotient of two AGMs carry that to at most 8 ulps of the run's
+        # precision. Only nearly singular curves were seen to differ: by 1
+        # to 3 ulps, on about one run in 80 of them.
+        rng = random.Random(20261021)
+        for s in _near_singular():
+            bits = rng.choice((64, 128, 256, 512, 1024))
+            for prec in (bits + 30, bits + 60):
+                got = oracle._volume_once(_q(s), prec)
+                want = mpf_volume_once(s, prec)._mpf_
+                assert _ulps(got, want, prec) <= 8, (s, prec)
+        # two inputs on which the sides are known to differ, by 1 and 3 ulps
+        for r, k, prec, ulps in ((Fraction(9, 7), 259, 124, 1), (Fraction(-20, 3), 125, 158, 3)):
+            eps = Fraction(1, 2**k)
+            e = (r, r + eps, -2 * r - eps)
+            s = _of_cubic(e[0] * e[1] + e[0] * e[2] + e[1] * e[2], -e[0] * e[1] * e[2])
+            got = oracle._volume_once(_q(s), prec)
+            assert _ulps(got, mpf_volume_once(s, prec)._mpf_, prec) == ulps
+
+    def test_sqrt_same_bits_as_mpf_sqrt(self):
+        rng = random.Random(20261022)
+        cases = []
+        for _ in range(2400):
+            prec = rng.randint(53, 4200)
+            kind = rng.randrange(4)
+            if kind == 0:  # a mantissa of 1
+                man = 1
+            elif kind == 1:  # an exact square
+                man = rng.getrandbits(rng.randint(1, prec // 2)) | 1
+                man *= man
+            else:
+                man = rng.getrandbits(rng.randint(1, 2 * prec)) | 1
+            exp = rng.randint(-3000, 3000)
+            if kind == 1:
+                exp &= ~1
+            cases.append((prec, libmp.from_man_exp(man, exp)))
+        assert any(x[2] & 1 for _, x in cases) and any(x[1] == 1 for _, x in cases)
+        for prec, x in cases:
+            for rnd in (libmp.round_nearest, libmp.round_down):
+                assert oracle._sqrt(x, prec, rnd) == libmp.mpf_sqrt(x, prec, rnd), (x, prec, rnd)
+        assert oracle._sqrt(libmp.fzero, 53) == libmp.fzero
+
+    def test_agm_within_one_ulp(self):
+        rng = random.Random(20261023)
+        seen = set()
+        for i in range(400):
+            prec = rng.randint(53, 1100)
+            ma = rng.randint(-40, 40)
+            mb = ma if i % 10 == 0 else rng.randint(-40, 40)
+            a = libmp.from_man_exp(rng.getrandbits(prec) | 1 << (prec - 1), ma - prec)
+            b = a if i % 10 == 0 else libmp.from_man_exp(rng.getrandbits(prec) | 1 << (prec - 1),
+                                                         mb - prec)
+            seen |= {abs(ma - mb) > 10 and "reduced", min(ma, mb) < -8 and "small",
+                     max(ma, mb) > 20 and "large", a == b and "equal"}
+            want = libmp.mpf_agm(a, b, prec, libmp.round_nearest)
+            assert _ulps(oracle._agm(a, b, prec), want, prec) <= 1, (a, b, prec)
+        assert {"reduced", "small", "large", "equal"} <= seen
+
+    def test_negative_arguments_raise(self):
+        minus, one = libmp.from_int(-2), libmp.fone
+        with pytest.raises(ValueError):
+            oracle._sqrt(minus, 53)
+        with pytest.raises(ValueError):
+            oracle._agm(minus, one, 53)
+        with pytest.raises(ValueError):
+            oracle._agm(one, minus, 53)
+
+    @pytest.mark.parametrize("bits", RAW_BITS)
+    def test_one_lattice_volume_call_per_vertex(self, bits, monkeypatch):
+        # the benchmark rebinds oracle.lattice_volume to capture each result
+        # and checks their number against the vertices
+        calls = []
+        real = oracle.lattice_volume
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "lattice_volume", counting)
+        verify_class("L3_9", Fraction(45, 7), 3, precision_bits=bits)
+        assert len(calls) == 3
+        calls.clear()
+        verify_class("L2_11", None, -11, precision_bits=bits, variant="b")
+        assert len(calls) == 2
 
 
 class TestNeronVolume:

@@ -75,6 +75,28 @@ def test_kodaira_messages(args, message):
         KodairaSymbol(*args)
 
 
+@pytest.mark.parametrize("field", range(3))
+@pytest.mark.parametrize("fields", [
+    tuple(transform(S11, 3)), tuple(transform(S11, 5)),
+    (Fraction(5, 2), Fraction(7, 3), (Fraction(5, 2) ** 3 - Fraction(7, 3) ** 2) / 1728),
+])
+def test_signature_refuses_a_part_moved_by_one_over_its_denominator(fields, field):
+    # the identity is checked over the common denominator in integers
+    assert all(x.denominator > 1 for x in Signature(*fields))
+    moved = list(fields)
+    for step in (1, -1):
+        moved[field] = fields[field] + Fraction(step, fields[field].denominator)
+        if moved[2] == 0:
+            continue
+        with pytest.raises(ValueError, match=r"^c4\^3 - c6\^2 != 1728\*Delta$"):
+            Signature(*moved)
+
+
+def test_signature_refuses_delta_zero_with_non_integral_parts():
+    with pytest.raises(ValueError, match="^singular: Delta = 0$"):
+        Signature(Fraction(9, 4), Fraction(27, 8), 0)
+
+
 def test_replace_runs_the_checks():
     assert S11._replace(c4=Fraction(496)) == S11
     with pytest.raises(ValueError, match="^singular: Delta = 0$"):
