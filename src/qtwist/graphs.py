@@ -2,13 +2,13 @@
 
 Each type is one ``GraphType`` spec in a single registry.  A spec holds
 the graph with its volume vector, one block per prime at which the
-branch or the twist matters (the branch classifier of the hauptmodul
-value t and the u-vector exponents of each branch), the literal decision
-rows keyed by the tuple of block branch keys, and the t values excluded
-besides the cusp t = 0.  A decision row is a ``FaltingsResult``: the
-winning vertex and its condition on d, which is also the answer that
-``faltings_by_theorem`` and ``prob_table`` return.  Genus >= 1 types are
-the degenerate case: no t, one block, one branch.
+branch or the twist matters (a ``Cuts`` table from the hauptmodul value
+t to its branch, which also gives the excluded t besides the cusp t = 0,
+and the u-vector exponents of each branch), and the literal decision
+rows keyed by the tuple of block branch keys.  A decision row is a
+``FaltingsResult``: the winning vertex and its condition on d, which is
+also the answer that ``faltings_by_theorem`` and ``prob_table`` return.
+Genus >= 1 types are the degenerate case: no t, one block, one branch.
 
 Two independent encodings coexist on purpose:
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .exactnum import CuspError, RatLike, TieError, check_d, residue, vp
 
@@ -57,28 +57,55 @@ class FaltingsResult(NamedTuple):
         return self.p is None or (d % self.p == 0) == self.divisible
 
 
+class Cuts(NamedTuple):
+    """One prime block's branch table: ``keys[i]`` is the branch of the t
+    with v_p(t) = lo + i, the first entry also that of every smaller
+    valuation and the last that of every larger one.  An entry is a key;
+    or a dict from the residue of t's p-free part (mod 4 at p = 2, mod p
+    otherwise) to a key; or a tuple of m keys indexed by v_p(t + p^v) mod m
+    at v = v_p(t), which leaves t = -p^v undefined (``GraphType.excluded``).
+    """
+    p: int
+    lo: int
+    keys: tuple
+
+    def key(self, t: Fraction) -> str:
+        # t comes from ``check_t``, so it is a nonzero Fraction; p is a
+        # registry prime (test_graph_shapes checks each), as ``vp`` does not
+        # test it
+        p, keys = self.p, self.keys
+        v = vp(t, p)
+        i = v - self.lo
+        entry = keys[0] if i <= 0 else keys[i] if i < len(keys) else keys[-1]
+        if type(entry) is str:
+            return entry
+        if type(entry) is dict:
+            return entry[residue(t, p, 2 if p == 2 else 1, v)]
+        return entry[vp(t + p**v, p) % len(entry)]
+
+
 class PrimeBlock(NamedTuple):
     """One isogeny prime's share of the u-vectors.
 
-    ``classify`` maps t to a branch key; it is None for genus >= 1 types,
+    ``cuts`` maps t to a branch key; it is None for genus >= 1 types,
     whose single branch is keyed "all".  ``rows`` maps each key to the
     exponents of p in u(E), and in u(E^d) when p | d, one non-negative int
     per vertex.  None on either side means no power of p: u(E), or u(E^d)
     for every d, is 1 at p.  When p does not divide d, u(E^d) is 1 at p.
     """
     p: int
-    classify: Optional[Callable[[Fraction], str]]
+    cuts: Optional[Cuts]
     rows: dict
 
     def key(self, t: Optional[Fraction]) -> str:
-        return "all" if self.classify is None else self.classify(t)
+        return "all" if self.cuts is None else self.cuts.key(t)
 
 
 class GraphType:
     """One isogeny-graph type and every rule that decides its Faltings vertex."""
 
     def __init__(self, kind: str, vertices: tuple, volumes: tuple, edges: tuple,
-                 blocks: tuple, decisions: dict, excluded: tuple = ()) -> None:
+                 blocks: tuple, decisions: dict) -> None:
         self.kind = kind
         self.vertices = vertices
         self.volumes = volumes      # projective, first entry 1
@@ -87,10 +114,13 @@ class GraphType:
         self.primes = tuple(sorted({deg for _, _, deg in edges}))
         self.blocks = blocks        # of PrimeBlock, by increasing prime
         self.decisions = decisions  # tuple of block keys -> (FaltingsResult, ...)
-        self.excluded = excluded    # t values besides 0 where a branch is undefined
         # u-exponents are non-negative ints, one per vertex, so every u is
-        # an int
+        # an int.  Each table (a genus >= 1 block's is the one key "all")
+        # reaches exactly its block's keys, each residue dict reads every
+        # unit, and an offset entry at v, never the first or last, leaves
+        # t = -p^v undefined.
         n = len(self.vertices)
+        excluded = []
         for block in self.blocks:
             for key, exps in block.rows.items():
                 for exp in exps:
@@ -98,6 +128,22 @@ class GraphType:
                             type(e) is not int or e < 0 for e in exp)):
                         raise ValueError(f"{self.kind} {key}: u-exponents {exp} are not "
                                          f"{n} non-negative ints")
+            p, cuts, reached = block.p, block.cuts or Cuts(block.p, 0, ("all",)), set()
+            for v, entry in enumerate(cuts.keys, cuts.lo):
+                if type(entry) is dict:
+                    if set(entry) != ({1, 3} if p == 2 else set(range(1, p))):
+                        raise ValueError(f"{self.kind} at {p}: residues {sorted(entry)} "
+                                         f"are not the units mod {4 if p == 2 else p}")
+                    entry = tuple(entry.values())
+                elif type(entry) is tuple:
+                    excluded.append(Fraction(-p**v))
+                reached.update(entry if type(entry) is tuple else (entry,))
+            if reached != set(block.rows) or cuts.p != p or tuple in (
+                    type(cuts.keys[0]), type(cuts.keys[-1])):
+                raise ValueError(f"{self.kind} at {p}: the table {cuts} must be at p = {p}, "
+                                 f"reach exactly the rows {sorted(block.rows)} and have no "
+                                 f"offset entry at an end")
+        self.excluded = tuple(excluded)  # t values besides 0 where a branch is undefined
         # every combination of block keys has rows, and each row set
         # splits the square-free d on one prime exactly once
         keys = set(product(*(b.rows for b in self.blocks)))
@@ -118,59 +164,13 @@ class GraphType:
 
     @property
     def genus_ge_1(self) -> bool:
-        return self.blocks[0].classify is None
-
-
-# ---------------------------------------------------------------------------
-# branch classifiers of t, one per prime block.  Each returns a key of its
-# block's rows; the keys of one block are exclusive and exhaustive.  Every
-# classifier is a threshold list on v_p(t) (_by_valuation), at one
-# valuation split by the residue of t's p-free part; _by_offset, which
-# reads v_p(t + p^c), is the one exception.  t comes from ``check_t``, so it
-# is a nonzero Fraction, and p is a registry prime (test_graph_shapes
-# checks each is prime): ``vp``, which does not test p, reads the valuations.
-
-def _by_valuation(p: int, cuts, below: str):
-    """Key of the first (k, key) in cuts with v_p(t) >= k, else below.
-
-    A key may be a dict from the residue of t's p-free part (mod 4 at
-    p = 2, mod p otherwise) to a key.  It is read only when v_p(t) = k;
-    at a larger valuation the search goes on to the next cut.
-    """
-    k_res = 2 if p == 2 else 1
-
-    def key(t):
-        v = vp(t, p)
-        for k, name in cuts:
-            if isinstance(name, dict):
-                if v == k:
-                    return name[residue(t, p, k_res, v)]
-            elif v >= k:
-                return name
-        return below
-
-    return key
-
-
-def _by_offset(p: int, c: int, m: int):
-    """L2_2 (p, c, m) = (2, 6, 4) and L2_3 (3, 3, 6): at v_p(t) = c the
-    branch is fixed by v_p(t + p^c) mod m; t = -p^c is excluded."""
-    def key(t):
-        v = vp(t, p)
-        if v == c:
-            return "high" if vp(t + p**c, p) % m >= m // 2 else "low"
-        if v >= c + 2:
-            return f"v>={c + 2}"
-        if v == c + 1:
-            return "high"
-        return "low" if v == c - 1 else f"v<={c - 2}"
-
-    return key
+        return self.blocks[0].cuts is None
 
 
 # ---------------------------------------------------------------------------
 # the registry
 #
+# Block tables: Cuts(p, lo, keys), keys[i] the branch at v_p(t) = lo + i.
 # Block rows: branch key -> (exponents of p in u(E), in u(E^d) for p | d),
 # None where there is no power of p.
 # Decision rows: branch key (a tuple for two-prime types) -> the theorem's
@@ -189,20 +189,18 @@ def _split(p, ndiv, div):
 _TYPES: dict = {}
 
 
-def _register(kind, vertices, inverse_volumes, edges, blocks, decisions, excluded=()):
+def _register(kind, vertices, inverse_volumes, edges, blocks, decisions):
     _TYPES[kind] = GraphType(
         kind, tuple(vertices), tuple(Fraction(1, v) for v in inverse_volumes), tuple(edges),
         tuple(blocks),
-        {k if isinstance(k, tuple) else (k,): rows for k, rows in decisions.items()},
-        tuple(Fraction(x) for x in excluded))
+        {k if isinstance(k, tuple) else (k,): rows for k, rows in decisions.items()})
 
 
-def _line(kind, p, length, blocks, decisions, excluded=()):
+def _line(kind, p, length, blocks, decisions):
     """Chain E_1 -- p -- E_p -- p -- ... of the given number of vertices."""
     labels = [f"E_{p**i}" for i in range(length)]
     _register(kind, labels, [p**i for i in range(length)],
-              [(labels[i], labels[i + 1], p) for i in range(length - 1)],
-              blocks, decisions, excluded)
+              [(labels[i], labels[i + 1], p) for i in range(length - 1)], blocks, decisions)
 
 
 def _rect(p, q, blocks, decisions):
@@ -212,7 +210,8 @@ def _rect(p, q, blocks, decisions):
               ((e1, eq, q), (e1, ep, p), (ep, epq, q), (eq, epq, p)), blocks, decisions)
 
 
-_line("L2_2", 2, 2, [PrimeBlock(2, _by_offset(2, 6, 4), {
+_line("L2_2", 2, 2, [PrimeBlock(2, Cuts(2, 4, ("v<=4", "low", ("low", "low", "high", "high"),
+                                               "high", "v>=8")), {
     "v>=8": ((0, 1), None),
     "high": ((0, 1), (1, 0)),
     "low": (None, (0, 1)),
@@ -220,9 +219,10 @@ _line("L2_2", 2, 2, [PrimeBlock(2, _by_offset(2, 6, 4), {
 })], {"v>=8": _every("E_2"),
       "high": _split(2, "E_2", "E_1"),
       "low": _split(2, "E_1", "E_2"),
-      "v<=4": _every("E_1")}, excluded=(-64,))
+      "v<=4": _every("E_1")})
 
-_line("L2_3", 3, 2, [PrimeBlock(3, _by_offset(3, 3, 6), {
+_line("L2_3", 3, 2, [PrimeBlock(3, Cuts(3, 1, ("v<=1", "low", ("low",) * 3 + ("high",) * 3,
+                                               "high", "v>=5")), {
     "v>=5": ((0, 1), None),
     "high": ((0, 1), (1, 0)),
     "low": (None, (0, 1)),
@@ -230,10 +230,9 @@ _line("L2_3", 3, 2, [PrimeBlock(3, _by_offset(3, 3, 6), {
 })], {"v>=5": _every("E_3"),
       "high": _split(3, "E_3", "E_1"),
       "low": _split(3, "E_1", "E_3"),
-      "v<=1": _every("E_1")}, excluded=(-27,))
+      "v<=1": _every("E_1")})
 
-_line("L2_5", 5, 2, [PrimeBlock(5, _by_valuation(5, [(3, "v>=3"), (2, "v=2"), (1, "v=1")],
-                                                   "v<=0"), {
+_line("L2_5", 5, 2, [PrimeBlock(5, Cuts(5, 0, ("v<=0", "v=1", "v=2", "v>=3")), {
     "v>=3": ((0, 1), None),
     "v=2": ((0, 1), (1, 0)),
     "v=1": (None, (0, 1)),
@@ -243,7 +242,7 @@ _line("L2_5", 5, 2, [PrimeBlock(5, _by_valuation(5, [(3, "v>=3"), (2, "v=2"), (1
       "v=1": _split(5, "E_1", "E_5"),
       "v<=0": _every("E_1")})
 
-_line("L2_7", 7, 2, [PrimeBlock(7, _by_valuation(7, [(2, "v>=2"), (1, "v=1")], "v<=0"), {
+_line("L2_7", 7, 2, [PrimeBlock(7, Cuts(7, 0, ("v<=0", "v=1", "v>=2")), {
     "v>=2": ((0, 1), None),
     "v=1": (None, (0, 1)),
     "v<=0": (None, None),
@@ -251,13 +250,12 @@ _line("L2_7", 7, 2, [PrimeBlock(7, _by_valuation(7, [(2, "v>=2"), (1, "v=1")], "
       "v=1": _split(7, "E_1", "E_7"),
       "v<=0": _every("E_1")})
 
-_line("L2_13", 13, 2, [PrimeBlock(13, _by_valuation(13, [(1, "v>0")], "v<=0"), {
+_line("L2_13", 13, 2, [PrimeBlock(13, Cuts(13, 0, ("v<=0", "v>0")), {
     "v>0": ((0, 1), None),
     "v<=0": (None, None),
 })], {"v>0": _every("E_13"), "v<=0": _every("E_1")})
 
-_line("L3_9", 3, 3, [PrimeBlock(3, _by_valuation(3, [(3, "v>=3"), (2, "v=2"), (1, "v=1")],
-                                                   "v<=0"), {
+_line("L3_9", 3, 3, [PrimeBlock(3, Cuts(3, 0, ("v<=0", "v=1", "v=2", "v>=3")), {
     "v>=3": ((0, 1, 2), None),
     "v=2": ((0, 1, 1), (0, 0, 1)),
     "v=1": (None, (0, 1, 1)),
@@ -267,16 +265,15 @@ _line("L3_9", 3, 3, [PrimeBlock(3, _by_valuation(3, [(3, "v>=3"), (2, "v=2"), (1
       "v=1": _split(3, "E_1", "E_3"),
       "v<=0": _every("E_1")})
 
-_line("L3_25", 5, 3, [PrimeBlock(5, _by_valuation(5, [(1, "v>=1")], "v<=0"), {
+_line("L3_25", 5, 3, [PrimeBlock(5, Cuts(5, 0, ("v<=0", "v>=1")), {
     "v>=1": ((0, 1, 2), None),
     "v<=0": (None, None),
 })], {"v>=1": _every("E_25"), "v<=0": _every("E_1")})
 
 _register("T4", ("E_1", "E_2", "E_4", "E_12"), (1, 2, 4, 4),
           (("E_1", "E_2", 2), ("E_2", "E_4", 2), ("E_2", "E_12", 2)),
-          [PrimeBlock(2, _by_valuation(2, [(6, "v>=6"), (5, "v=5"),
-                                           (4, {1: "v=4,1(4)", 3: "v=4,3(4)"}), (3, "v=3")],
-                                        "v<=2"), {
+          [PrimeBlock(2, Cuts(2, 2, ("v<=2", "v=3", {1: "v=4,1(4)", 3: "v=4,3(4)"}, "v=5",
+                                     "v>=6")), {
               "v>=6": ((0, 1, 2, 0), None),
               "v=5": ((0, 1, 1, 1), (0, 0, 1, 0)),
               "v=4,1(4)": ((0, 1, 1, 1), (0, 0, 0, 1)),
@@ -294,8 +291,7 @@ _register("T4", ("E_1", "E_2", "E_4", "E_12"), (1, 2, 4, 4),
 _register("T6", ("E_1", "E_2", "E_12", "E_4", "E_8", "E_22"), (1, 2, 4, 4, 8, 8),
           (("E_1", "E_2", 2), ("E_12", "E_2", 2), ("E_2", "E_4", 2),
            ("E_4", "E_8", 2), ("E_4", "E_22", 2)),
-          [PrimeBlock(2, _by_valuation(2, [(3, "v>=3"), (2, {1: "v=2,1(4)", 3: "v=2,3(4)"})],
-                                        "v<=1"), {
+          [PrimeBlock(2, Cuts(2, 1, ("v<=1", {1: "v=2,1(4)", 3: "v=2,3(4)"}, "v>=3")), {
               "v>=3": ((0, 1, 2, 1, 1, 1), None),
               "v=2,3(4)": ((0, 1, 1, 2, 3, 2), None),
               "v=2,1(4)": ((0, 1, 1, 2, 2, 3), None),
@@ -310,8 +306,7 @@ _register("T8", ("E_1", "E_2", "E_21", "E_4", "E_41", "E_8", "E_81", "E_16"),
           (1, 2, 4, 4, 8, 8, 16, 16),
           (("E_1", "E_2", 2), ("E_21", "E_2", 2), ("E_2", "E_4", 2), ("E_4", "E_41", 2),
            ("E_4", "E_8", 2), ("E_8", "E_81", 2), ("E_8", "E_16", 2)),
-          [PrimeBlock(2, _by_valuation(2, [(2, "v>=2"), (1, {1: "v=1,1(4)", 3: "v=1,3(4)"})],
-                                        "v<=0"), {
+          [PrimeBlock(2, Cuts(2, 0, ("v<=0", {1: "v=1,1(4)", 3: "v=1,3(4)"}, "v>=2")), {
               "v>=2": ((0, 1, 2, 1, 1, 1, 1, 1), None),
               "v=1,3(4)": ((0, 1, 1, 2, 2, 3, 4, 3), None),
               "v=1,1(4)": ((0, 1, 1, 2, 2, 3, 3, 4), None),
@@ -323,10 +318,10 @@ _register("T8", ("E_1", "E_2", "E_21", "E_4", "E_41", "E_8", "E_81", "E_16"),
            "v<=0": _every("E_2")})
 
 _rect(2, 3, [
-    PrimeBlock(2, _by_valuation(2, [(2, "v2>=2")], "v2<=1"), {
+    PrimeBlock(2, Cuts(2, 1, ("v2<=1", "v2>=2")), {
         "v2>=2": ((0, 1, 0, 1), None),
         "v2<=1": (None, None)}),
-    PrimeBlock(3, _by_valuation(3, [(2, "v3>=2"), (1, "v3=1")], "v3<=0"), {
+    PrimeBlock(3, Cuts(3, 0, ("v3<=0", "v3=1", "v3>=2")), {
         "v3>=2": ((0, 0, 1, 1), None),
         "v3=1": ((0, 0, 1, 1), (1, 1, 0, 0)),
         "v3<=0": (None, None)}),
@@ -338,13 +333,12 @@ _rect(2, 3, [
     ("v2<=1", "v3<=0"): _every("E_1")})
 
 _rect(2, 5, [
-    PrimeBlock(2, _by_valuation(2, [(2, "v2>1"), (1, "v2=1")], "v2<=0"), {
+    PrimeBlock(2, Cuts(2, 0, ("v2<=0", "v2=1", "v2>1")), {
         "v2>1": ((0, 1, 0, 1), None),
         "v2=1": ((0, 1, 0, 1), (1, 0, 1, 0)),
         "v2<=0": (None, None)}),
-    PrimeBlock(5, _by_valuation(5, [(1, "other"),
-                                     (0, {1: "other", 2: "other", 3: "other", 4: "t=4(5)"})],
-                                "other"), {
+    PrimeBlock(5, Cuts(5, -1, ("other", {1: "other", 2: "other", 3: "other", 4: "t=4(5)"},
+                               "other")), {
         "t=4(5)": ((0, 0, 1, 1), None),
         "other": (None, None)}),
 ], {("v2>1", "other"): _every("E_2"),
@@ -357,10 +351,10 @@ _rect(2, 5, [
 _register("R6", ("E_1", "E_2", "E_3", "E_6", "E_9", "E_18"), (1, 2, 3, 6, 9, 18),
           (("E_1", "E_3", 3), ("E_3", "E_9", 3), ("E_2", "E_6", 3), ("E_6", "E_18", 3),
            ("E_1", "E_2", 2), ("E_3", "E_6", 2), ("E_9", "E_18", 2)),
-          [PrimeBlock(2, _by_valuation(2, [(1, "v2>0")], "v2<=0"), {
+          [PrimeBlock(2, Cuts(2, 0, ("v2<=0", "v2>0")), {
               "v2>0": ((0, 1, 0, 1, 0, 1), None),
               "v2<=0": (None, None)}),
-           PrimeBlock(3, _by_valuation(3, [(1, "v3!=0"), (0, "v3=0")], "v3!=0"), {
+           PrimeBlock(3, Cuts(3, -1, ("v3!=0", "v3=0", "v3!=0")), {
                "v3=0": ((0, 0, 1, 1, 2, 2), None),
                "v3!=0": (None, None)})],
           {("v2>0", "v3!=0"): _every("E_2"),
@@ -373,12 +367,11 @@ _register("S8", ("E_1", "E_3", "E_2", "E_6", "E_21", "E_12", "E_4", "E_31"),
           (("E_1", "E_3", 3), ("E_1", "E_2", 2), ("E_3", "E_6", 2), ("E_2", "E_6", 3),
            ("E_2", "E_21", 2), ("E_2", "E_4", 2), ("E_6", "E_12", 2), ("E_6", "E_31", 2),
            ("E_21", "E_12", 3), ("E_4", "E_31", 3)),
-          [PrimeBlock(2, _by_valuation(2, [(1, "v2!=0"),
-                                            (0, {1: "v2=0,1(4)", 3: "v2=0,3(4)"})], "v2!=0"), {
+          [PrimeBlock(2, Cuts(2, -1, ("v2!=0", {1: "v2=0,1(4)", 3: "v2=0,3(4)"}, "v2!=0")), {
               "v2!=0": (None, None),
               "v2=0,3(4)": ((0, 0, 1, 1, 1, 2, 2, 1), None),
               "v2=0,1(4)": ((0, 0, 1, 1, 2, 1, 1, 2), None)}),
-           PrimeBlock(3, _by_valuation(3, [(1, "v3>=1")], "v3<=0"), {
+           PrimeBlock(3, Cuts(3, 0, ("v3<=0", "v3>=1")), {
                "v3>=1": ((0, 1, 0, 1, 0, 1, 0, 1), None),
                "v3<=0": (None, None)})],
           {("v2!=0", "v3>=1"): _every("E_3"),

@@ -1,77 +1,80 @@
 """Shared generators: branch-covering t pools and d samples per class.
 
-The sweep tests need, for every isogeny-graph type, a supply of
-hauptmodul values t hitting each decision branch, plus square-free
-twisting integers d in each residue class a branch splits on.  Branch
-keys are taken from the package's own classifiers; coverage is asserted
-against the registry's branches, so a missing branch fails loudly.
+The sweep tests need, for every isogeny-graph type, hauptmodul values t
+in each decision branch, built from every reading of the blocks' tables
+(``graphs.Cuts``) so that each cut is crossed on both sides, plus
+square-free twisting integers d in each residue class a branch splits on.
+Coverage is asserted against the registry's branches, so a missing
+branch fails loudly.
 """
 
+import math
 from collections import defaultdict
 from fractions import Fraction
+from itertools import count, islice, product
 
 from qtwist import graphs
-from qtwist.exactnum import prime_factors
+from qtwist.exactnum import prime_factors, residue
 
 _UNITS = list(range(1, 100, 2))
 _DENS = [1, 7, 11, 17, 23, 29]
 
 
-def _candidates(kind):
-    primes = graphs.graph_type(kind).primes
-    if len(primes) == 1:
-        p = primes[0]
-        for u in _UNITS:
-            if u % p == 0:
-                continue
-            for den in _DENS:
-                if den % p == 0:
-                    continue
-                for e in range(-4, 11):
-                    for s in (1, -1):
-                        yield s * u * Fraction(p) ** e / den
-    else:
-        p, q = primes[0], primes[1]
-        for u in _UNITS:
-            if u % p == 0 or u % q == 0:
-                continue
-            for den in _DENS:
-                if den % p == 0 or den % q == 0:
-                    continue
-                for i in range(-2, 6):
-                    for j in range(-2, 6):
-                        for s in (1, -1):
-                            yield s * Fraction(u, den) * Fraction(p) ** i * Fraction(q) ** j
-    # offset families pinning v_p(t + 64) / v_p(t + 27) at t-values where
-    # the plain valuation is ambiguous
-    if kind == "L2_2":
-        for j in range(1, 10):
-            for c in (1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23):
-                if c % 2:
-                    yield Fraction(2**6 * (c * 2**j - 1))
-    if kind == "L2_3":
-        for j in range(1, 13):
-            for c in range(1, 30):
-                if c % 3:
-                    yield Fraction(3**3 * (c * 3**j - 1))
+def unit_parts(primes):
+    """Every +-u/den, u in _UNITS and den in _DENS prime to each p in primes."""
+    return [s * Fraction(u, den) for u in _UNITS for den in _DENS for s in (1, -1)
+            if all(u % p and den % p for p in primes)]
+
+
+def entry(cuts, v):
+    """The entry of a table that reads the t with v_p(t) = v."""
+    return cuts.keys[min(max(v - cuts.lo, 0), len(cuts.keys) - 1)]
+
+
+def readings(cuts):
+    """Every (v, r) a table reads, v from cuts.lo - 2 to two past its last
+    entry: r is None at a key, the residue of t's p-free part at a residue
+    dict, and v_p(t + p^v) mod m at an offset tuple of m keys."""
+    for v in range(cuts.lo - 2, cuts.lo + len(cuts.keys) + 2):
+        e = entry(cuts, v)
+        yield from ((v, r) for r in (range(len(e)) if type(e) is tuple else
+                                     e if type(e) is dict else (None,)))
+
+
+def representatives(blocks, reading, cs):
+    """The t at one reading (v, r) per block, one per unit part c in cs that
+    fits: t = c * prod p^v, or t = p^v (c p^e - 1) at an offset entry, which
+    only one-block types have, so that v_p(t + p^v) = v + e = r mod m.  A c
+    whose t misses the residue a reading asks for is skipped."""
+    for c in cs:
+        t = c * math.prod(Fraction(b.p) ** v for b, (v, _) in zip(blocks, reading))
+        for b, (v, r) in zip(blocks, reading):
+            e = entry(b.cuts, v)
+            if type(e) is tuple:
+                t = Fraction(b.p) ** v * (c * b.p ** ((r - v - 1) % len(e) + 1) - 1)
+            elif type(e) is dict and residue(t, b.p, 2 if b.p == 2 else 1, v) != r:
+                break
+        else:
+            yield t
 
 
 def pooled_ts(kind, per_branch):
-    """{branch key: [t, ...]} with per_branch values per decision branch."""
+    """{branch key: [t, ...]}: a t for every combination of the blocks'
+    readings, then one more per reading, round by round, until every
+    decision branch holds at least per_branch."""
+    g = graphs.graph_type(kind)
+    cs = unit_parts(g.primes)
+    supply = [representatives(g.blocks, reading, cs)
+              for reading in product(*(readings(b.cuts) for b in g.blocks))]
     buckets = defaultdict(list)
-    want = set(graphs.graph_type(kind).decisions)
-    for t in _candidates(kind):
-        try:
-            key = graphs.branch_key(kind, t)
-        except graphs.CuspError:
-            continue
-        if key in want and len(buckets[key]) < per_branch:
-            buckets[key].append(t)
-        if len(buckets) == len(want) and all(
-            len(v) == per_branch for v in buckets.values()
-        ):
+    for i, ts in enumerate(zip(*supply)):
+        for t in ts:
+            pool = buckets[graphs.branch_key(kind, t)]
+            if i == 0 or len(pool) < per_branch:
+                pool.append(t)
+        if all(len(buckets[key]) >= per_branch for key in g.decisions):
             break
-    missing = {k: len(buckets.get(k, [])) for k in want if len(buckets.get(k, [])) < per_branch}
+    missing = {k: len(buckets[k]) for k in g.decisions if len(buckets[k]) < per_branch}
     assert not missing, f"{kind}: underfilled branches {missing}"
     return dict(buckets)
 
@@ -80,12 +83,7 @@ def squarefree_ds(p, divisible, n):
     """n square-free d on one side of a decision row's condition: with
     p | d when divisible, else with p not dividing d (every d when p is
     None).  The side is tested here, apart from ``FaltingsResult.matches``."""
-    out = []
-    d = 0
-    while len(out) < n:
-        d += 1
-        for cand in (d, -d):
-            if (p is None or (cand % p == 0) == divisible) \
-                    and all(cand % (q * q) for q in prime_factors(cand)) and len(out) < n:
-                out.append(cand)
-    return out
+    ds = (cand for d in count(1) for cand in (d, -d)
+          if (p is None or (cand % p == 0) == divisible)
+          and all(cand % (q * q) for q in prime_factors(cand)))
+    return list(islice(ds, n))

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qtwist import exactnum, graphs
 from qtwist.graphs import (
@@ -9,6 +11,7 @@ from qtwist.graphs import (
     GENUS0,
     GENUS_GE1,
     CuspError,
+    Cuts,
     FaltingsResult,
     GraphType,
     PrimeBlock,
@@ -20,9 +23,9 @@ from qtwist.graphs import (
     prob_table,
     u_vectors,
 )
-from qtwist.exactnum import is_prime
+from qtwist.exactnum import is_prime, residue, vp
 
-from pools import pooled_ts, squarefree_ds
+from pools import entry, pooled_ts, representatives, squarefree_ds, unit_parts
 
 SAMPLE_T = {kind: (None if kind in GENUS_GE1 else Fraction(1)) for kind in ALL_TYPES}
 
@@ -72,6 +75,11 @@ class TestRegistry:
     def test_unknown_type(self):
         with pytest.raises(ValueError):
             graph_type("L2_9")
+
+    def test_excluded_from_the_tables(self):
+        # each offset entry, at v_p(t) = v, excludes t = -p^v
+        assert {kind: graph_type(kind).excluded for kind in ALL_TYPES
+                if graph_type(kind).excluded} == {"L2_2": (-64,), "L2_3": (-27,)}
 
 
 class TestCusps:
@@ -233,6 +241,34 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="u-exponents"):
             self.spec(self.WELL_FORMED, exponents)
 
+    # each block's table must reach exactly its rows' keys
+    @classmethod
+    def tabled(cls, cuts, keys):
+        block = PrimeBlock(3, cuts, {key: ((0, 0), (0, 1)) for key in keys})
+        return GraphType("L2_3x", ("E_1", "E_3"), (Fraction(1), Fraction(1, 3)),
+                         (("E_1", "E_3", 3),), (block,),
+                         {(key,): cls.WELL_FORMED[("all",)] for key in keys})
+
+    def test_well_formed_table(self):
+        g = self.tabled(Cuts(3, 1, ("lo", {1: "lo", 2: "hi"}, ("lo", "hi"), "hi")), ("lo", "hi"))
+        # the offset entry at v = 3 leaves t = -27 undefined
+        assert g.excluded == (-27,)
+        assert [g.blocks[0].key(Fraction(t)) for t in (3, 9, 18, 27, 54, 81)] == [
+            "lo", "lo", "hi", "hi", "lo", "hi"]
+
+    @pytest.mark.parametrize("cuts,keys", [
+        (Cuts(3, 0, ("all", "other")), ("all",)),            # a key with no row
+        (Cuts(3, 0, ("all",)), ("all", "other")),            # a row no entry reaches
+        (Cuts(3, 0, ({1: "all"},)), ("all",)),               # a dict missing a unit
+        (Cuts(3, 0, ({0: "all", 1: "all", 2: "all"},)), ("all",)),  # a non-unit residue
+        (Cuts(3, 0, (("all", "all"), "all")), ("all",)),     # an offset entry at an end
+        (Cuts(2, 0, ("all",)), ("all",)),                    # a table at another prime
+        (None, ("other",)),                                  # genus >= 1 reaches "all"
+    ])
+    def test_broken_table_raises(self, cuts, keys):
+        with pytest.raises(ValueError, match="L2_3x at 3: "):
+            self.tabled(cuts, keys)
+
 
 class TestProbabilities:
     def test_branch_densities(self):
@@ -346,3 +382,45 @@ class TestBranchSweep:
                     for d in squarefree_ds(row.p, row.divisible, 4):
                         assert faltings_by_theorem(kind, t, d) == row
                         assert faltings_by_volumes(kind, t, d) == row.vertex, (kind, t, d)
+
+
+BLOCKS = [block for kind in sorted(GENUS0) for block in graph_type(kind).blocks]
+OFFSETS = [(block, v) for block in BLOCKS
+           for v, e in enumerate(block.cuts.keys, block.cuts.lo) if type(e) is tuple]
+
+
+class TestReadings:
+    """The readings a table lists decide its key: a t gets the key of the
+    representative that pools.py builds for t's reading."""
+
+    @staticmethod
+    def same_key(block, t, reading):
+        rep = next(representatives((block,), (reading,), unit_parts([block.p])))
+        assert block.cuts.key(t) == block.cuts.key(rep), (block.p, t, reading, rep)
+
+    # t = +-u/den p^k, u and den prime to p
+    @given(st.sampled_from(BLOCKS), st.integers(1, 10**6), st.integers(1, 10**4),
+           st.sampled_from((1, -1)), st.integers(-20, 20))
+    @settings(max_examples=600, deadline=None)
+    def test_unit_times_power(self, block, u, den, s, k):
+        p, cuts = block.p, block.cuts
+        assume(u % p and den % p)
+        c = s * Fraction(u, den)
+        e = entry(cuts, k)
+        assume(type(e) is not tuple or c != -1)  # t = -p^k is excluded
+        r = (None if type(e) is str else residue(c, p, 2 if p == 2 else 1)
+             if type(e) is dict else (k + vp(c + 1, p)) % len(e))
+        # readings run from lo - 2 to two past the last entry
+        v = min(max(k, cuts.lo - 2), cuts.lo + len(cuts.keys) + 1)
+        self.same_key(block, c * Fraction(p) ** k, (v, r))
+
+    # t = p^v (+-u/den p^j - 1) at an offset entry: v_p(t + p^v) = v + j
+    @given(st.sampled_from(OFFSETS), st.integers(1, 10**6), st.integers(1, 10**4),
+           st.sampled_from((1, -1)), st.integers(1, 30))
+    @settings(max_examples=300, deadline=None)
+    def test_offset_family(self, where, u, den, s, j):
+        block, v = where
+        p = block.p
+        assume(u % p and den % p)
+        t = Fraction(p) ** v * (s * Fraction(u, den) * p**j - 1)
+        self.same_key(block, t, (v, (v + j) % len(entry(block.cuts, v))))

@@ -13,6 +13,9 @@
 * No module defines both a function ``f`` and a function ``_f``: a public
   function is not a checking wrapper around a private twin, so a tracer
   that rebinds ``f`` sees every call.
+* ``graphs.py`` defines no ``lambda`` and no nested function: a branch
+  classifier is a table (``graphs.Cuts``) that other code can read, never
+  a closure.
 * The one memo is ``exactnum.check_d``'s, of the last d alone
   (``functools.lru_cache(maxsize=1, typed=True)``): one query checks its d
   in a row.  A memo anywhere else would let the benchmark's repeated
@@ -133,6 +136,15 @@ def test_no_function_has_a_private_twin():
                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
         twins += [f"{name}:{f}" for f in sorted(defined) if "_" + f in defined]
     assert twins == []
+
+
+def test_graphs_has_no_closures():
+    tree = TREES["graphs.py"]
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Lambda)]
+    found += [inner.lineno for outer in ast.walk(tree) if isinstance(outer, defs)
+              for inner in ast.walk(outer) if inner is not outer and isinstance(inner, defs)]
+    assert found == []
 
 
 MEMOS = {"lru_cache", "cache", "cached_property"}
