@@ -21,8 +21,8 @@ with Brent's variant of Pollard's rho (Brent 1980) within a fixed budget,
 neither runs for more than a few seconds.  ``prime_factors`` is the only
 routine that takes an integer apart; the d check ``check_d``, the one
 square-free test, factors d, checks that its primes multiply to |d| and
-returns them as a frozenset.  It remembers the last d that passed, as one
-query checks its d in a row (``faltings`` twice, ``verify`` four times).
+returns them as a frozenset.  It remembers the last d that passed: a
+query checks d once in ``faltings``, but four times in a row in ``verify``.
 
 ``vp`` is the one p-adic valuation, of an int or a Fraction alike (it
 reads numerator and denominator).  ``residue`` is the one residue mod p^k:
@@ -72,7 +72,8 @@ class CuspError(ValueError):
 
 
 class TableMissError(Exception):
-    """No classification row matched: internal bug or malformed input."""
+    """No classification row matched, or a graph-type spec's decision rows
+    disagree with its volume argmax: an internal bug or malformed input."""
 
 
 class TieError(Exception):
@@ -347,8 +348,8 @@ def check_d(d: int) -> frozenset:
     """The primes of d, a frozenset that no caller can change, if d is a
     nonzero square-free integer (its primes multiply to |d|) with |d| <=
     D_MAX, else ValueError.  The last d that passed is remembered, typed
-    (3.0 and Fraction(3) stay refused after 3): one query checks its d in
-    a row, twice in ``faltings`` and four times in ``verify``."""
+    (3.0 and Fraction(3) stay refused after 3): ``verify`` checks one d four
+    times in a row, both decision paths twice, ``faltings`` once."""
     if abs(d) > D_MAX:
         raise ValueError(f"d = {d} exceeds 10^18 in absolute value")
     primes = prime_factors(d) if d else set()

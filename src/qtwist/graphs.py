@@ -12,14 +12,16 @@ Genus >= 1 types are the degenerate case: no t, one block, one branch.
 
 Two independent encodings coexist on purpose:
 
-* ``u_vectors`` + ``faltings_by_volumes`` re-derive the winning vertex
-  as the exact argmax of u~_i^2 u_i^2 v_i from the blocks' exponents, in
+* ``GraphType.u`` + ``GraphType.argmax`` re-derive the winning vertex as
+  the exact argmax of u~_i^2 u_i^2 v_i from the blocks' exponents, in
   integers: every u is a power of an isogeny prime, and the volumes are
   scaled by the lcm of their denominators (``GraphType.weights``);
 * ``faltings_by_theorem`` looks the answer up in the literal decision
   rows.
 
-Their agreement over every branch is a test, not an assumption.
+Each ``GraphType`` checks at import that they agree on every branch and
+every set of block primes dividing d (all that a row or u(E^d) reads of
+d), and the tests check it again.  A query runs the lookup alone.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from fractions import Fraction
 from itertools import product
 from typing import NamedTuple, Optional
 
-from .exactnum import CuspError, RatLike, TieError, check_d, residue, vp
+from .exactnum import CuspError, RatLike, TableMissError, TieError, check_d, residue, vp
 
 
 class FaltingsResult(NamedTuple):
@@ -101,6 +103,11 @@ class PrimeBlock(NamedTuple):
         return "all" if self.cuts is None else self.cuts.key(t)
 
 
+class UVectors(NamedTuple):
+    uE: tuple   # of int
+    uEd: tuple  # of int
+
+
 class GraphType:
     """One isogeny-graph type and every rule that decides its Faltings vertex."""
 
@@ -126,45 +133,71 @@ class GraphType:
                 for exp in exps:
                     if exp is not None and (len(exp) != n or any(
                             type(e) is not int or e < 0 for e in exp)):
-                        raise ValueError(f"{self.kind} {key}: u-exponents {exp} are not "
-                                         f"{n} non-negative ints")
+                        raise TableMissError(f"{self.kind} {key}: u-exponents {exp} are not "
+                                             f"{n} non-negative ints")
             p, cuts, reached = block.p, block.cuts or Cuts(block.p, 0, ("all",)), set()
             for v, entry in enumerate(cuts.keys, cuts.lo):
                 if type(entry) is dict:
                     if set(entry) != ({1, 3} if p == 2 else set(range(1, p))):
-                        raise ValueError(f"{self.kind} at {p}: residues {sorted(entry)} "
-                                         f"are not the units mod {4 if p == 2 else p}")
+                        raise TableMissError(f"{self.kind} at {p}: residues {sorted(entry)} "
+                                             f"are not the units mod {4 if p == 2 else p}")
                     entry = tuple(entry.values())
                 elif type(entry) is tuple:
                     excluded.append(Fraction(-p**v))
                 reached.update(entry if type(entry) is tuple else (entry,))
             if reached != set(block.rows) or cuts.p != p or tuple in (
                     type(cuts.keys[0]), type(cuts.keys[-1])):
-                raise ValueError(f"{self.kind} at {p}: the table {cuts} must be at p = {p}, "
-                                 f"reach exactly the rows {sorted(block.rows)} and have no "
-                                 f"offset entry at an end")
+                raise TableMissError(f"{self.kind} at {p}: the table {cuts} must be at "
+                                     f"p = {p}, reach exactly the rows {sorted(block.rows)} "
+                                     f"and have no offset entry at an end")
         self.excluded = tuple(excluded)  # t values besides 0 where a branch is undefined
-        # every combination of block keys has rows, and each row set
-        # splits the square-free d on one prime exactly once
-        keys = set(product(*(b.rows for b in self.blocks)))
-        if set(self.decisions) != keys:
-            raise ValueError(f"{self.kind}: decision keys differ from the block branches "
-                             f"in {sorted(keys ^ set(self.decisions))}")
-        for key, rows in self.decisions.items():
-            conds = [(r.p, r.divisible) for r in rows]
-            if (len({p for p, _ in conds}) != 1 or len(set(conds)) != len(conds)
-                    or sum(r.probability for r in rows) != 1
-                    or any(r.vertex not in self.vertices for r in rows)):
-                raise ValueError(f"{self.kind} {key}: rows "
-                                 f"{[(r.d_condition, r.vertex) for r in rows]} "
-                                 f"do not partition the square-free d")
         # the volumes as ints: times the lcm of their denominators
         m = math.lcm(*(v.denominator for v in self.volumes))
         self.weights = tuple(v.numerator * (m // v.denominator) for v in self.volumes)
+        # every combination of block keys has rows, each row splits d at a
+        # block prime if at all, and for every set of block primes dividing
+        # d (all that a row or u(E^d) reads of d) exactly one row matches d
+        # and names the volume argmax
+        keys = set(product(*(b.rows for b in self.blocks)))
+        if set(self.decisions) != keys:
+            raise TableMissError(f"{self.kind}: decision keys differ from the block "
+                                 f"branches in {sorted(keys ^ set(self.decisions))}")
+        block_primes = [b.p for b in self.blocks]
+        for key, rows in self.decisions.items():
+            if any(r.p not in (None, *block_primes) for r in rows):
+                raise TableMissError(f"{self.kind} {key}: a row splits d off the block primes")
+            for divides in product((False, True), repeat=len(block_primes)):
+                d = math.prod(p for p, div in zip(block_primes, divides) if div)
+                best = self.argmax(self.u(key, d))
+                if [r.vertex for r in rows if r.matches(d)] != [best]:
+                    raise TableMissError(f"{self.kind} {key}: at d = {d} the rows do not "
+                                         f"give exactly the volume argmax {best}")
 
     @property
     def genus_ge_1(self) -> bool:
         return self.blocks[0].cuts is None
+
+    def u(self, keys: tuple, d: int) -> UVectors:
+        """([u(E)], [u(E^d)]) on the branch with these block keys: the product
+        of the blocks' powers of p.  d, read only as p | d, is not checked."""
+        uE = uEd = (1,) * len(self.vertices)
+        for block, key in zip(self.blocks, keys):
+            uE_exp, uEd_exp = block.rows[key]
+            if uE_exp is not None:
+                uE = tuple([u * block.p**e for u, e in zip(uE, uE_exp)])
+            if uEd_exp is not None and d % block.p == 0:
+                uEd = tuple([u * block.p**e for u, e in zip(uEd, uEd_exp)])
+        return UVectors(uE, uEd)
+
+    def argmax(self, uv: UVectors) -> str:
+        """The vertex of largest u~_i^2 u_i^2 v_i, in exact integers (the volumes
+        times one positive factor, ``weights``); TieError if two share it."""
+        scores = [ue * ue * ud * ud * w for ue, ud, w in zip(uv.uE, uv.uEd, self.weights)]
+        best = max(scores)
+        winners = [lbl for lbl, sc in zip(self.vertices, scores) if sc == best]
+        if len(winners) != 1:
+            raise TieError(f"{self.kind}: tie among {winners} (table-data bug)")
+        return winners[0]
 
 
 # ---------------------------------------------------------------------------
@@ -440,49 +473,23 @@ def branch_key(kind: str, t: Optional[RatLike]) -> tuple:
     return tuple(b.key(t) for b in graph_type(kind).blocks)
 
 
-class UVectors(NamedTuple):
-    uE: tuple   # of int
-    uEd: tuple  # of int
-
-
 def u_vectors(kind: str, t: Optional[RatLike], d: int) -> UVectors:
-    """Table pair ([u(E)], [u(E^d)]) for the branch selected by (t, d):
-    the componentwise product of the prime blocks' powers of p."""
-    g = graph_type(kind)
+    """Table pair ([u(E)], [u(E^d)]) for the branch selected by (t, d)."""
     check_d(d)
-    n = len(g.vertices)
-    uE = [1] * n
-    uEd = [1] * n
-    for block, key in zip(g.blocks, branch_key(kind, t)):
-        uE_exp, uEd_exp = block.rows[key]
-        p = block.p
-        if uE_exp is not None:
-            for i in range(n):
-                uE[i] *= p ** uE_exp[i]
-        if uEd_exp is not None and d % p == 0:
-            for i in range(n):
-                uEd[i] *= p ** uEd_exp[i]
-    return UVectors(tuple(uE), tuple(uEd))
+    return graph_type(kind).u(branch_key(kind, t), d)
 
 
 def faltings_by_theorem(kind: str, t: Optional[RatLike], d: int) -> FaltingsResult:
     """The decision row matching (type, t, d)."""
     check_d(d)
-    # the registry checked at import that each branch's rows partition d
+    # the registry checked at import that exactly one row of each branch
+    # matches d, and that it names the volume argmax
     return next(r for r in prob_table(kind, t) if r.matches(d))
 
 
 def faltings_by_volumes(kind: str, t: Optional[RatLike], d: int) -> str:
-    """Re-derivation: argmax vertex of u~_i^2 u_i^2 v_i, in exact integers
-    (the volumes scaled by one positive factor, ``GraphType.weights``)."""
-    g = graph_type(kind)
-    uv = u_vectors(kind, t, d)
-    scores = [ue * ue * ud * ud * w for ue, ud, w in zip(uv.uE, uv.uEd, g.weights)]
-    best = max(scores)
-    winners = [lbl for lbl, sc in zip(g.vertices, scores) if sc == best]
-    if len(winners) != 1:
-        raise TieError(f"{kind}: tie among {winners} (table-data bug)")
-    return winners[0]
+    """The volume argmax of the u-vectors of (t, d): a test oracle, no query runs it."""
+    return graph_type(kind).argmax(u_vectors(kind, t, d))
 
 
 def prob_table(kind: str, t: Optional[RatLike]) -> tuple:

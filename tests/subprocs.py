@@ -6,8 +6,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def src_env(**extra) -> dict:
-    """os.environ plus extra, with the checkout's src first on PYTHONPATH,
-    so that a child process imports the package without an install."""
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+def src_env(src: Path = ROOT / "src", **extra) -> dict:
+    """os.environ plus extra, with src (the checkout's, or the folder of a
+    copy of the package) first on PYTHONPATH, so that a child process
+    imports the package from there without an install."""
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     return {**os.environ, **extra, "PYTHONPATH": path}

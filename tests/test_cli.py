@@ -1,6 +1,7 @@
 import json
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 import time
@@ -12,7 +13,7 @@ from qtwist.cli import run
 from qtwist.weierstrass import AInvariants, signature_of
 
 from reference import L211_CURVES, l39_j
-from subprocs import src_env
+from subprocs import ROOT, src_env
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -394,3 +395,51 @@ class TestEntryPoint:
         assert code == 0
         assert {m.removeprefix("qtwist.") for m in loaded} == BASE_MODULES | modules
         assert not dataclasses or bare_python_loads_dataclasses
+
+
+@pytest.fixture(scope="module")
+def broken_src(tmp_path_factory):
+    """The folder of a copy of the package whose registry names E_2 for
+    L2_2's branch v2(t) <= 4, where the volume argmax is E_1."""
+    src = tmp_path_factory.mktemp("broken_src")
+    shutil.copytree(ROOT / "src" / "qtwist", src / "qtwist",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    graphs = src / "qtwist" / "graphs.py"
+    text = graphs.read_text()
+    assert '_every("E_1")' in text
+    graphs.write_text(text.replace('_every("E_1")', '_every("E_2")', 1))
+    return src
+
+
+class TestBrokenRegistry:
+    """A broken registry fails at import, as an internal error: each
+    subcommand that loads ``graphs`` exits 3, and the others still run."""
+
+    @staticmethod
+    def run_copy(src, argv, *flags):
+        return subprocess.run([sys.executable, *flags, "-m", "qtwist.cli", *argv],
+                              capture_output=True, text=True, env=src_env(src))
+
+    @staticmethod
+    def assert_exit_3(proc):
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"].startswith("internal: L2_2 ")
+
+    @pytest.mark.parametrize("argv", [argv for argv, modules in SUBCOMMAND_MODULES
+                                      if "graphs" in modules], ids=" ".join)
+    def test_graphs_commands_exit_3(self, broken_src, argv):
+        self.assert_exit_3(self.run_copy(broken_src, argv))
+
+    @pytest.mark.parametrize("argv", [argv for argv, modules in SUBCOMMAND_MODULES
+                                      if "graphs" not in modules], ids=" ".join)
+    def test_other_commands_exit_0(self, broken_src, argv):
+        proc = self.run_copy(broken_src, argv)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_exit_3_without_assert(self, broken_src):
+        # python -O strips assert; the registry check does not rest on one
+        self.assert_exit_3(self.run_copy(broken_src, ["faltings", "--type", "L2_11", "--d", "11"],
+                                         "-O"))

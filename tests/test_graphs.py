@@ -23,7 +23,7 @@ from qtwist.graphs import (
     prob_table,
     u_vectors,
 )
-from qtwist.exactnum import is_prime, residue, vp
+from qtwist.exactnum import TableMissError, TieError, is_prime, residue, vp
 
 from pools import entry, pooled_ts, representatives, squarefree_ds, unit_parts
 
@@ -201,16 +201,36 @@ class TestBranchTable:
             assert covered[kind] == set(graph_type(kind).decisions), kind
 
 
+def rebuilt(g, decisions=None, blocks=None):
+    """A new GraphType from g's own fields, with its decisions or blocks replaced."""
+    return GraphType(g.kind, g.vertices, g.volumes, g.edges, blocks or g.blocks,
+                     decisions or g.decisions)
+
+
+def row_mutations():
+    """(kind, key, rows) for each decision row of each type with its vertex
+    swapped for each other vertex of the type."""
+    for kind in ALL_TYPES:
+        g = graph_type(kind)
+        for key, rows in g.decisions.items():
+            for i, row in enumerate(rows):
+                for vertex in g.vertices:
+                    if vertex != row.vertex:
+                        yield kind, key, rows[:i] + (row._replace(vertex=vertex),) + rows[i + 1:]
+
+
 class TestSpecValidation:
     """Each spec checks at construction that its decision rows cover every
-    branch and split the square-free d exactly once."""
+    branch and that, for every set of block primes dividing d, exactly one
+    row matches d and names the volume argmax.  A broken spec is an
+    internal error (TableMissError, or TieError for a tie), not bad input."""
 
     WELL_FORMED = {("all",): (FaltingsResult("E_1", 3, False), FaltingsResult("E_3", 3, True))}
 
     @staticmethod
-    def spec(decisions, exponents=((0, 0), (0, 1))):
+    def spec(decisions, exponents=((0, 0), (0, 1)), volumes=(Fraction(1), Fraction(1, 3))):
         block = PrimeBlock(3, None, {"all": exponents})
-        return GraphType("L2_3x", ("E_1", "E_3"), (Fraction(1), Fraction(1, 3)),
+        return GraphType("L2_3x", ("E_1", "E_3"), volumes,
                          (("E_1", "E_3", 3),), (block,), decisions)
 
     def test_well_formed(self):
@@ -222,10 +242,56 @@ class TestSpecValidation:
         {("all",): (FaltingsResult("E_1", 3, False), FaltingsResult("E_3", 2, True))},
         {("all",): (FaltingsResult("E_1"), FaltingsResult("E_3"))},
         {("all",): (FaltingsResult("E_9"),)},                     # no such vertex
+        # a split at 7, where the type has no block
+        {("all",): (FaltingsResult("E_1", 7, False), FaltingsResult("E_3", 7, True))},
     ])
     def test_broken_spec_raises(self, decisions):
-        with pytest.raises(ValueError):
+        with pytest.raises(TableMissError):
             self.spec(decisions)
+
+    def test_every_case_checked(self, monkeypatch):
+        # one argmax per branch and set of block primes dividing d, 184 in
+        # all; and each type rebuilds unmutated, the mutation tests' start
+        calls = []
+        real = GraphType.argmax
+
+        def counting(g, uv):
+            calls.append(g.kind)
+            return real(g, uv)
+
+        monkeypatch.setattr(GraphType, "argmax", counting)
+        for kind in ALL_TYPES:
+            rebuilt(graph_type(kind))
+        assert len(calls) == 184
+        assert all(calls.count(kind) == len(graph_type(kind).decisions)
+                   * 2 ** len(graph_type(kind).blocks) for kind in ALL_TYPES)
+
+    def test_every_row_mutation_raises(self):
+        # a decision row that names another vertex never builds
+        mutations = list(row_mutations())
+        assert len(mutations) == 262
+        built = []
+        for kind, key, rows in mutations:
+            g = graph_type(kind)
+            try:
+                rebuilt(g, decisions={**g.decisions, key: rows})
+            except (TableMissError, TieError):
+                continue
+            built.append((kind, key, rows))
+        assert built == []
+
+    def test_exponent_mutation_raises(self):
+        # L3_9 at v3(t) >= 3 with u(E) = (1, 3, 1): E_3 wins, not the row's E_9
+        g = graph_type("L3_9")
+        block = g.blocks[0]
+        blocks = (block._replace(rows={**block.rows, "v>=3": ((0, 1, 0), None)}),)
+        with pytest.raises(TableMissError, match="volume argmax E_3"):
+            rebuilt(g, blocks=blocks)
+
+    def test_tie_raises(self):
+        # volumes (1, 1/9): at 3 | d the scores are 1 and 3^2 / 9, a tie
+        with pytest.raises(TieError):
+            self.spec(self.WELL_FORMED, volumes=(Fraction(1), Fraction(1, 9)))
 
     # u-exponents must be non-negative ints, one per vertex, so that every
     # u-vector entry is an exact int
@@ -238,7 +304,7 @@ class TestSpecValidation:
         ((0, 0), (0, 1, 1)),          # too long
     ])
     def test_broken_exponents_raise(self, exponents):
-        with pytest.raises(ValueError, match="u-exponents"):
+        with pytest.raises(TableMissError, match="u-exponents"):
             self.spec(self.WELL_FORMED, exponents)
 
     # each block's table must reach exactly its rows' keys
@@ -266,7 +332,7 @@ class TestSpecValidation:
         (None, ("other",)),                                  # genus >= 1 reaches "all"
     ])
     def test_broken_table_raises(self, cuts, keys):
-        with pytest.raises(ValueError, match="L2_3x at 3: "):
+        with pytest.raises(TableMissError, match="L2_3x at 3: "):
             self.tabled(cuts, keys)
 
 
@@ -311,7 +377,10 @@ class TestDecisions:
         assert uv.uE == (1, 3, 3)
 
     def test_query_factors_d_once(self, monkeypatch):
-        # both decision paths check d; the d check remembers the last d
+        # a query (faltings) checks d once, through the lookup; a caller that
+        # also runs the volume argmax on the same d, as the oracle tests and
+        # the two-path benchmark do, factors it once, as the d check
+        # remembers the last d
         calls = []
         real = exactnum.prime_factors
 

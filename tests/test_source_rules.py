@@ -16,6 +16,9 @@
 * ``graphs.py`` defines no ``lambda`` and no nested function: a branch
   classifier is a table (``graphs.Cuts``) that other code can read, never
   a closure.
+* No module calls ``graphs.faltings_by_volumes``: each ``GraphType``
+  checks its decision rows against the volume argmax at import, so a query
+  runs the lookup alone; the re-derivation is for callers outside.
 * The one memo is ``exactnum.check_d``'s, of the last d alone
   (``functools.lru_cache(maxsize=1, typed=True)``): one query checks its d
   in a row.  A memo anywhere else would let the benchmark's repeated
@@ -145,6 +148,14 @@ def test_graphs_has_no_closures():
     found += [inner.lineno for outer in ast.walk(tree) if isinstance(outer, defs)
               for inner in ast.walk(outer) if inner is not outer and isinstance(inner, defs)]
     assert found == []
+
+
+def test_no_module_calls_faltings_by_volumes():
+    # ast.Call nodes only: graphs.py still defines the function
+    assert TREES
+    assert _offending(lambda node: isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) == "faltings_by_volumes"
+        or getattr(node.func, "attr", None) == "faltings_by_volumes")) == []
 
 
 MEMOS = {"lru_cache", "cache", "cached_property"}
