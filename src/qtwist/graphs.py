@@ -1,14 +1,15 @@
 """Isogeny-graph types and the closed-form Faltings decision.
 
 Each type is one ``GraphType`` spec in a single registry.  A spec holds
-the graph with its volume vector, one block per prime at which the
-branch or the twist matters (a ``Cuts`` table from the hauptmodul value
-t to its branch, which also gives the excluded t besides the cusp t = 0,
-and the u-vector exponents of each branch), and the literal decision
-rows keyed by the tuple of block branch keys.  A decision row is a
+the graph with its volume vector, one ``PrimeBlock`` per prime at which
+the branch or the twist matters (a table from the hauptmodul value t to
+its branch, which also gives the excluded t besides the cusp t = 0, and
+the u-vector exponents of each branch), and the literal decision rows
+keyed by the tuple of block branch keys.  A decision row is a
 ``FaltingsResult``: the winning vertex and its condition on d, which is
 also the answer that ``faltings_by_theorem`` and ``prob_table`` return.
-Genus >= 1 types are the degenerate case: no t, one block, one branch.
+Genus >= 1 types are the degenerate case: no t, one block, and a
+one-entry table, so one branch.
 
 Two independent encodings coexist on purpose:
 
@@ -59,23 +60,34 @@ class FaltingsResult(NamedTuple):
         return self.p is None or (d % self.p == 0) == self.divisible
 
 
-class Cuts(NamedTuple):
-    """One prime block's branch table: ``keys[i]`` is the branch of the t
-    with v_p(t) = lo + i, the first entry also that of every smaller
-    valuation and the last that of every larger one.  An entry is a key;
-    or a dict from the residue of t's p-free part (mod 4 at p = 2, mod p
-    otherwise) to a key; or a tuple of m keys indexed by v_p(t + p^v) mod m
-    at v = v_p(t), which leaves t = -p^v undefined (``GraphType.excluded``).
+class PrimeBlock(NamedTuple):
+    """One isogeny prime's branch table and share of the u-vectors.
+
+    ``keys[i]`` is the branch of the t with v_p(t) = lo + i, the first
+    entry also that of every smaller valuation and the last that of every
+    larger one.  An entry is a key; or a dict from the residue of t's
+    p-free part (mod 4 at p = 2, mod p otherwise) to a key; or a tuple of m
+    keys indexed by v_p(t + p^v) mod m at v = v_p(t), which leaves
+    t = -p^v undefined (``GraphType.excluded``).  A genus >= 1 type has no
+    t: its one block's table is the one key "all".
+
+    ``rows`` maps each key to the exponents of p in u(E), and in u(E^d)
+    when p | d, one non-negative int per vertex.  None on either side means
+    no power of p: u(E), or u(E^d) for every d, is 1 at p.  When p does not
+    divide d, u(E^d) is 1 at p.
     """
     p: int
     lo: int
     keys: tuple
+    rows: dict
 
-    def key(self, t: Fraction) -> str:
-        # t comes from ``check_t``, so it is a nonzero Fraction; p is a
-        # registry prime (test_graph_shapes checks each), as ``vp`` does not
-        # test it
+    def key(self, t: Optional[Fraction]) -> str:
+        # t comes from ``check_t``: None for a genus >= 1 type, else a
+        # nonzero Fraction; p is a registry prime (test_graph_shapes checks
+        # each), as ``vp`` does not test it
         p, keys = self.p, self.keys
+        if t is None:
+            return keys[0]
         v = vp(t, p)
         i = v - self.lo
         entry = keys[0] if i <= 0 else keys[i] if i < len(keys) else keys[-1]
@@ -84,23 +96,6 @@ class Cuts(NamedTuple):
         if type(entry) is dict:
             return entry[residue(t, p, 2 if p == 2 else 1, v)]
         return entry[vp(t + p**v, p) % len(entry)]
-
-
-class PrimeBlock(NamedTuple):
-    """One isogeny prime's share of the u-vectors.
-
-    ``cuts`` maps t to a branch key; it is None for genus >= 1 types,
-    whose single branch is keyed "all".  ``rows`` maps each key to the
-    exponents of p in u(E), and in u(E^d) when p | d, one non-negative int
-    per vertex.  None on either side means no power of p: u(E), or u(E^d)
-    for every d, is 1 at p.  When p does not divide d, u(E^d) is 1 at p.
-    """
-    p: int
-    cuts: Optional[Cuts]
-    rows: dict
-
-    def key(self, t: Optional[Fraction]) -> str:
-        return "all" if self.cuts is None else self.cuts.key(t)
 
 
 class UVectors(NamedTuple):
@@ -122,10 +117,9 @@ class GraphType:
         self.blocks = blocks        # of PrimeBlock, by increasing prime
         self.decisions = decisions  # tuple of block keys -> (FaltingsResult, ...)
         # u-exponents are non-negative ints, one per vertex, so every u is
-        # an int.  Each table (a genus >= 1 block's is the one key "all")
-        # reaches exactly its block's keys, each residue dict reads every
-        # unit, and an offset entry at v, never the first or last, leaves
-        # t = -p^v undefined.
+        # an int.  Each table reaches exactly its block's keys, each residue
+        # dict reads every unit, and an offset entry at v, never the first or
+        # last, leaves t = -p^v undefined.
         n = len(self.vertices)
         excluded = []
         for block in self.blocks:
@@ -135,8 +129,8 @@ class GraphType:
                             type(e) is not int or e < 0 for e in exp)):
                         raise TableMissError(f"{self.kind} {key}: u-exponents {exp} are not "
                                              f"{n} non-negative ints")
-            p, cuts, reached = block.p, block.cuts or Cuts(block.p, 0, ("all",)), set()
-            for v, entry in enumerate(cuts.keys, cuts.lo):
+            p, keys, reached = block.p, block.keys, set()
+            for v, entry in enumerate(keys, block.lo):
                 if type(entry) is dict:
                     if set(entry) != ({1, 3} if p == 2 else set(range(1, p))):
                         raise TableMissError(f"{self.kind} at {p}: residues {sorted(entry)} "
@@ -145,12 +139,13 @@ class GraphType:
                 elif type(entry) is tuple:
                     excluded.append(Fraction(-p**v))
                 reached.update(entry if type(entry) is tuple else (entry,))
-            if reached != set(block.rows) or cuts.p != p or tuple in (
-                    type(cuts.keys[0]), type(cuts.keys[-1])):
-                raise TableMissError(f"{self.kind} at {p}: the table {cuts} must be at "
-                                     f"p = {p}, reach exactly the rows {sorted(block.rows)} "
-                                     f"and have no offset entry at an end")
+            if reached != set(block.rows) or tuple in (type(keys[0]), type(keys[-1])):
+                raise TableMissError(f"{self.kind} at {p}: the table {keys} must reach exactly "
+                                     f"the rows {sorted(block.rows)} and have no offset "
+                                     f"entry at an end")
         self.excluded = tuple(excluded)  # t values besides 0 where a branch is undefined
+        # no block reads t: a genus >= 1 type
+        self.genus_ge_1 = all(len(b.keys) == 1 for b in self.blocks)
         # the volumes as ints: times the lcm of their denominators
         m = math.lcm(*(v.denominator for v in self.volumes))
         self.weights = tuple(v.numerator * (m // v.denominator) for v in self.volumes)
@@ -172,10 +167,6 @@ class GraphType:
                 if [r.vertex for r in rows if r.matches(d)] != [best]:
                     raise TableMissError(f"{self.kind} {key}: at d = {d} the rows do not "
                                          f"give exactly the volume argmax {best}")
-
-    @property
-    def genus_ge_1(self) -> bool:
-        return self.blocks[0].cuts is None
 
     def u(self, keys: tuple, d: int) -> UVectors:
         """([u(E)], [u(E^d)]) on the branch with these block keys: the product
@@ -203,7 +194,7 @@ class GraphType:
 # ---------------------------------------------------------------------------
 # the registry
 #
-# Block tables: Cuts(p, lo, keys), keys[i] the branch at v_p(t) = lo + i.
+# Blocks: PrimeBlock(p, lo, keys, rows), keys[i] the branch at v_p(t) = lo + i.
 # Block rows: branch key -> (exponents of p in u(E), in u(E^d) for p | d),
 # None where there is no power of p.
 # Decision rows: branch key (a tuple for two-prime types) -> the theorem's
@@ -243,8 +234,8 @@ def _rect(p, q, blocks, decisions):
               ((e1, eq, q), (e1, ep, p), (ep, epq, q), (eq, epq, p)), blocks, decisions)
 
 
-_line("L2_2", 2, 2, [PrimeBlock(2, Cuts(2, 4, ("v<=4", "low", ("low", "low", "high", "high"),
-                                               "high", "v>=8")), {
+_line("L2_2", 2, 2, [PrimeBlock(2, 4, ("v<=4", "low", ("low", "low", "high", "high"),
+                                         "high", "v>=8"), {
     "v>=8": ((0, 1), None),
     "high": ((0, 1), (1, 0)),
     "low": (None, (0, 1)),
@@ -254,8 +245,8 @@ _line("L2_2", 2, 2, [PrimeBlock(2, Cuts(2, 4, ("v<=4", "low", ("low", "low", "hi
       "low": _split(2, "E_1", "E_2"),
       "v<=4": _every("E_1")})
 
-_line("L2_3", 3, 2, [PrimeBlock(3, Cuts(3, 1, ("v<=1", "low", ("low",) * 3 + ("high",) * 3,
-                                               "high", "v>=5")), {
+_line("L2_3", 3, 2, [PrimeBlock(3, 1, ("v<=1", "low", ("low",) * 3 + ("high",) * 3,
+                                         "high", "v>=5"), {
     "v>=5": ((0, 1), None),
     "high": ((0, 1), (1, 0)),
     "low": (None, (0, 1)),
@@ -265,7 +256,7 @@ _line("L2_3", 3, 2, [PrimeBlock(3, Cuts(3, 1, ("v<=1", "low", ("low",) * 3 + ("h
       "low": _split(3, "E_1", "E_3"),
       "v<=1": _every("E_1")})
 
-_line("L2_5", 5, 2, [PrimeBlock(5, Cuts(5, 0, ("v<=0", "v=1", "v=2", "v>=3")), {
+_line("L2_5", 5, 2, [PrimeBlock(5, 0, ("v<=0", "v=1", "v=2", "v>=3"), {
     "v>=3": ((0, 1), None),
     "v=2": ((0, 1), (1, 0)),
     "v=1": (None, (0, 1)),
@@ -275,7 +266,7 @@ _line("L2_5", 5, 2, [PrimeBlock(5, Cuts(5, 0, ("v<=0", "v=1", "v=2", "v>=3")), {
       "v=1": _split(5, "E_1", "E_5"),
       "v<=0": _every("E_1")})
 
-_line("L2_7", 7, 2, [PrimeBlock(7, Cuts(7, 0, ("v<=0", "v=1", "v>=2")), {
+_line("L2_7", 7, 2, [PrimeBlock(7, 0, ("v<=0", "v=1", "v>=2"), {
     "v>=2": ((0, 1), None),
     "v=1": (None, (0, 1)),
     "v<=0": (None, None),
@@ -283,12 +274,12 @@ _line("L2_7", 7, 2, [PrimeBlock(7, Cuts(7, 0, ("v<=0", "v=1", "v>=2")), {
       "v=1": _split(7, "E_1", "E_7"),
       "v<=0": _every("E_1")})
 
-_line("L2_13", 13, 2, [PrimeBlock(13, Cuts(13, 0, ("v<=0", "v>0")), {
+_line("L2_13", 13, 2, [PrimeBlock(13, 0, ("v<=0", "v>0"), {
     "v>0": ((0, 1), None),
     "v<=0": (None, None),
 })], {"v>0": _every("E_13"), "v<=0": _every("E_1")})
 
-_line("L3_9", 3, 3, [PrimeBlock(3, Cuts(3, 0, ("v<=0", "v=1", "v=2", "v>=3")), {
+_line("L3_9", 3, 3, [PrimeBlock(3, 0, ("v<=0", "v=1", "v=2", "v>=3"), {
     "v>=3": ((0, 1, 2), None),
     "v=2": ((0, 1, 1), (0, 0, 1)),
     "v=1": (None, (0, 1, 1)),
@@ -298,15 +289,15 @@ _line("L3_9", 3, 3, [PrimeBlock(3, Cuts(3, 0, ("v<=0", "v=1", "v=2", "v>=3")), {
       "v=1": _split(3, "E_1", "E_3"),
       "v<=0": _every("E_1")})
 
-_line("L3_25", 5, 3, [PrimeBlock(5, Cuts(5, 0, ("v<=0", "v>=1")), {
+_line("L3_25", 5, 3, [PrimeBlock(5, 0, ("v<=0", "v>=1"), {
     "v>=1": ((0, 1, 2), None),
     "v<=0": (None, None),
 })], {"v>=1": _every("E_25"), "v<=0": _every("E_1")})
 
 _register("T4", ("E_1", "E_2", "E_4", "E_12"), (1, 2, 4, 4),
           (("E_1", "E_2", 2), ("E_2", "E_4", 2), ("E_2", "E_12", 2)),
-          [PrimeBlock(2, Cuts(2, 2, ("v<=2", "v=3", {1: "v=4,1(4)", 3: "v=4,3(4)"}, "v=5",
-                                     "v>=6")), {
+          [PrimeBlock(2, 2, ("v<=2", "v=3", {1: "v=4,1(4)", 3: "v=4,3(4)"}, "v=5",
+                               "v>=6"), {
               "v>=6": ((0, 1, 2, 0), None),
               "v=5": ((0, 1, 1, 1), (0, 0, 1, 0)),
               "v=4,1(4)": ((0, 1, 1, 1), (0, 0, 0, 1)),
@@ -324,7 +315,7 @@ _register("T4", ("E_1", "E_2", "E_4", "E_12"), (1, 2, 4, 4),
 _register("T6", ("E_1", "E_2", "E_12", "E_4", "E_8", "E_22"), (1, 2, 4, 4, 8, 8),
           (("E_1", "E_2", 2), ("E_12", "E_2", 2), ("E_2", "E_4", 2),
            ("E_4", "E_8", 2), ("E_4", "E_22", 2)),
-          [PrimeBlock(2, Cuts(2, 1, ("v<=1", {1: "v=2,1(4)", 3: "v=2,3(4)"}, "v>=3")), {
+          [PrimeBlock(2, 1, ("v<=1", {1: "v=2,1(4)", 3: "v=2,3(4)"}, "v>=3"), {
               "v>=3": ((0, 1, 2, 1, 1, 1), None),
               "v=2,3(4)": ((0, 1, 1, 2, 3, 2), None),
               "v=2,1(4)": ((0, 1, 1, 2, 2, 3), None),
@@ -339,7 +330,7 @@ _register("T8", ("E_1", "E_2", "E_21", "E_4", "E_41", "E_8", "E_81", "E_16"),
           (1, 2, 4, 4, 8, 8, 16, 16),
           (("E_1", "E_2", 2), ("E_21", "E_2", 2), ("E_2", "E_4", 2), ("E_4", "E_41", 2),
            ("E_4", "E_8", 2), ("E_8", "E_81", 2), ("E_8", "E_16", 2)),
-          [PrimeBlock(2, Cuts(2, 0, ("v<=0", {1: "v=1,1(4)", 3: "v=1,3(4)"}, "v>=2")), {
+          [PrimeBlock(2, 0, ("v<=0", {1: "v=1,1(4)", 3: "v=1,3(4)"}, "v>=2"), {
               "v>=2": ((0, 1, 2, 1, 1, 1, 1, 1), None),
               "v=1,3(4)": ((0, 1, 1, 2, 2, 3, 4, 3), None),
               "v=1,1(4)": ((0, 1, 1, 2, 2, 3, 3, 4), None),
@@ -351,10 +342,10 @@ _register("T8", ("E_1", "E_2", "E_21", "E_4", "E_41", "E_8", "E_81", "E_16"),
            "v<=0": _every("E_2")})
 
 _rect(2, 3, [
-    PrimeBlock(2, Cuts(2, 1, ("v2<=1", "v2>=2")), {
+    PrimeBlock(2, 1, ("v2<=1", "v2>=2"), {
         "v2>=2": ((0, 1, 0, 1), None),
         "v2<=1": (None, None)}),
-    PrimeBlock(3, Cuts(3, 0, ("v3<=0", "v3=1", "v3>=2")), {
+    PrimeBlock(3, 0, ("v3<=0", "v3=1", "v3>=2"), {
         "v3>=2": ((0, 0, 1, 1), None),
         "v3=1": ((0, 0, 1, 1), (1, 1, 0, 0)),
         "v3<=0": (None, None)}),
@@ -366,12 +357,12 @@ _rect(2, 3, [
     ("v2<=1", "v3<=0"): _every("E_1")})
 
 _rect(2, 5, [
-    PrimeBlock(2, Cuts(2, 0, ("v2<=0", "v2=1", "v2>1")), {
+    PrimeBlock(2, 0, ("v2<=0", "v2=1", "v2>1"), {
         "v2>1": ((0, 1, 0, 1), None),
         "v2=1": ((0, 1, 0, 1), (1, 0, 1, 0)),
         "v2<=0": (None, None)}),
-    PrimeBlock(5, Cuts(5, -1, ("other", {1: "other", 2: "other", 3: "other", 4: "t=4(5)"},
-                               "other")), {
+    PrimeBlock(5, -1, ("other", {1: "other", 2: "other", 3: "other", 4: "t=4(5)"},
+                       "other"), {
         "t=4(5)": ((0, 0, 1, 1), None),
         "other": (None, None)}),
 ], {("v2>1", "other"): _every("E_2"),
@@ -384,10 +375,10 @@ _rect(2, 5, [
 _register("R6", ("E_1", "E_2", "E_3", "E_6", "E_9", "E_18"), (1, 2, 3, 6, 9, 18),
           (("E_1", "E_3", 3), ("E_3", "E_9", 3), ("E_2", "E_6", 3), ("E_6", "E_18", 3),
            ("E_1", "E_2", 2), ("E_3", "E_6", 2), ("E_9", "E_18", 2)),
-          [PrimeBlock(2, Cuts(2, 0, ("v2<=0", "v2>0")), {
+          [PrimeBlock(2, 0, ("v2<=0", "v2>0"), {
               "v2>0": ((0, 1, 0, 1, 0, 1), None),
               "v2<=0": (None, None)}),
-           PrimeBlock(3, Cuts(3, -1, ("v3!=0", "v3=0", "v3!=0")), {
+           PrimeBlock(3, -1, ("v3!=0", "v3=0", "v3!=0"), {
                "v3=0": ((0, 0, 1, 1, 2, 2), None),
                "v3!=0": (None, None)})],
           {("v2>0", "v3!=0"): _every("E_2"),
@@ -400,11 +391,11 @@ _register("S8", ("E_1", "E_3", "E_2", "E_6", "E_21", "E_12", "E_4", "E_31"),
           (("E_1", "E_3", 3), ("E_1", "E_2", 2), ("E_3", "E_6", 2), ("E_2", "E_6", 3),
            ("E_2", "E_21", 2), ("E_2", "E_4", 2), ("E_6", "E_12", 2), ("E_6", "E_31", 2),
            ("E_21", "E_12", 3), ("E_4", "E_31", 3)),
-          [PrimeBlock(2, Cuts(2, -1, ("v2!=0", {1: "v2=0,1(4)", 3: "v2=0,3(4)"}, "v2!=0")), {
+          [PrimeBlock(2, -1, ("v2!=0", {1: "v2=0,1(4)", 3: "v2=0,3(4)"}, "v2!=0"), {
               "v2!=0": (None, None),
               "v2=0,3(4)": ((0, 0, 1, 1, 1, 2, 2, 1), None),
               "v2=0,1(4)": ((0, 0, 1, 1, 2, 1, 1, 2), None)}),
-           PrimeBlock(3, Cuts(3, 0, ("v3<=0", "v3>=1")), {
+           PrimeBlock(3, 0, ("v3<=0", "v3>=1"), {
                "v3>=1": ((0, 1, 0, 1, 0, 1, 0, 1), None),
                "v3<=0": (None, None)})],
           {("v2!=0", "v3>=1"): _every("E_3"),
@@ -416,16 +407,17 @@ _register("S8", ("E_1", "E_3", "E_2", "E_6", "E_21", "E_12", "E_4", "E_31"),
 
 # genus >= 1: no t, one branch; u(E) has no power of p except for L4
 for _p in (11, 17, 19, 43, 67, 163):
-    _line(f"L2_{_p}", _p, 2, [PrimeBlock(_p, None, {"all": (None, (0, 1))})],
+    _line(f"L2_{_p}", _p, 2, [PrimeBlock(_p, 0, ("all",), {"all": (None, (0, 1))})],
           {"all": _split(_p, "E_1", f"E_{_p}")})
-_line("L2_37", 37, 2, [PrimeBlock(37, None, {"all": (None, None)})], {"all": _every("E_1")})
-_line("L4", 3, 4, [PrimeBlock(3, None, {"all": ((0, 1, 1, 1), (0, 0, 1, 1))})],
+_line("L2_37", 37, 2, [PrimeBlock(37, 0, ("all",), {"all": (None, None)})],
+      {"all": _every("E_1")})
+_line("L4", 3, 4, [PrimeBlock(3, 0, ("all",), {"all": ((0, 1, 1, 1), (0, 0, 1, 1))})],
       {"all": _split(3, "E_3", "E_9")})
-_rect(2, 7, [PrimeBlock(7, None, {"all": (None, (0, 0, 1, 1))})],
+_rect(2, 7, [PrimeBlock(7, 0, ("all",), {"all": (None, (0, 0, 1, 1))})],
       {"all": _split(7, "E_1", "E_7")})
-_rect(3, 5, [PrimeBlock(5, None, {"all": (None, (0, 0, 1, 1))})],
+_rect(3, 5, [PrimeBlock(5, 0, ("all",), {"all": (None, (0, 0, 1, 1))})],
       {"all": _split(5, "E_1", "E_5")})
-_rect(3, 7, [PrimeBlock(3, None, {"all": (None, (0, 1, 0, 1))})],
+_rect(3, 7, [PrimeBlock(3, 0, ("all",), {"all": (None, (0, 1, 0, 1))})],
       {"all": _split(3, "E_1", "E_3")})
 
 GENUS0 = {kind for kind, g in _TYPES.items() if not g.genus_ge_1}

@@ -2,7 +2,7 @@
 
 The sweep tests need, for every isogeny-graph type, hauptmodul values t
 in each decision branch, built from every reading of the blocks' tables
-(``graphs.Cuts``) so that each cut is crossed on both sides, plus
+(``graphs.PrimeBlock``) so that each cut is crossed on both sides, plus
 square-free twisting integers d in each residue class a branch splits on.
 Coverage is asserted against the registry's branches, so a missing
 branch fails loudly.
@@ -26,17 +26,17 @@ def unit_parts(primes):
             if all(u % p and den % p for p in primes)]
 
 
-def entry(cuts, v):
-    """The entry of a table that reads the t with v_p(t) = v."""
-    return cuts.keys[min(max(v - cuts.lo, 0), len(cuts.keys) - 1)]
+def entry(block, v):
+    """The entry of a block's table that reads the t with v_p(t) = v."""
+    return block.keys[min(max(v - block.lo, 0), len(block.keys) - 1)]
 
 
-def readings(cuts):
-    """Every (v, r) a table reads, v from cuts.lo - 2 to two past its last
-    entry: r is None at a key, the residue of t's p-free part at a residue
-    dict, and v_p(t + p^v) mod m at an offset tuple of m keys."""
-    for v in range(cuts.lo - 2, cuts.lo + len(cuts.keys) + 2):
-        e = entry(cuts, v)
+def readings(block):
+    """Every (v, r) a block's table reads, v from block.lo - 2 to two past
+    its last entry: r is None at a key, the residue of t's p-free part at a
+    residue dict, and v_p(t + p^v) mod m at an offset tuple of m keys."""
+    for v in range(block.lo - 2, block.lo + len(block.keys) + 2):
+        e = entry(block, v)
         yield from ((v, r) for r in (range(len(e)) if type(e) is tuple else
                                      e if type(e) is dict else (None,)))
 
@@ -49,7 +49,7 @@ def representatives(blocks, reading, cs):
     for c in cs:
         t = c * math.prod(Fraction(b.p) ** v for b, (v, _) in zip(blocks, reading))
         for b, (v, r) in zip(blocks, reading):
-            e = entry(b.cuts, v)
+            e = entry(b, v)
             if type(e) is tuple:
                 t = Fraction(b.p) ** v * (c * b.p ** ((r - v - 1) % len(e) + 1) - 1)
             elif type(e) is dict and residue(t, b.p, 2 if b.p == 2 else 1, v) != r:
@@ -65,7 +65,7 @@ def pooled_ts(kind, per_branch):
     g = graphs.graph_type(kind)
     cs = unit_parts(g.primes)
     supply = [representatives(g.blocks, reading, cs)
-              for reading in product(*(readings(b.cuts) for b in g.blocks))]
+              for reading in product(*(readings(b) for b in g.blocks))]
     buckets = defaultdict(list)
     for i, ts in enumerate(zip(*supply)):
         for t in ts:

@@ -1,3 +1,4 @@
+import io
 import json
 import re
 import shlex
@@ -5,11 +6,16 @@ import shutil
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtwist.cli import run
+from qtwist.exactnum import D_MAX
+from qtwist.graphs import ALL_TYPES
 from qtwist.weierstrass import AInvariants, signature_of
 
 from reference import L211_CURVES, l39_j
@@ -138,6 +144,9 @@ class TestValidation:
         # a zero denominator is named, not left to Fraction's "Fraction(1, 0)"
         ["faltings", "--type", "L3_9", "--t", "1/0", "--d", "1"],
         ["minimal", "--ainvs=1/0,1,1,1,1"],
+        # a curve flag with the wrong number of parts
+        ["minimal", "--ainvs=1,2,3,4"],
+        ["classify", "--sig=1,2", "--p=2"],
         # FAMILIES alone knows the variants: argparse has no second list
         ["family", "L2_11", "--variant", "c"],
         ["verify", "--type", "L2_11", "--d", "1", "--variant", "c"],
@@ -175,6 +184,10 @@ class TestValidation:
             assert error == f"qtwist {argv[0]}: argument --sig: not allowed with argument --ainvs"
         if argv and (argv[0], argv[1:]) in CURVE_COMMANDS:  # neither
             assert error == f"qtwist {argv[0]}: one of the arguments --ainvs --sig is required"
+        if "--ainvs=1,2,3,4" in argv:
+            assert error == "--ainvs needs a1,a2,a3,a4,a6"
+        if "--sig=1,2" in argv:
+            assert error == "--sig needs c4,c6,delta"
 
     @pytest.mark.parametrize("t", ["1e-100000", "1e-2000000000", "1." + "1" * 4000 + "e-1000"],
                              ids=["1e-100000", "1e-2000000000", "5001_digits"])
@@ -230,6 +243,84 @@ class TestValidation:
 
     def test_schema_version(self, capsys):
         assert ok("prob", "--type", "L2_11", capsys=capsys)["schema_version"] == 2
+
+
+# Small alphabets for the fuzzed argv: per flag, values that pass on their
+# own and values that are refused (a t of None leaves --t out, which the
+# genus >= 1 types need).
+FUZZ_T = (["45", "3/7", "-1/2", "-64", "2.5", None], ["0", "1/0", "x", ""])
+FUZZ_D = (["1", "-1", "3", "-15", "7"], ["0", "12", "-18", str(D_MAX + 1), "1/2", "x"])
+FUZZ_P = (["2", "3", "11"], ["4", "1", "0", "-3", "x"])
+FUZZ_N = (["10000", "30000"], ["9999", str(10**8 + 1)])
+FUZZ_TYPES = (ALL_TYPES, ["L2_9", "x"])
+FUZZ_FAMILY_TYPES = (["L3_9", "L2_11"], ["L2_5", "L2_9", "x"])
+FUZZ_VARIANTS = (["a", "b"], ["c", "A"])
+FUZZ_CURVES = {
+    "ainvs": (["1,1,1,-30,-76", "0,-1,1,-10,-20", "-1,0,0,1,0", "1/2,0,0,-1,0"],
+              ["0,0,0,0,0", "1/0,1,1,1,1", "1,2,3,4", "x,1,1,1,1"]),
+    "sig": (["496,20008,-161051", "642816,933493248,-350572971995136", "-47,71,-63"],
+            ["0,0,0", "1/0,1,1", "1,2", "x"]),
+}
+# the flags of each subcommand besides its curve (--ainvs or --sig)
+FUZZ_FLAGS = {
+    "classify": [("p", FUZZ_P)],
+    "minimal": [],
+    "twist": [("d", FUZZ_D)],
+    "faltings": [("type", FUZZ_TYPES), ("t", FUZZ_T), ("d", FUZZ_D)],
+    "prob": [("type", FUZZ_TYPES), ("t", FUZZ_T)],
+    "family": [("t", FUZZ_T), ("variant", FUZZ_VARIANTS)],
+    "verify": [("type", FUZZ_FAMILY_TYPES), ("t", FUZZ_T), ("d", FUZZ_D),
+               ("bits", (["64", "128"], ["63", "4097"])), ("variant", FUZZ_VARIANTS)],
+    "density": [("p", FUZZ_P), ("n", FUZZ_N)],
+    "empirical": [("type", FUZZ_TYPES), ("t", FUZZ_T), ("n", FUZZ_N)],
+}
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """A subcommand, --pretty now and then, and each of its flags as
+    --flag=value, so that a leading minus reaches the program.  Each value
+    is refused on its own with chance about 1/4."""
+    def value(alphabet):
+        good, bad = alphabet
+        return draw(st.sampled_from(bad if draw(st.integers(0, 3)) == 3 else good))
+
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    argv = ["--pretty"] if draw(st.booleans()) else []
+    argv.append(command)
+    flags = FUZZ_FLAGS[command]
+    if command == "family":
+        argv.append(value(FUZZ_FAMILY_TYPES))
+    elif command in ("classify", "minimal", "twist"):
+        curve = draw(st.sampled_from(sorted(FUZZ_CURVES)))
+        flags = [(curve, FUZZ_CURVES[curve]), *flags]
+    for flag, alphabet in flags:
+        v = value(alphabet)
+        if v is not None:
+            argv.append(f"--{flag}={v}")
+    return argv
+
+
+class TestFuzzedExitContract:
+    @given(fuzzed_argv())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_exit_0_or_2(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(argv)
+        assert time.perf_counter() - start < 5, argv
+        assert code in (0, 2), (argv, err.getvalue())
+        if code == 2:
+            # nothing on stdout, one JSON error line on stderr
+            assert out.getvalue() == "", argv
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and list(json.loads(lines[0])) == ["error"], (argv, lines)
+        else:
+            assert err.getvalue() == "", argv
+            doc = json.loads(out.getvalue(), parse_constant=_not_json)
+            command = argv[1] if argv[0] == "--pretty" else argv[0]
+            assert (doc["schema_version"], doc["command"]) == (2, command), argv
 
 
 class TestSubcommands:

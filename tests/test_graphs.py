@@ -11,7 +11,6 @@ from qtwist.graphs import (
     GENUS0,
     GENUS_GE1,
     CuspError,
-    Cuts,
     FaltingsResult,
     GraphType,
     PrimeBlock,
@@ -229,7 +228,7 @@ class TestSpecValidation:
 
     @staticmethod
     def spec(decisions, exponents=((0, 0), (0, 1)), volumes=(Fraction(1), Fraction(1, 3))):
-        block = PrimeBlock(3, None, {"all": exponents})
+        block = PrimeBlock(3, 0, ("all",), {"all": exponents})
         return GraphType("L2_3x", ("E_1", "E_3"), volumes,
                          (("E_1", "E_3", 3),), (block,), decisions)
 
@@ -309,31 +308,32 @@ class TestSpecValidation:
 
     # each block's table must reach exactly its rows' keys
     @classmethod
-    def tabled(cls, cuts, keys):
-        block = PrimeBlock(3, cuts, {key: ((0, 0), (0, 1)) for key in keys})
+    def tabled(cls, lo, entries, keys):
+        block = PrimeBlock(3, lo, entries, {key: ((0, 0), (0, 1)) for key in keys})
         return GraphType("L2_3x", ("E_1", "E_3"), (Fraction(1), Fraction(1, 3)),
                          (("E_1", "E_3", 3),), (block,),
                          {(key,): cls.WELL_FORMED[("all",)] for key in keys})
 
     def test_well_formed_table(self):
-        g = self.tabled(Cuts(3, 1, ("lo", {1: "lo", 2: "hi"}, ("lo", "hi"), "hi")), ("lo", "hi"))
+        g = self.tabled(1, ("lo", {1: "lo", 2: "hi"}, ("lo", "hi"), "hi"), ("lo", "hi"))
         # the offset entry at v = 3 leaves t = -27 undefined
         assert g.excluded == (-27,)
         assert [g.blocks[0].key(Fraction(t)) for t in (3, 9, 18, 27, 54, 81)] == [
             "lo", "lo", "hi", "hi", "lo", "hi"]
 
+    # cuts: the table's (lo, entries); None, the genus >= 1 table "all"
     @pytest.mark.parametrize("cuts,keys", [
-        (Cuts(3, 0, ("all", "other")), ("all",)),            # a key with no row
-        (Cuts(3, 0, ("all",)), ("all", "other")),            # a row no entry reaches
-        (Cuts(3, 0, ({1: "all"},)), ("all",)),               # a dict missing a unit
-        (Cuts(3, 0, ({0: "all", 1: "all", 2: "all"},)), ("all",)),  # a non-unit residue
-        (Cuts(3, 0, (("all", "all"), "all")), ("all",)),     # an offset entry at an end
-        (Cuts(2, 0, ("all",)), ("all",)),                    # a table at another prime
+        ((0, ("all", "other")), ("all",)),                   # a key with no row
+        ((0, ("all",)), ("all", "other")),                   # a row no entry reaches
+        ((0, ({1: "all"},)), ("all",)),                      # a dict missing a unit
+        ((0, ({0: "all", 1: "all", 2: "all"},)), ("all",)),  # a non-unit residue
+        ((0, (("all", "all"), "all")), ("all",)),            # an offset entry first
+        ((0, ("all", ("all", "all"))), ("all",)),            # an offset entry last
         (None, ("other",)),                                  # genus >= 1 reaches "all"
     ])
     def test_broken_table_raises(self, cuts, keys):
         with pytest.raises(TableMissError, match="L2_3x at 3: "):
-            self.tabled(cuts, keys)
+            self.tabled(*(cuts or (0, ("all",))), keys)
 
 
 class TestProbabilities:
@@ -455,7 +455,7 @@ class TestBranchSweep:
 
 BLOCKS = [block for kind in sorted(GENUS0) for block in graph_type(kind).blocks]
 OFFSETS = [(block, v) for block in BLOCKS
-           for v, e in enumerate(block.cuts.keys, block.cuts.lo) if type(e) is tuple]
+           for v, e in enumerate(block.keys, block.lo) if type(e) is tuple]
 
 
 class TestReadings:
@@ -465,22 +465,22 @@ class TestReadings:
     @staticmethod
     def same_key(block, t, reading):
         rep = next(representatives((block,), (reading,), unit_parts([block.p])))
-        assert block.cuts.key(t) == block.cuts.key(rep), (block.p, t, reading, rep)
+        assert block.key(t) == block.key(rep), (block.p, t, reading, rep)
 
     # t = +-u/den p^k, u and den prime to p
     @given(st.sampled_from(BLOCKS), st.integers(1, 10**6), st.integers(1, 10**4),
            st.sampled_from((1, -1)), st.integers(-20, 20))
     @settings(max_examples=600, deadline=None)
     def test_unit_times_power(self, block, u, den, s, k):
-        p, cuts = block.p, block.cuts
+        p = block.p
         assume(u % p and den % p)
         c = s * Fraction(u, den)
-        e = entry(cuts, k)
+        e = entry(block, k)
         assume(type(e) is not tuple or c != -1)  # t = -p^k is excluded
         r = (None if type(e) is str else residue(c, p, 2 if p == 2 else 1)
              if type(e) is dict else (k + vp(c + 1, p)) % len(e))
         # readings run from lo - 2 to two past the last entry
-        v = min(max(k, cuts.lo - 2), cuts.lo + len(cuts.keys) + 1)
+        v = min(max(k, block.lo - 2), block.lo + len(block.keys) + 1)
         self.same_key(block, c * Fraction(p) ** k, (v, r))
 
     # t = p^v (+-u/den p^j - 1) at an offset entry: v_p(t + p^v) = v + j
@@ -492,4 +492,4 @@ class TestReadings:
         p = block.p
         assume(u % p and den % p)
         t = Fraction(p) ** v * (s * Fraction(u, den) * p**j - 1)
-        self.same_key(block, t, (v, (v + j) % len(entry(block.cuts, v))))
+        self.same_key(block, t, (v, (v + j) % len(entry(block, v))))

@@ -12,7 +12,7 @@ from qtwist.oracle import (
     neron_volume,
     verify_class,
 )
-from qtwist.graphs import prob_table
+from qtwist.graphs import FaltingsResult, prob_table
 from qtwist.localdata import global_minimal
 from qtwist.sieve import empirical_prob, squarefree_density
 from qtwist.weierstrass import AInvariants, Signature, signature_of, transform, twist_sig
@@ -433,3 +433,9 @@ class TestDensities:
         assert abs(sum(freqs.values()) - 1) < 1e-12
         for row in prob_table("L3_9", 3):
             assert abs(freqs[row.vertex] - float(row.probability)) < 0.01
+
+    @pytest.mark.parametrize("kind, t, vertex", [("L3_9", 1, "E_1"), ("T6", 8, "E_12")])
+    def test_empirical_without_d_condition(self, kind, t, vertex):
+        # a branch whose one row holds for every d counts every d
+        assert prob_table(kind, t) == (FaltingsResult(vertex),)
+        assert empirical_prob(kind, t, 10**4) == {vertex: 1.0}

@@ -14,8 +14,8 @@
   function is not a checking wrapper around a private twin, so a tracer
   that rebinds ``f`` sees every call.
 * ``graphs.py`` defines no ``lambda`` and no nested function: a branch
-  classifier is a table (``graphs.Cuts``) that other code can read, never
-  a closure.
+  classifier is a table (``graphs.PrimeBlock``) that other code can read,
+  never a closure.
 * No module calls ``graphs.faltings_by_volumes``: each ``GraphType``
   checks its decision rows against the volume argmax at import, so a query
   runs the lookup alone; the re-derivation is for callers outside.

@@ -69,6 +69,10 @@ class TestTransform:
         s = Signature(48, 216, Fraction(48**3 - 216**2, 1728))
         assert j_invariant(transform(s, Fraction(7, 3))) == j_invariant(s)
 
+    def test_zero_u_rejected(self):
+        with pytest.raises(ValueError, match="u must be nonzero"):
+            transform(S11, 0)
+
 
 class TestTwist:
     def test_values(self):
