@@ -7,18 +7,19 @@ Kodaira symbol via the signature classification tables for p >= 5, p = 3
 and p = 2, and the per-prime twist rescaling values u_p(E^d).
 
 The tables are stored as literal row data, the only encoding of the
-classification.  At import each table gets an index: a dict from the
-capped p-signature to the first row that matches it, so a lookup is one
-dict access.  The p-signature is read off the valuations of s at the
-largest realizable scale k.  That model is p-minimal by construction, so no
-row rescales; a row's 2f/2g condition (which would mean "not minimal" when
-false) always holds there.  The conditions read their residues off the
-integers of s at scale k with ``exactnum.residue``, so classifying builds
-no model.  ``classify`` gives the answer at p as one
-``LocalClassification``, which ``global_minimal`` and ``global_pal`` read
-too; reading its minimal_sig builds the model at scale k.
-``global_minimal`` builds one model, for the product of the per-prime
-scales.
+classification and of u_p(E^d), whose printed column ``pal_u`` reads (the
+tests check it against ``pal_u_rules`` in ``tests/reference.py``).  At
+import each table gets an index: a dict from the capped p-signature to the
+first row that matches it, so a lookup is one dict access.  The p-signature
+is read off the valuations of s at the largest realizable scale k.  That
+model is p-minimal by construction, so no row rescales; a row's 2f/2g
+condition (which would mean "not minimal" when false) always holds there.
+The conditions read their residues off the integers of s at scale k with
+``exactnum.residue``, so classifying builds no model.  ``classify`` gives
+the answer at p as one ``LocalClassification``, which ``global_minimal``
+and ``global_pal`` read too; reading its minimal_sig builds the model at
+scale k.  ``global_minimal`` builds one model, for the product of the
+per-prime scales.
 """
 
 from __future__ import annotations
@@ -67,8 +68,8 @@ class KodairaSymbol(_KodairaSymbol):
 class LocalClassification(NamedTuple):
     """The one answer of ``classify``: the minimal-model scale u_p = p^k
     of sig at p, its p-signature and Kodaira symbol, the conditions
-    evaluated and the matched table row's pal entry (see the row format;
-    the tests cross-check it against pal_u)."""
+    evaluated and the matched table row's pal entry (see the row format),
+    which ``pal_u`` reads."""
     p: int
     k: int
     minimal_psig: PSignature
@@ -197,9 +198,11 @@ def _kraus(s: Signature, p: int, vc4, vc6, k: int) -> bool:
 #            order -- factories take v(Delta) of the scaled signature, so
 #            "6+n"-style rows recover n; a row whose conditions all fail
 #            is a table miss
-#   pal:     printed u_p(E^d) columns: for p != 2 a pair of exponents of p
-#            for (d = 0 mod p, d != 0 mod p); for p = 2 a value triple
-#            keyed on d mod 4 (entries may be callables of (sig, d))
+#   pal:     printed u_p(E^d) columns, the values ``pal_u`` returns: for
+#            p != 2 a pair of exponents of p for (d = 0 mod p,
+#            d != 0 mod p); for p = 2 a value triple for d = 1, 2, 3 mod 4
+#            (entries may be callables of (sig, k, d), which read the
+#            model at scale k as the conditions do)
 
 def _fix(kind, n=0):
     sym = KodairaSymbol(kind, n)
@@ -253,14 +256,15 @@ TABLE_P3 = [
 ]
 
 
-def _pal_666(sig: Signature, d: int) -> Fraction:
-    # sig_2 = (>=6, 6, 6), d = 2 mod 4: keyed on c6/2^6 vs d/2 mod 4
-    return Fraction(1) if residue(sig.c6, 2, 2, 6) != (d // 2) % 4 else Fraction(2)
+def _pal_666(s: Signature, k: int, d: int) -> Fraction:
+    # sig_2 = (>=6, 6, 6), d = 2 mod 4: keyed on c6/2^6 vs d/2 mod 4, with
+    # c6 that of the model at scale k, read off s as the conditions do
+    return Fraction(1) if residue(s.c6, 2, 2, 6 * k + 6) != (d // 2) % 4 else Fraction(2)
 
 
-def _pal_6918(sig: Signature, d: int) -> Fraction:
+def _pal_6918(s: Signature, k: int, d: int) -> Fraction:
     # sig_2 = (6, 9, >=18), d = 2 mod 4: keyed on c6/2^9 vs d/2 mod 4
-    return Fraction(4) if residue(sig.c6, 2, 2, 9) != (d // 2) % 4 else Fraction(2)
+    return Fraction(4) if residue(s.c6, 2, 2, 6 * k + 9) != (d // 2) % 4 else Fraction(2)
 
 
 _H = Fraction(1, 2)
@@ -361,14 +365,6 @@ def classify(s: Signature, p: int) -> LocalClassification:
     raise TableMissError(f"p={p}: no condition of the row for sig_p = {psig} holds")
 
 
-def row_pal_value(c: LocalClassification, d: int) -> Fraction:
-    """The matched table row's printed u_p(E^d) entry for this d."""
-    if c.p != 2:
-        return Fraction(c.p) ** (c.row_pal[0] if d % c.p == 0 else c.row_pal[1])
-    entry = c.row_pal[{1: 0, 2: 1, 3: 2}[d % 4]]
-    return entry(c.minimal_sig, d) if callable(entry) else Fraction(entry)
-
-
 def global_minimal(s: Signature) -> tuple[Signature, Fraction]:
     """(minimal signature, u) with u the product of the per-prime scales;
     the signature is s itself when u = 1, else the one model built.
@@ -392,39 +388,18 @@ def global_minimal(s: Signature) -> tuple[Signature, Fraction]:
 
 
 def pal_u(c: LocalClassification, d: int) -> Fraction:
-    """Twist rescaling value u_p(E^d) of the minimal model, at p = c.p.
-    d is not checked: it must be a square-free integer (``global_pal``
-    checks it).  c6 of the minimal model is read off sig at scale k."""
-    p, k, (vc4, vc6, vd), kodaira, _fired, _row_pal, s = c
-    if p != 2:
-        if d % p == 0 and kodaira.starred:
-            return Fraction(p)
-        return Fraction(1)
-    if d % 4 == 1:
-        return Fraction(1)
-    if d % 4 == 2:  # square-free even d; d/2 is an odd integer
-        if (vc4, vc6) == (0, 0):
-            return Fraction(1, 2)
-        if (vc4, vc6) == (6, 9) and vd >= 18 and residue(s.c6 * d, 2, 2, 6 * k + 10) == 3:
-            return Fraction(4)
-        if vc4 in (4, 5):
-            return Fraction(1)
-        if vc6 in (3, 5, 7):
-            return Fraction(1)
-        if vc4 >= 6 and (vc6, vd) == (6, 6) and residue(s.c6 * d, 2, 2, 6 * k + 7) == 3:
-            return Fraction(1)
-        return Fraction(2)
-    # d = 3 mod 4
-    if (vc4, vc6) == (0, 0) or (vc4 >= 4 and (vc6, vd) == (3, 0)):
-        return Fraction(1, 2)
-    if (vc4 == 4 and vc6 == 6 and vd >= 12) or (vc4 >= 8 and (vc6, vd) == (9, 12)):
-        return Fraction(2)
-    return Fraction(1)
+    """Twist rescaling value u_p(E^d) of the minimal model, at p = c.p: the
+    matched row's printed pal entry for d, which must be a square-free
+    integer (``global_pal`` checks it; d = 0 mod 4 reads the 3 mod 4 entry)."""
+    if c.p != 2:
+        return Fraction(c.p ** (c.row_pal[0] if d % c.p == 0 else c.row_pal[1]))
+    entry = c.row_pal[d % 4 - 1]
+    return entry(c.sig, c.k, d) if callable(entry) else Fraction(entry)
 
 
 def global_pal(minimal_sig: Signature, d: int) -> Fraction:
-    """u(E^d): product of pal_u over the primes dividing 2d (pal_u is 1 at
-    every odd p not dividing d)."""
+    """u(E^d): product of pal_u over the primes dividing 2d (every odd-p
+    row prints 1 for p not dividing d)."""
     u = Fraction(1)
     for p in sorted({2} | check_d(d)):
         u *= pal_u(classify(minimal_sig, p), d)

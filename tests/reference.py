@@ -6,6 +6,11 @@ package: the closed-form j of the level-9 chain and its Fricke
 involution, the a-invariants of the two 11-isogeny classes of conductor
 121, and the j-map on the level-11 modular curve.
 
+It keeps ``pal_u_rules``, the u_p(E^d) rules derived by hand from the
+valuations of the minimal model, against which the tests check the
+printed pal column of every row of ``localdata``'s tables; the program
+reads that column through ``localdata.pal_u``.
+
 It also keeps the lattice-volume kernel that ``oracle`` ran on mpmath's
 ``mpf`` objects before it moved to the raw layer, so the tests can hold
 the raw kernel to the same bits.
@@ -15,6 +20,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
+from qtwist.exactnum import residue
 from qtwist.graphs import check_t
 
 
@@ -87,6 +93,42 @@ def x011_j(x, y) -> Fraction:
             "indeterminate at x=16 (known value at (16, 60): -11*131^3; "
             "(16, -61) is a cusp)")
     return (_poly(X011_NUM_A, x) + y * _poly(X011_NUM_B, x)) / (x - 16)
+
+
+# ---------------------------------------------------------------------------
+# u_p(E^d) by rules on the minimal model's valuations and Kodaira symbol,
+# derived apart from the printed pal column that ``localdata.pal_u`` reads
+
+def pal_u_rules(c, d: int) -> Fraction:
+    """Twist rescaling value u_p(E^d) of the minimal model, at p = c.p, for
+    a ``localdata.LocalClassification`` c; no table column is read.  d must
+    be a square-free integer.  c6 of the minimal model is read off sig at
+    scale k."""
+    p, k, (vc4, vc6, vd), kodaira, _fired, _row_pal, s = c
+    if p != 2:
+        if d % p == 0 and kodaira.starred:
+            return Fraction(p)
+        return Fraction(1)
+    if d % 4 == 1:
+        return Fraction(1)
+    if d % 4 == 2:  # square-free even d; d/2 is an odd integer
+        if (vc4, vc6) == (0, 0):
+            return Fraction(1, 2)
+        if (vc4, vc6) == (6, 9) and vd >= 18 and residue(s.c6 * d, 2, 2, 6 * k + 10) == 3:
+            return Fraction(4)
+        if vc4 in (4, 5):
+            return Fraction(1)
+        if vc6 in (3, 5, 7):
+            return Fraction(1)
+        if vc4 >= 6 and (vc6, vd) == (6, 6) and residue(s.c6 * d, 2, 2, 6 * k + 7) == 3:
+            return Fraction(1)
+        return Fraction(2)
+    # d = 3 mod 4
+    if (vc4, vc6) == (0, 0) or (vc4 >= 4 and (vc6, vd) == (3, 0)):
+        return Fraction(1, 2)
+    if (vc4 == 4 and vc6 == 6 and vd >= 12) or (vc4 >= 8 and (vc6, vd) == (9, 12)):
+        return Fraction(2)
+    return Fraction(1)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from qtwist.weierstrass import (
 )
 
 from pools import pooled_ts, squarefree_ds
-from reference import L211_CURVES, fricke_w9, l39_j, x011_j
+from reference import L211_CURVES, fricke_w9, l39_j, pal_u_rules, x011_j
 
 
 def test_1_theorem_equals_volume_argmax_everywhere():
@@ -178,12 +178,12 @@ def test_7_pal_table_cross_checks():
         for p in primes:
             for i, s in enumerate(_random_signatures(p, per_prime, seed=1000 + p)):
                 c = localdata.classify(s, p)
-                # Table-1 values against the row-embedded u_p(E^d) columns
+                # the row-embedded u_p(E^d) columns against the derived rules
                 for d in ds_by_p[p]:
                     # square-free: the distinct primes of d multiply to |d|
                     assert math.prod(check_d(d)) == abs(d)
-                    got = localdata.row_pal_value(c, d)
-                    want = localdata.pal_u(c, d)
+                    got = localdata.pal_u(c, d)
+                    want = pal_u_rules(c, d)
                     assert got == want, (block, p, s, d, got, want)
                 # Kodaira idempotence on the same corpus
                 again = localdata.classify(c.minimal_sig, p)

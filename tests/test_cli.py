@@ -404,6 +404,39 @@ class TestReadme:
     def test_command_exits_0(self, argv, capsys):
         assert ok(*argv, capsys=capsys)["command"] == argv[0]
 
+    def test_python_example_prints_its_comments(self):
+        # each line followed by a "# value" comment evaluates to that value
+        block = re.search(r"Quick example:\s*```python\n(.*?)```", README.read_text(), re.DOTALL)[1]
+        lines, namespace, checked = block.splitlines(), {}, 0
+        for line, shown in zip(lines, lines[1:] + [""]):
+            if not line or line.startswith("#"):
+                continue
+            if shown.startswith("# "):
+                assert repr(eval(line, namespace)) == shown[2:].split("  (")[0], line
+                checked += 1
+            else:
+                exec(line, namespace)
+        assert checked == 3
+
+    def test_commented_fields_are_printed(self, capsys):
+        # a README command followed by a "# {...}" comment prints those fields
+        lines = re.search(r"## Command line.*?```sh\n(.*?)```", README.read_text(),
+                          re.DOTALL)[1].splitlines()
+        checked = 0
+        for line, shown in zip(lines, lines[1:]):
+            if line.startswith("qtwist ") and shown.startswith("# {"):
+                out = ok(*shlex.split(line)[1:], capsys=capsys)
+                for key, value in re.findall(r'"([^".]+)": "([^"]*)"', shown):
+                    assert out[key] == value, (line, key)
+                    checked += 1
+        assert checked == 2
+
+    def test_minimal_p_signature_sentence(self, capsys):
+        text = " ".join(README.read_text().split())
+        argv, shown = re.search(r"`qtwist (classify [^`]*)` prints `([^`]*)`", text).groups()
+        assert json.dumps(ok(*shlex.split(argv), capsys=capsys)["minimal_p_signature"]) == shown
+        assert shown == "[4, null, 6]"
+
 
 class TestEntryPoint:
     def test_import_leaves_numpy_out(self):

@@ -22,9 +22,11 @@ from qtwist.graphs import (
     prob_table,
     u_vectors,
 )
-from qtwist.exactnum import TableMissError, TieError, is_prime, residue, vp
+from qtwist.exactnum import TableMissError, TieError, is_prime, prime_factors, residue, vp
+from qtwist.families import class_signatures
 
 from pools import entry, pooled_ts, representatives, squarefree_ds, unit_parts
+from reference import fricke_w9
 
 SAMPLE_T = {kind: (None if kind in GENUS_GE1 else Fraction(1)) for kind in ALL_TYPES}
 
@@ -437,7 +439,7 @@ class TestIntegerScores:
             assert all(type(w) is int for w in g.weights)
             assert g.weights[0] == math.lcm(*(v.denominator for v in g.volumes))
             assert all(Fraction(w, g.weights[0]) == v for w, v in zip(g.weights, g.volumes))
-            assert g.weights is g.weights  # derived once per type
+            assert "weights" in vars(g)  # set once in __init__, not derived per read
 
 
 class TestBranchSweep:
@@ -493,3 +495,63 @@ class TestReadings:
         assume(u % p and den % p)
         t = Fraction(p) ** v * (s * Fraction(u, den) * p**j - 1)
         self.same_key(block, t, (v, (v + j) % len(entry(block, v))))
+
+
+def sqf(x: Fraction) -> int:
+    """The signed square-free part of a nonzero rational."""
+    sign = 1 if x > 0 else -1
+    return sign * math.prod(p for p in prime_factors(abs(x.numerator * x.denominator))
+                            if vp(x, p) % 2)
+
+
+def l39_delta(t: Fraction):
+    """The twist δ(t) with E_1(27/t) = E_9(t)^δ, read off the signatures
+    (a rescale multiplies c6/c4 by a square); None where a c4 or c6 is 0,
+    at j = 0 or 1728."""
+    e1, e9 = class_signatures("L3_9", fricke_w9(t))[0], class_signatures("L3_9", t)[2]
+    if 0 in (e1.c4, e1.c6, e9.c4, e9.c6):
+        return None
+    return sqf(e1.c6 * e9.c4 / (e9.c6 * e1.c4))
+
+
+class TestAtkinLehner:
+    """The Atkin-Lehner involution t -> W/t swaps the ends of a chain up to
+    the twist δ(t): E_1(W/t) = E_N(t)^δ.  So the decision rows alone must
+    satisfy faltings(W/t, d) = mirror(faltings(t, sqf(d δ(t)))), where the
+    mirror reverses the chain."""
+
+    # kind: (the prime of N, W, δ(t))
+    PRIME_LEVEL = {
+        "L2_2": (2, 2**12, lambda t: -2 * t),
+        "L2_3": (3, 3**6, lambda t: -t),
+        "L2_5": (5, 5**3, lambda t: -1),
+        "L2_7": (7, 7**2, lambda t: -7),
+        "L2_13": (13, 13, lambda t: -13),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(PRIME_LEVEL) + ["L3_9"])
+    def test_mirror(self, kind):
+        g = graph_type(kind)
+        mirror = dict(zip(g.vertices, reversed(g.vertices)))
+        hit_t, hit_w, deltas = set(), set(), set()
+        for ts in pooled_ts(kind, 5).values():
+            for t in ts:
+                if kind == "L3_9":
+                    p, w, delta = 3, fricke_w9(t), l39_delta(t)
+                    if delta is None:
+                        continue
+                    deltas.add(delta)
+                else:
+                    p, W, delta_of = self.PRIME_LEVEL[kind]
+                    w, delta = W / t, delta_of(t)
+                # no CuspError: the pools hold no excluded t, and each
+                # excluded t (-64 for L2_2, -27 for L2_3) is its own image
+                for d in squarefree_ds(p, True, 10) + squarefree_ds(p, False, 10):
+                    there = faltings_by_theorem(kind, w, d)
+                    here = faltings_by_theorem(kind, t, sqf(d * delta))
+                    assert there.vertex == mirror[here.vertex], (kind, t, d, there, here)
+                    hit_t.add(branch_key(kind, t))
+                    hit_w.add(branch_key(kind, w))
+        assert hit_t == hit_w == set(g.decisions), (kind, hit_t, hit_w)
+        if kind == "L3_9":
+            assert deltas == {-3}

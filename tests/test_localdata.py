@@ -24,7 +24,6 @@ from qtwist.localdata import (
     global_minimal,
     global_pal,
     pal_u,
-    row_pal_value,
 )
 from qtwist.weierstrass import (
     AInvariants,
@@ -36,7 +35,7 @@ from qtwist.weierstrass import (
     twist_sig,
 )
 
-from reference import L211_CURVES
+from reference import L211_CURVES, pal_u_rules
 
 S11 = signature_of(AInvariants(0, -1, 1, -10, -20))       # conductor 11, I5 at 11
 # 121.a2, 121.a1: II, II* at 11; 121.b2, 121.b1: III, III* at 11
@@ -227,7 +226,67 @@ class TestPal:
             for p in (2, 3, 11):
                 c = classify(s, p)
                 for d in (1, -1, 2, 3, -5, 6, 11, -11):
-                    assert row_pal_value(c, d) == pal_u(c, d), (s, p, d)
+                    assert pal_u(c, d) == pal_u_rules(c, d), (s, p, d)
+        # every row's printed column, at k = 0 and at k = -1, against the
+        # rules; d = 0 mod 4 lies outside pal_u's contract, and both read
+        # the 3 mod 4 value there
+        rng = random.Random(35)
+        callables = {}
+        for p, table in ((2, localdata.TABLE_P2), (3, localdata.TABLE_P3),
+                         (5, localdata.TABLE_P_GE5), (7, localdata.TABLE_P_GE5),
+                         (11, localdata.TABLE_P_GE5)):
+            ds = [d for d in range(-12, 13) if d] + [m * p for m in (-4, -3, -2, -1, 1, 2, 3, 4)]
+            hits = [0] * len(table)
+            for i, (pattern, _outcome, pal) in enumerate(table):
+                for s in itertools.islice(_sigs_of_pattern(p, pattern, rng), 200):
+                    c0 = classify(s, p)
+                    if c0.k != 0 or _row_index(table, c0.minimal_psig) != i:
+                        continue
+                    hits[i] += 1
+                    for c in (c0, classify(transform(s, p), p)):
+                        for d in ds:
+                            got = pal_u(c, d)
+                            assert got == pal_u_rules(c, d), (p, i, s, c.k, d)
+                            if p == 2 and callable(entry := pal[d % 4 - 1]):
+                                callables.setdefault(entry.__name__, set()).add(got)
+                    if hits[i] == 4:
+                        break
+            assert all(hits), (p, hits)
+        assert callables == {"_pal_666": {1, 2}, "_pal_6918": {2, 4}}, callables
+        # global_pal skips the odd primes that do not divide d
+        for table in (localdata.TABLE_P3, localdata.TABLE_P_GE5):
+            assert all(pal[1] == 0 for _pattern, _outcome, pal in table)
+
+
+def _row_index(table, psig) -> int:
+    """Index of the first row of table whose pattern matches psig."""
+    return next(i for i, (pattern, _outcome, _pal) in enumerate(table)
+                if all(v == k if op == "e" else v >= k for (op, k), v in zip(pattern, psig)))
+
+
+def _sigs_of_pattern(p: int, pattern, rng):
+    """Signatures whose p-signature matches a table row's pattern, without
+    end.  Where 3 v(c4) = 2 v(c6) and v(Delta) is above the generic value,
+    c4 and c6 are built near z^2 and z^3 so that c4^3 - c6^2 cancels to
+    the wanted power of p."""
+    v1728 = {2: 6, 3: 3}.get(p, 0)
+    while True:
+        a, b, vd = (k if op == "e" else k + rng.randrange(3) for op, k in pattern)
+        if 3 * a != 2 * b:
+            if vd + v1728 != min(3 * a, 2 * b):
+                continue
+            x, y = rng.randrange(1, p**4), rng.randrange(1, p**4)
+        else:
+            e = vd + v1728 - 3 * a
+            z = rng.randrange(1, p ** (e + 3))
+            j = rng.randrange(max(0, e - 2), e + 1)
+            x = z * z + p**j * rng.randrange(-p**4, p**4)
+            y = z**3 + p**j * rng.randrange(-p**4, p**4)
+        c4, c6 = p**a * x, rng.choice((1, -1)) * p**b * y
+        if c4**3 != c6**2:
+            s = Signature(c4, c6, Fraction(c4**3 - c6**2, 1728))
+            if p_signature(s, p) == (a, b, vd):
+                yield s
 
 
 def _mod(x: Fraction, m: int) -> int:

@@ -24,12 +24,17 @@
   in a row.  A memo anywhere else would let the benchmark's repeated
   inputs pass for speed.
 
-One rule reads the tests and demos instead: the names ``l39_signatures``,
+Two rules read other files instead.  The Python floor in pyproject.toml
+and README is 3.10.7 at least: ``exactnum.parse_rat`` calls
+``sys.get_int_max_str_digits`` and reads
+``sys.int_info.default_max_str_digits``, which first shipped in 3.10.7.
+And one rule reads the tests and demos: the names ``l39_signatures``,
 ``"l39"`` and ``"l211"``, which stay only while the benchmark calls them,
 appear only in the one test that pins each.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import qtwist
@@ -115,6 +120,16 @@ def test_cli_arguments_have_no_choices():
     assert calls
     assert [node.lineno for node in calls
             if any(kw.arg == "choices" for kw in node.keywords)] == []
+
+
+def test_python_floor_has_int_max_str_digits():
+    # tomllib is 3.11+, so the floor is read with a regex
+    floors = re.findall(r'^requires-python = ">=([\d.]+)"$',
+                        (ROOT / "pyproject.toml").read_text(), re.M)
+    floors += re.findall(r"^Requires Python ≥ ([\d.]*\d)", (ROOT / "README.md").read_text(), re.M)
+    assert len(floors) == 2 and len(set(floors)) == 1, floors
+    assert tuple(map(int, floors[0].split("."))) >= (3, 10, 7)
+    assert "get_int_max_str_digits" in (ROOT / "src/qtwist/exactnum.py").read_text()
 
 
 # each benchmark-only alias, and the one test file that pins it
