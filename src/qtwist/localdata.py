@@ -8,10 +8,12 @@ and p = 2, and the per-prime twist rescaling values u_p(E^d).
 
 The tables are stored as literal row data, the only encoding of the
 classification and of u_p(E^d), whose printed column ``pal_u`` reads (the
-tests check it against ``pal_u_rules`` in ``tests/reference.py``).  At
-import each table gets an index: a dict from the capped p-signature to the
-first row that matches it, so a lookup is one dict access.  The p-signature
-is read off the valuations of s at the largest realizable scale k.  That
+tests check it against ``pal_u_rules`` in ``tests/reference.py``).  Each
+Kodaira outcome is a plain (condition label, kind, n) entry, checked at
+import to give a valid ``KodairaSymbol`` (else TableMissError).  At import
+each table gets an index: a dict from the capped p-signature to the first
+row that matches it, so a lookup is one dict access.  The p-signature is
+read off the valuations of s at the largest realizable scale k.  That
 model is p-minimal by construction, so no row rescales; a row's 2f/2g
 condition (which would mean "not minimal" when false) always holds there.
 The conditions read their residues off the integers of s at scale k with
@@ -33,25 +35,13 @@ from .exactnum import TableMissError, check_d, prime_factors, residue
 from .weierstrass import PSignature, Signature, p_signature, transform
 
 
-class _KodairaSymbol(NamedTuple):
-    kind: str  # one of I0, In, II, III, IV, I0*, In*, IV*, III*, II*
+# I0* is ("In*", 0)
+KINDS = ("I0", "In", "II", "III", "IV", "In*", "IV*", "III*", "II*")
+
+
+class KodairaSymbol(NamedTuple):
+    kind: str  # one of KINDS
     n: int = 0
-
-
-class KodairaSymbol(_KodairaSymbol):
-    __slots__ = ()
-
-    def __new__(cls, kind: str, n: int = 0) -> "KodairaSymbol":
-        if kind == "In" and n < 1:
-            raise ValueError("In requires n >= 1")
-        if kind == "In*" and n < 0:
-            raise ValueError("In* requires n >= 0")
-        return tuple.__new__(cls, (kind, n))
-
-    @classmethod
-    def _make(cls, iterable) -> "KodairaSymbol":
-        # through __new__, so that _replace runs the checks too
-        return cls(*iterable)
 
     @property
     def starred(self) -> bool:
@@ -194,65 +184,55 @@ def _kraus(s: Signature, p: int, vc4, vc6, k: int) -> bool:
 # Row format: (pattern, outcome, pal)
 #   pattern: component patterns for (v(c4), v(c6), v(Delta));
 #            ("e", k) exact, ("g", k) at least k
-#   outcome: list of (condition label or None, symbol factory) tried in
-#            order -- factories take v(Delta) of the scaled signature, so
-#            "6+n"-style rows recover n; a row whose conditions all fail
-#            is a table miss
+#   outcome: list of (condition label or None, kind, n) tried in order;
+#            n is the symbol's n at the row's least v(Delta), and classify
+#            adds v(Delta) minus that least, which is 0 on an exact row, so
+#            ("2d", "In*", 1) is I1* and (None, "In*", 0) on ("g", 6) is
+#            I(v(Delta) - 6)*; a row whose conditions all fail is a table
+#            miss.  ``_index`` checks every outcome at import.
 #   pal:     printed u_p(E^d) columns, the values ``pal_u`` returns: for
 #            p != 2 a pair of exponents of p for (d = 0 mod p,
 #            d != 0 mod p); for p = 2 a value triple for d = 1, 2, 3 mod 4
 #            (entries may be callables of (sig, k, d), which read the
 #            model at scale k as the conditions do)
 
-def _fix(kind, n=0):
-    sym = KodairaSymbol(kind, n)
-    return lambda vd: sym
-
-
-def _In(shift=0):
-    return lambda vd: KodairaSymbol("In", vd + shift) if vd + shift else KodairaSymbol("I0")
-
-
-def _Instar(shift):
-    return lambda vd: KodairaSymbol("In*", vd + shift)
-
-
 TABLE_P_GE5 = [
-    ((("e", 0), ("g", 0), ("e", 0)), [(None, _fix("I0"))], (0, 0)),
-    ((("g", 0), ("e", 0), ("e", 0)), [(None, _fix("I0"))], (0, 0)),
-    ((("g", 0), ("e", 0), ("g", 1)), [(None, _In())], (0, 0)),
-    ((("g", 1), ("e", 1), ("e", 2)), [(None, _fix("II"))], (0, 0)),
-    ((("e", 1), ("g", 2), ("e", 3)), [(None, _fix("III"))], (0, 0)),
-    ((("g", 2), ("e", 2), ("e", 4)), [(None, _fix("IV"))], (0, 0)),
-    ((("e", 2), ("g", 3), ("e", 6)), [(None, _fix("In*", 0))], (1, 0)),
-    ((("g", 2), ("e", 3), ("e", 6)), [(None, _fix("In*", 0))], (1, 0)),
-    ((("e", 2), ("e", 3), ("g", 6)), [(None, _Instar(-6))], (1, 0)),
-    ((("g", 3), ("e", 4), ("e", 8)), [(None, _fix("IV*"))], (1, 0)),
-    ((("e", 3), ("g", 5), ("e", 9)), [(None, _fix("III*"))], (1, 0)),
-    ((("g", 4), ("e", 5), ("e", 10)), [(None, _fix("II*"))], (1, 0)),
+    ((("e", 0), ("g", 0), ("e", 0)), [(None, "I0", 0)], (0, 0)),
+    ((("g", 0), ("e", 0), ("e", 0)), [(None, "I0", 0)], (0, 0)),
+    ((("g", 0), ("e", 0), ("g", 1)), [(None, "In", 1)], (0, 0)),
+    ((("g", 1), ("e", 1), ("e", 2)), [(None, "II", 0)], (0, 0)),
+    ((("e", 1), ("g", 2), ("e", 3)), [(None, "III", 0)], (0, 0)),
+    ((("g", 2), ("e", 2), ("e", 4)), [(None, "IV", 0)], (0, 0)),
+    ((("e", 2), ("g", 3), ("e", 6)), [(None, "In*", 0)], (1, 0)),
+    ((("g", 2), ("e", 3), ("e", 6)), [(None, "In*", 0)], (1, 0)),
+    ((("e", 2), ("e", 3), ("g", 6)), [(None, "In*", 0)], (1, 0)),
+    ((("g", 3), ("e", 4), ("e", 8)), [(None, "IV*", 0)], (1, 0)),
+    ((("e", 3), ("g", 5), ("e", 9)), [(None, "III*", 0)], (1, 0)),
+    ((("g", 4), ("e", 5), ("e", 10)), [(None, "II*", 0)], (1, 0)),
 ]
 
 TABLE_P3 = [
-    ((("e", 0), ("e", 0), ("g", 0)), [(None, _In())], (0, 0)),
-    ((("e", 1), ("g", 3), ("e", 0)), [(None, _fix("I0"))], (0, 0)),
-    ((("g", 2), ("e", 3), ("e", 3)), [("3a", _fix("III")), (None, _fix("II"))], (0, 0)),
-    ((("e", 2), ("e", 3), ("e", 4)), [(None, _fix("II"))], (0, 0)),
-    ((("e", 2), ("e", 3), ("e", 5)), [(None, _fix("IV"))], (0, 0)),
-    ((("e", 2), ("e", 3), ("g", 6)), [(None, _Instar(-6))], (1, 0)),
-    ((("e", 2), ("e", 4), ("e", 3)), [(None, _fix("II"))], (0, 0)),
-    ((("e", 2), ("g", 5), ("e", 3)), [(None, _fix("III"))], (0, 0)),
-    ((("g", 3), ("e", 4), ("e", 5)), [(None, _fix("II"))], (0, 0)),
-    ((("e", 3), ("e", 5), ("e", 6)), [(None, _fix("IV"))], (0, 0)),
-    ((("e", 3), ("g", 6), ("e", 6)), [(None, _fix("In*", 0))], (1, 0)),
-    ((("g", 4), ("e", 5), ("e", 7)), [(None, _fix("IV"))], (0, 0)),
-    ((("g", 4), ("e", 6), ("e", 9)), [("3b", _fix("III*")), (None, _fix("IV*"))], (1, 0)),
-    ((("e", 4), ("e", 6), ("e", 10)), [(None, _fix("IV*"))], (1, 0)),
-    ((("e", 4), ("e", 6), ("e", 11)), [(None, _fix("II*"))], (1, 0)),
-    ((("e", 4), ("e", 7), ("e", 9)), [(None, _fix("IV*"))], (1, 0)),
-    ((("e", 4), ("g", 8), ("e", 9)), [(None, _fix("III*"))], (1, 0)),
-    ((("g", 5), ("e", 7), ("e", 11)), [(None, _fix("IV*"))], (1, 0)),
-    ((("e", 5), ("e", 8), ("e", 12)), [(None, _fix("II*"))], (1, 0)),
-    ((("g", 6), ("e", 8), ("e", 13)), [(None, _fix("II*"))], (1, 0)),
+    ((("e", 0), ("e", 0), ("e", 0)), [(None, "I0", 0)], (0, 0)),
+    ((("e", 0), ("e", 0), ("g", 1)), [(None, "In", 1)], (0, 0)),
+    ((("e", 1), ("g", 3), ("e", 0)), [(None, "I0", 0)], (0, 0)),
+    ((("g", 2), ("e", 3), ("e", 3)), [("3a", "III", 0), (None, "II", 0)], (0, 0)),
+    ((("e", 2), ("e", 3), ("e", 4)), [(None, "II", 0)], (0, 0)),
+    ((("e", 2), ("e", 3), ("e", 5)), [(None, "IV", 0)], (0, 0)),
+    ((("e", 2), ("e", 3), ("g", 6)), [(None, "In*", 0)], (1, 0)),
+    ((("e", 2), ("e", 4), ("e", 3)), [(None, "II", 0)], (0, 0)),
+    ((("e", 2), ("g", 5), ("e", 3)), [(None, "III", 0)], (0, 0)),
+    ((("g", 3), ("e", 4), ("e", 5)), [(None, "II", 0)], (0, 0)),
+    ((("e", 3), ("e", 5), ("e", 6)), [(None, "IV", 0)], (0, 0)),
+    ((("e", 3), ("g", 6), ("e", 6)), [(None, "In*", 0)], (1, 0)),
+    ((("g", 4), ("e", 5), ("e", 7)), [(None, "IV", 0)], (0, 0)),
+    ((("g", 4), ("e", 6), ("e", 9)), [("3b", "III*", 0), (None, "IV*", 0)], (1, 0)),
+    ((("e", 4), ("e", 6), ("e", 10)), [(None, "IV*", 0)], (1, 0)),
+    ((("e", 4), ("e", 6), ("e", 11)), [(None, "II*", 0)], (1, 0)),
+    ((("e", 4), ("e", 7), ("e", 9)), [(None, "IV*", 0)], (1, 0)),
+    ((("e", 4), ("g", 8), ("e", 9)), [(None, "III*", 0)], (1, 0)),
+    ((("g", 5), ("e", 7), ("e", 11)), [(None, "IV*", 0)], (1, 0)),
+    ((("e", 5), ("e", 8), ("e", 12)), [(None, "II*", 0)], (1, 0)),
+    ((("g", 6), ("e", 8), ("e", 13)), [(None, "II*", 0)], (1, 0)),
 ]
 
 
@@ -270,39 +250,40 @@ def _pal_6918(s: Signature, k: int, d: int) -> Fraction:
 _H = Fraction(1, 2)
 
 TABLE_P2 = [
-    ((("e", 0), ("e", 0), ("g", 0)), [(None, _In())], (1, _H, _H)),
-    ((("g", 4), ("e", 3), ("e", 0)), [(None, _fix("I0"))], (1, 1, _H)),
+    ((("e", 0), ("e", 0), ("e", 0)), [(None, "I0", 0)], (1, _H, _H)),
+    ((("e", 0), ("e", 0), ("g", 1)), [(None, "In", 1)], (1, _H, _H)),
+    ((("g", 4), ("e", 3), ("e", 0)), [(None, "I0", 0)], (1, 1, _H)),
     ((("e", 4), ("e", 5), ("e", 4)),
-     [("2a", _fix("II")), ("2b", _fix("III")), (None, _fix("IV"))], (1, 1, 1)),
-    ((("e", 4), ("g", 6), ("e", 6)), [("2a", _fix("II")), (None, _fix("III"))], (1, 1, 1)),
-    ((("e", 4), ("e", 6), ("e", 7)), [(None, _fix("II"))], (1, 1, 1)),
+     [("2a", "II", 0), ("2b", "III", 0), (None, "IV", 0)], (1, 1, 1)),
+    ((("e", 4), ("g", 6), ("e", 6)), [("2a", "II", 0), (None, "III", 0)], (1, 1, 1)),
+    ((("e", 4), ("e", 6), ("e", 7)), [(None, "II", 0)], (1, 1, 1)),
     ((("e", 4), ("e", 6), ("e", 8)),
-     [("2c", _fix("In*", 0)), ("2d", _fix("In*", 1)), (None, _fix("IV*"))], (1, 1, 1)),
-    ((("e", 4), ("e", 6), ("e", 9)), [(None, _fix("In*", 0))], (1, 1, 1)),
-    ((("e", 4), ("e", 6), ("e", 10)), [("2d", _fix("In*", 2)), (None, _fix("III*"))], (1, 1, 1)),
-    ((("e", 4), ("e", 6), ("e", 11)), [("2d", _fix("In*", 3)), (None, _fix("II*"))], (1, 1, 1)),
-    ((("e", 4), ("e", 6), ("g", 12)), [("2f", _Instar(-8))], (1, 1, 2)),
-    ((("e", 5), ("e", 5), ("e", 4)), [("2a", _fix("II")), (None, _fix("III"))], (1, 1, 1)),
-    ((("e", 5), ("e", 6), ("e", 6)), [(None, _fix("II"))], (1, 1, 1)),
-    ((("g", 6), ("e", 6), ("e", 6)), [(None, _fix("II"))], (1, _pal_666, 1)),
-    ((("e", 5), ("e", 7), ("e", 8)), [(None, _fix("III"))], (1, 1, 1)),
-    ((("e", 5), ("g", 8), ("e", 9)), [(None, _fix("III"))], (1, 1, 1)),
-    ((("g", 6), ("e", 5), ("e", 4)), [("2a", _fix("II")), (None, _fix("IV"))], (1, 1, 1)),
-    ((("e", 6), ("e", 7), ("e", 8)), [("2c", _fix("In*", 0)), (None, _fix("In*", 1))], (1, 1, 1)),
-    ((("g", 6), ("e", 8), ("e", 10)), [(None, _fix("In*", 0))], (1, 2, 1)),
-    ((("e", 6), ("e", 9), ("e", 13)), [(None, _fix("In*", 2))], (1, 2, 1)),
-    ((("e", 6), ("e", 9), ("e", 14)), [(None, _Instar(-10))], (1, 2, 1)),  # (6,9,14+n), n<4
-    ((("e", 6), ("e", 9), ("e", 15)), [(None, _Instar(-10))], (1, 2, 1)),
-    ((("e", 6), ("e", 9), ("e", 16)), [(None, _Instar(-10))], (1, 2, 1)),
-    ((("e", 6), ("e", 9), ("e", 17)), [(None, _Instar(-10))], (1, 2, 1)),
-    ((("e", 6), ("e", 9), ("g", 18)), [(None, _Instar(-10))], (1, _pal_6918, 1)),
-    ((("e", 6), ("g", 9), ("e", 12)), [("2e", _fix("In*", 2)), (None, _fix("In*", 3))], (1, 2, 1)),
-    ((("g", 7), ("e", 7), ("e", 8)), [("2c", _fix("In*", 0)), (None, _fix("IV*"))], (1, 1, 1)),
-    ((("e", 7), ("e", 9), ("e", 12)), [(None, _fix("III*"))], (1, 2, 1)),
-    ((("e", 7), ("e", 10), ("e", 14)), [(None, _fix("III*"))], (1, 2, 1)),
-    ((("e", 7), ("g", 11), ("e", 15)), [(None, _fix("III*"))], (1, 2, 1)),
-    ((("g", 8), ("e", 9), ("e", 12)), [("2g", _fix("II*"))], (1, 2, 2)),
-    ((("g", 8), ("e", 10), ("e", 14)), [(None, _fix("II*"))], (1, 2, 1)),
+     [("2c", "In*", 0), ("2d", "In*", 1), (None, "IV*", 0)], (1, 1, 1)),
+    ((("e", 4), ("e", 6), ("e", 9)), [(None, "In*", 0)], (1, 1, 1)),
+    ((("e", 4), ("e", 6), ("e", 10)), [("2d", "In*", 2), (None, "III*", 0)], (1, 1, 1)),
+    ((("e", 4), ("e", 6), ("e", 11)), [("2d", "In*", 3), (None, "II*", 0)], (1, 1, 1)),
+    ((("e", 4), ("e", 6), ("g", 12)), [("2f", "In*", 4)], (1, 1, 2)),
+    ((("e", 5), ("e", 5), ("e", 4)), [("2a", "II", 0), (None, "III", 0)], (1, 1, 1)),
+    ((("e", 5), ("e", 6), ("e", 6)), [(None, "II", 0)], (1, 1, 1)),
+    ((("g", 6), ("e", 6), ("e", 6)), [(None, "II", 0)], (1, _pal_666, 1)),
+    ((("e", 5), ("e", 7), ("e", 8)), [(None, "III", 0)], (1, 1, 1)),
+    ((("e", 5), ("g", 8), ("e", 9)), [(None, "III", 0)], (1, 1, 1)),
+    ((("g", 6), ("e", 5), ("e", 4)), [("2a", "II", 0), (None, "IV", 0)], (1, 1, 1)),
+    ((("e", 6), ("e", 7), ("e", 8)), [("2c", "In*", 0), (None, "In*", 1)], (1, 1, 1)),
+    ((("g", 6), ("e", 8), ("e", 10)), [(None, "In*", 0)], (1, 2, 1)),
+    ((("e", 6), ("e", 9), ("e", 13)), [(None, "In*", 2)], (1, 2, 1)),
+    ((("e", 6), ("e", 9), ("e", 14)), [(None, "In*", 4)], (1, 2, 1)),
+    ((("e", 6), ("e", 9), ("e", 15)), [(None, "In*", 5)], (1, 2, 1)),
+    ((("e", 6), ("e", 9), ("e", 16)), [(None, "In*", 6)], (1, 2, 1)),
+    ((("e", 6), ("e", 9), ("e", 17)), [(None, "In*", 7)], (1, 2, 1)),
+    ((("e", 6), ("e", 9), ("g", 18)), [(None, "In*", 8)], (1, _pal_6918, 1)),
+    ((("e", 6), ("g", 9), ("e", 12)), [("2e", "In*", 2), (None, "In*", 3)], (1, 2, 1)),
+    ((("g", 7), ("e", 7), ("e", 8)), [("2c", "In*", 0), (None, "IV*", 0)], (1, 1, 1)),
+    ((("e", 7), ("e", 9), ("e", 12)), [(None, "III*", 0)], (1, 2, 1)),
+    ((("e", 7), ("e", 10), ("e", 14)), [(None, "III*", 0)], (1, 2, 1)),
+    ((("e", 7), ("g", 11), ("e", 15)), [(None, "III*", 0)], (1, 2, 1)),
+    ((("g", 8), ("e", 9), ("e", 12)), [("2g", "II*", 0)], (1, 2, 2)),
+    ((("g", 8), ("e", 10), ("e", 14)), [(None, "II*", 0)], (1, 2, 1)),
 ]
 
 
@@ -311,10 +292,24 @@ def _index(table) -> tuple:
     threshold in the table + 1, and index maps each capped p-signature
     that a row matches to the first such row.  Capping keeps every match:
     an exact pattern is below the cap, and an "at least" pattern starts
-    below it."""
+    below it.
+
+    TableMissError unless each outcome is a triple of a known condition, a
+    known kind and an int n: at least 1 for In, at least 0 for In*, else 0
+    on an exact v(Delta) row.  So every symbol classify builds is valid.
+    """
     caps = tuple(max(row[0][i][1] for row in table) + 1 for i in range(3))
     index: dict = {}
     for row in table:
+        for outcome in row[1]:
+            # not a triple: refused below as an unknown kind, not left to
+            # the unpacking, whose ValueError the CLI reports as bad input
+            label, kind, n = outcome if len(outcome) == 3 else (None, None, None)
+            least = {"In": 1, "In*": 0}.get(kind)  # None: n is 0, v(Delta) exact
+            if (label not in (None, *_CONDITIONS) or kind not in KINDS or type(n) is not int
+                    or (n < least if least is not None else n != 0 or row[0][2][0] == "g")):
+                raise TableMissError(f"row {row[0]}: outcome {outcome} is not a valid "
+                                     f"Kodaira symbol")
         for key in itertools.product(*((k,) if op == "e" else range(k, cap + 1)
                                         for (op, k), cap in zip(row[0], caps))):
             index.setdefault(key, row)
@@ -356,12 +351,12 @@ def classify(s: Signature, p: int) -> LocalClassification:
     if row is None:
         raise TableMissError(f"p={p}: no row for sig_p = {psig}")
     fired: set[str] = set()
-    for label, sym in row[1]:
+    for label, kind, n in row[1]:
         if label is not None:
             fired.add(label)
         if label is None or _CONDITIONS[label](s, k):
-            return LocalClassification(p, k, PSignature(*psig), sym(psig[2]), frozenset(fired),
-                                       row[2], s)
+            sym = KodairaSymbol(kind, n + psig[2] - row[0][2][1])
+            return LocalClassification(p, k, PSignature(*psig), sym, frozenset(fired), row[2], s)
     raise TableMissError(f"p={p}: no condition of the row for sig_p = {psig} holds")
 
 

@@ -535,35 +535,80 @@ def broken_src(tmp_path_factory):
     return src
 
 
+# the row of TABLE_P3 for (0, 0, >= 1), and a copy with an invalid outcome
+P3_IN_ROW = '((("e", 0), ("e", 0), ("g", 1)), [(None, "In", 1)], (0, 0)),'
+P3_IN_ROW_BROKEN = '((("e", 0), ("e", 0), ("g", 1)), [(None, "In", 0)], (0, 0)),'
+
+
+@pytest.fixture(scope="module")
+def broken_localdata_src(tmp_path_factory):
+    """The folder of a copy of the package whose TABLE_P3 gives I_0 as In
+    with n = 0 on the row (0, 0, >= 1)."""
+    src = tmp_path_factory.mktemp("broken_localdata_src")
+    shutil.copytree(ROOT / "src" / "qtwist", src / "qtwist",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    localdata = src / "qtwist" / "localdata.py"
+    text = localdata.read_text()
+    assert text.count(P3_IN_ROW) == 1
+    localdata.write_text(text.replace(P3_IN_ROW, P3_IN_ROW_BROKEN))
+    return src
+
+
+def run_copy(src, argv, *flags):
+    return subprocess.run([sys.executable, *flags, "-m", "qtwist.cli", *argv],
+                          capture_output=True, text=True, env=src_env(src))
+
+
+def assert_exit_3(proc, error):
+    """Exit 3 with nothing on stdout and one JSON error line on stderr,
+    which starts with error."""
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"].startswith(error)
+
+
 class TestBrokenRegistry:
     """A broken registry fails at import, as an internal error: each
     subcommand that loads ``graphs`` exits 3, and the others still run."""
 
-    @staticmethod
-    def run_copy(src, argv, *flags):
-        return subprocess.run([sys.executable, *flags, "-m", "qtwist.cli", *argv],
-                              capture_output=True, text=True, env=src_env(src))
-
-    @staticmethod
-    def assert_exit_3(proc):
-        assert proc.returncode == 3, proc.stderr
-        assert proc.stdout == ""
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1
-        assert json.loads(lines[0])["error"].startswith("internal: L2_2 ")
-
     @pytest.mark.parametrize("argv", [argv for argv, modules in SUBCOMMAND_MODULES
                                       if "graphs" in modules], ids=" ".join)
     def test_graphs_commands_exit_3(self, broken_src, argv):
-        self.assert_exit_3(self.run_copy(broken_src, argv))
+        assert_exit_3(run_copy(broken_src, argv), "internal: L2_2 ")
 
     @pytest.mark.parametrize("argv", [argv for argv, modules in SUBCOMMAND_MODULES
                                       if "graphs" not in modules], ids=" ".join)
     def test_other_commands_exit_0(self, broken_src, argv):
-        proc = self.run_copy(broken_src, argv)
+        proc = run_copy(broken_src, argv)
         assert proc.returncode == 0, proc.stderr
 
     def test_exit_3_without_assert(self, broken_src):
         # python -O strips assert; the registry check does not rest on one
-        self.assert_exit_3(self.run_copy(broken_src, ["faltings", "--type", "L2_11", "--d", "11"],
-                                         "-O"))
+        assert_exit_3(run_copy(broken_src, ["faltings", "--type", "L2_11", "--d", "11"], "-O"),
+                      "internal: L2_2 ")
+
+
+class TestBrokenLocalTables:
+    """A local table with an invalid outcome fails at import, as an
+    internal error: each subcommand that loads ``localdata`` exits 3, and
+    the others still run."""
+
+    ERROR = "internal: row (('e', 0), ('e', 0), ('g', 1)): outcome (None, 'In', 0) "
+
+    @pytest.mark.parametrize("argv", [argv for argv, modules in SUBCOMMAND_MODULES
+                                      if "localdata" in modules], ids=" ".join)
+    def test_localdata_commands_exit_3(self, broken_localdata_src, argv):
+        assert_exit_3(run_copy(broken_localdata_src, argv), self.ERROR)
+
+    @pytest.mark.parametrize("argv", [argv for argv, modules in SUBCOMMAND_MODULES
+                                      if "localdata" not in modules], ids=" ".join)
+    def test_other_commands_exit_0(self, broken_localdata_src, argv):
+        proc = run_copy(broken_localdata_src, argv)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_exit_3_without_assert(self, broken_localdata_src):
+        # python -O strips assert; the outcome check does not rest on one
+        assert_exit_3(run_copy(broken_localdata_src, ["classify", "--ainvs", "1,1,1,-30,-76",
+                                                      "--p", "11"], "-O"), self.ERROR)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qtwist import exactnum, localdata
+from qtwist.exactnum import TableMissError
 from qtwist.families import class_signatures
 from qtwist.localdata import (
     KodairaSymbol,
@@ -240,7 +242,7 @@ class TestPal:
             for i, (pattern, _outcome, pal) in enumerate(table):
                 for s in itertools.islice(_sigs_of_pattern(p, pattern, rng), 200):
                     c0 = classify(s, p)
-                    if c0.k != 0 or _row_index(table, c0.minimal_psig) != i:
+                    if c0.k != 0 or _match_row(table, c0.minimal_psig) is not table[i]:
                         continue
                     hits[i] += 1
                     for c in (c0, classify(transform(s, p), p)):
@@ -256,12 +258,6 @@ class TestPal:
         # global_pal skips the odd primes that do not divide d
         for table in (localdata.TABLE_P3, localdata.TABLE_P_GE5):
             assert all(pal[1] == 0 for _pattern, _outcome, pal in table)
-
-
-def _row_index(table, psig) -> int:
-    """Index of the first row of table whose pattern matches psig."""
-    return next(i for i, (pattern, _outcome, _pal) in enumerate(table)
-                if all(v == k if op == "e" else v >= k for (op, k), v in zip(pattern, psig)))
 
 
 def _sigs_of_pattern(p: int, pattern, rng):
@@ -396,6 +392,34 @@ class TestIndex:
     def test_negative_valuation_misses(self):
         # classify never looks up a negative valuation; the index has none
         assert localdata._row(2, (-1, 0, 0)) is None is _match_row(TABLES[2], (-1, 0, 0))
+
+
+class TestOutcomeCheck:
+    """Each table's outcomes are checked when it is indexed, at import, so
+    every symbol classify builds is valid and ``KodairaSymbol`` checks
+    nothing."""
+
+    def test_outcomes_are_plain_tuples(self):
+        outcomes = [o for table in TABLES.values() for _pattern, row, _pal in table for o in row]
+        assert all(type(o) is tuple and len(o) == 3 and type(o[0]) in (str, type(None))
+                   and type(o[1]) is str and type(o[2]) is int for o in outcomes)
+        assert {o[1] for o in outcomes} == set(localdata.KINDS)
+
+    # a one-row table whose outcome classify could not turn into a valid symbol
+    @pytest.mark.parametrize("vdelta, outcome", [
+        (("g", 1), (None, "In")),
+        (("g", 1), (None, "In", 0)),
+        (("g", 6), (None, "In*", -1)),
+        (("e", 0), (None, "I5", 0)),
+        (("g", 2), (None, "II", 0)),
+        (("e", 2), (None, "II", 1)),
+        (("g", 1), (None, "In", 1.0)),
+        (("e", 3), ("2h", "III", 0)),
+    ], ids=["In_no_n", "In_0", "In*_-1", "unknown_kind", "II_at_least", "II_1", "n_not_int",
+            "unknown_condition"])
+    def test_refuses(self, vdelta, outcome):
+        with pytest.raises(TableMissError, match=re.escape(f": outcome {outcome} is not a valid")):
+            localdata._index([((("g", 0), ("g", 0), vdelta), [outcome], (0, 0))])
 
 
 # ---------------------------------------------------------------------------

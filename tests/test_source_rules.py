@@ -13,8 +13,9 @@
 * No module defines both a function ``f`` and a function ``_f``: a public
   function is not a checking wrapper around a private twin, so a tracer
   that rebinds ``f`` sees every call.
-* ``graphs.py`` defines no ``lambda`` and no nested function: a branch
-  classifier is a table (``graphs.PrimeBlock``) that other code can read,
+* ``graphs.py`` and ``localdata.py`` define no ``lambda`` and no nested
+  function: a branch classifier is a table (``graphs.PrimeBlock``), and a
+  Kodaira outcome a (condition, kind, n) entry, that other code can read,
   never a closure.
 * No module calls ``graphs.faltings_by_volumes``: each ``GraphType``
   checks its decision rows against the volume argmax at import, so a query
@@ -36,6 +37,8 @@ appear only in the one test that pins each.
 import ast
 import re
 from pathlib import Path
+
+import pytest
 
 import qtwist
 
@@ -156,13 +159,24 @@ def test_no_function_has_a_private_twin():
     assert twins == []
 
 
-def test_graphs_has_no_closures():
-    tree = TREES["graphs.py"]
+def _closures(tree):
+    """The lines of every lambda and every function defined in a function."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef)
     found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Lambda)]
     found += [inner.lineno for outer in ast.walk(tree) if isinstance(outer, defs)
               for inner in ast.walk(outer) if inner is not outer and isinstance(inner, defs)]
-    assert found == []
+    return found
+
+
+def test_closure_rule_flags_lambda_and_nested_def():
+    assert _closures(ast.parse("def f(kind):\n    return lambda vd: kind\n")) == [2]
+    assert _closures(ast.parse("def f(kind):\n    def g(vd):\n        return kind\n")) == [2]
+    assert _closures(ast.parse("KINDS = ('I0',)\ndef f(vd):\n    return vd\n")) == []
+
+
+@pytest.mark.parametrize("module", ["graphs.py", "localdata.py"])
+def test_table_modules_have_no_closures(module):
+    assert _closures(TREES[module]) == []
 
 
 def test_no_module_calls_faltings_by_volumes():
