@@ -240,7 +240,7 @@ def run(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         result = args.fn(args)
-    except (ValueError, ZeroDivisionError) as e:
+    except ValueError as e:
         print(json.dumps({"error": str(e)}), file=sys.stderr)
         return 2
     except (TableMissError, TieError) as e:

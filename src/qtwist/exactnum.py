@@ -360,6 +360,8 @@ def check_d(d: int) -> frozenset:
 
 # the decimal exponent of a string that Fraction reads, as in "1.5e-7"
 _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\Z")
+# a run of digits that int() reads as one number, as in "1_000"
+_DIGIT_RUN = re.compile(r"\d+(?:_\d+)*")
 
 
 def parse_rat(s: str) -> Fraction:
@@ -377,7 +379,14 @@ def parse_rat(s: str) -> Fraction:
         x = Fraction(s)
     except ZeroDivisionError:
         raise ValueError(f"{s!r} has a zero denominator") from None
-    digits = max(_digits(abs(x.numerator)), _digits(x.denominator))
+    except ValueError:
+        # a part past the limit, which int() refuses in Python's words, or
+        # not a number at all
+        digits = max((len(run.replace("_", "")) for run in _DIGIT_RUN.findall(s)), default=0)
+        if digits <= limit:
+            raise
+    else:
+        digits = max(_digits(abs(x.numerator)), _digits(x.denominator))
     if digits > limit:
         raise ValueError(f"the input has a {digits}-digit number, which is past the "
                          f"{limit}-digit input limit")

@@ -1,15 +1,15 @@
 """Isogeny-graph types and the closed-form Faltings decision.
 
 Each type is one ``GraphType`` spec in a single registry.  A spec holds
-the graph with its volume vector, one ``PrimeBlock`` per prime at which
-the branch or the twist matters (a table from the hauptmodul value t to
+the graph, its edges nearer end first (they give the volume vector: 1
+over each vertex's isogeny degree from the first), one ``PrimeBlock``
+per prime at which the branch or the twist matters (a table from t to
 its branch, which also gives the excluded t besides the cusp t = 0, and
-the u-vector exponents of each branch), and the literal decision rows
-keyed by the tuple of block branch keys.  A decision row is a
-``FaltingsResult``: the winning vertex and its condition on d, which is
-also the answer that ``faltings_by_theorem`` and ``prob_table`` return.
-Genus >= 1 types are the degenerate case: no t, one block, and a
-one-entry table, so one branch.
+the u-exponents of each branch), and the literal decision rows keyed by
+the block keys.  A decision row is a ``FaltingsResult``: the winning
+vertex and its condition on d, also the answer of ``faltings_by_theorem``
+and ``prob_table``.  Genus >= 1 types are the degenerate case: no t, one
+block, and a one-entry table, so one branch.
 
 Two independent encodings coexist on purpose:
 
@@ -66,8 +66,8 @@ class PrimeBlock(NamedTuple):
     ``keys[i]`` is the branch of the t with v_p(t) = lo + i, the first
     entry also that of every smaller valuation and the last that of every
     larger one.  An entry is a key; or a dict from the residue of t's
-    p-free part (mod 4 at p = 2, mod p otherwise) to a key; or a tuple of m
-    keys indexed by v_p(t + p^v) mod m at v = v_p(t), which leaves
+    p-free part (mod 4 at p = 2, mod p otherwise) to a key; or a tuple of
+    m >= 1 keys indexed by v_p(t + p^v) mod m at v = v_p(t), which leaves
     t = -p^v undefined (``GraphType.excluded``).  A genus >= 1 type has no
     t: its one block's table is the one key "all".
 
@@ -106,29 +106,41 @@ class UVectors(NamedTuple):
 class GraphType:
     """One isogeny-graph type and every rule that decides its Faltings vertex."""
 
-    def __init__(self, kind: str, vertices: tuple, volumes: tuple, edges: tuple,
-                 blocks: tuple, decisions: dict) -> None:
+    def __init__(self, kind: str, vertices: tuple, edges: tuple, blocks: tuple,
+                 decisions: dict) -> None:
         self.kind = kind
         self.vertices = vertices
-        self.volumes = volumes      # projective, first entry 1
-        self.edges = edges          # (label, label, isogeny degree)
+        # (nearer label, farther label, isogeny degree), each edge's nearer
+        # end the first vertex or an end of an edge before it
+        self.edges = edges
         # isogeny primes: the edge degrees
         self.primes = tuple(sorted({deg for _, _, deg in edges}))
         self.blocks = blocks        # of PrimeBlock, by increasing prime
         self.decisions = decisions  # tuple of block keys -> (FaltingsResult, ...)
+        # each vertex's isogeny degree from the first, read off the edges in
+        # one pass: an edge gives its farther end its nearer end's degree
+        # times its own, and no vertex may get two degrees
+        degree = {vertices[0]: 1}
+        for a, b, p in edges:
+            if a not in degree or degree.setdefault(b, degree[a] * p) != degree[a] * p:
+                raise TableMissError(f"{kind}: {a}-{b} is out of order or gives {b} two degrees")
+        if set(degree) != set(vertices):
+            raise TableMissError(f"{kind}: the edges reach {sorted(degree)}, not {vertices}")
+        # the Neron volumes, projective with the first at 1: an isogeny of
+        # prime degree p changes the volume by p or 1/p
+        self.volumes = tuple(Fraction(1, degree[v]) for v in vertices)
         # u-exponents are non-negative ints, one per vertex, so every u is
         # an int.  Each table reaches exactly its block's keys, each residue
-        # dict reads every unit, and an offset entry at v, never the first or
-        # last, leaves t = -p^v undefined.
-        n = len(self.vertices)
+        # dict reads every unit, and an offset entry at v, neither empty nor
+        # the first or last, leaves t = -p^v undefined.
         excluded = []
         for block in self.blocks:
             for key, exps in block.rows.items():
                 for exp in exps:
-                    if exp is not None and (len(exp) != n or any(
+                    if exp is not None and (len(exp) != len(vertices) or any(
                             type(e) is not int or e < 0 for e in exp)):
                         raise TableMissError(f"{self.kind} {key}: u-exponents {exp} are not "
-                                             f"{n} non-negative ints")
+                                             f"{len(vertices)} non-negative ints")
             p, keys, reached = block.p, block.keys, set()
             for v, entry in enumerate(keys, block.lo):
                 if type(entry) is dict:
@@ -139,16 +151,16 @@ class GraphType:
                 elif type(entry) is tuple:
                     excluded.append(Fraction(-p**v))
                 reached.update(entry if type(entry) is tuple else (entry,))
-            if reached != set(block.rows) or tuple in (type(keys[0]), type(keys[-1])):
+            if reached != {*block.rows} or () in keys or tuple in (type(keys[0]), type(keys[-1])):
                 raise TableMissError(f"{self.kind} at {p}: the table {keys} must reach exactly "
                                      f"the rows {sorted(block.rows)} and have no offset "
-                                     f"entry at an end")
+                                     f"entry empty or at an end")
         self.excluded = tuple(excluded)  # t values besides 0 where a branch is undefined
         # no block reads t: a genus >= 1 type
         self.genus_ge_1 = all(len(b.keys) == 1 for b in self.blocks)
         # the volumes as ints: times the lcm of their denominators
-        m = math.lcm(*(v.denominator for v in self.volumes))
-        self.weights = tuple(v.numerator * (m // v.denominator) for v in self.volumes)
+        m = math.lcm(*degree.values())
+        self.weights = tuple(m // degree[v] for v in vertices)
         # every combination of block keys has rows, each row splits d at a
         # block prime if at all, and for every set of block primes dividing
         # d (all that a row or u(E^d) reads of d) exactly one row matches d
@@ -213,24 +225,21 @@ def _split(p, ndiv, div):
 _TYPES: dict = {}
 
 
-def _register(kind, vertices, inverse_volumes, edges, blocks, decisions):
-    _TYPES[kind] = GraphType(
-        kind, tuple(vertices), tuple(Fraction(1, v) for v in inverse_volumes), tuple(edges),
-        tuple(blocks),
-        {k if isinstance(k, tuple) else (k,): rows for k, rows in decisions.items()})
+def _register(kind, vertices, edges, blocks, decisions):
+    _TYPES[kind] = GraphType(kind, tuple(vertices), tuple(edges), tuple(blocks), {
+        k if isinstance(k, tuple) else (k,): rows for k, rows in decisions.items()})
 
 
 def _line(kind, p, length, blocks, decisions):
     """Chain E_1 -- p -- E_p -- p -- ... of the given number of vertices."""
     labels = [f"E_{p**i}" for i in range(length)]
-    _register(kind, labels, [p**i for i in range(length)],
-              [(labels[i], labels[i + 1], p) for i in range(length - 1)], blocks, decisions)
+    _register(kind, labels, [(a, b, p) for a, b in zip(labels, labels[1:])], blocks, decisions)
 
 
 def _rect(p, q, blocks, decisions):
     """The square E_1, E_p, E_q, E_pq of R4_pq."""
     e1, ep, eq, epq = "E_1", f"E_{p}", f"E_{q}", f"E_{p * q}"
-    _register(f"R4_{p * q}", (e1, ep, eq, epq), (1, p, q, p * q),
+    _register(f"R4_{p * q}", (e1, ep, eq, epq),
               ((e1, eq, q), (e1, ep, p), (ep, epq, q), (eq, epq, p)), blocks, decisions)
 
 
@@ -294,11 +303,11 @@ _line("L3_25", 5, 3, [PrimeBlock(5, 0, ("v<=0", "v>=1"), {
     "v<=0": (None, None),
 })], {"v>=1": _every("E_25"), "v<=0": _every("E_1")})
 
-_register("T4", ("E_1", "E_2", "E_4", "E_12"), (1, 2, 4, 4),
+_register("T4", ("E_1", "E_2", "E_4", "E_12"),
           (("E_1", "E_2", 2), ("E_2", "E_4", 2), ("E_2", "E_12", 2)),
           [PrimeBlock(2, 2, ("v<=2", "v=3", {1: "v=4,1(4)", 3: "v=4,3(4)"}, "v=5",
                                "v>=6"), {
-              "v>=6": ((0, 1, 2, 0), None),
+              "v>=6": ((0, 1, 2, 1), None),
               "v=5": ((0, 1, 1, 1), (0, 0, 1, 0)),
               "v=4,1(4)": ((0, 1, 1, 1), (0, 0, 0, 1)),
               "v=4,3(4)": ((0, 1, 1, 2), None),
@@ -312,8 +321,8 @@ _register("T4", ("E_1", "E_2", "E_4", "E_12"), (1, 2, 4, 4),
            "v=3": _split(2, "E_1", "E_2"),
            "v<=2": _every("E_1")})
 
-_register("T6", ("E_1", "E_2", "E_12", "E_4", "E_8", "E_22"), (1, 2, 4, 4, 8, 8),
-          (("E_1", "E_2", 2), ("E_12", "E_2", 2), ("E_2", "E_4", 2),
+_register("T6", ("E_1", "E_2", "E_12", "E_4", "E_8", "E_22"),
+          (("E_1", "E_2", 2), ("E_2", "E_12", 2), ("E_2", "E_4", 2),
            ("E_4", "E_8", 2), ("E_4", "E_22", 2)),
           [PrimeBlock(2, 1, ("v<=1", {1: "v=2,1(4)", 3: "v=2,3(4)"}, "v>=3"), {
               "v>=3": ((0, 1, 2, 1, 1, 1), None),
@@ -327,8 +336,7 @@ _register("T6", ("E_1", "E_2", "E_12", "E_4", "E_8", "E_22"), (1, 2, 4, 4, 8, 8)
            "v<=1": _every("E_1")})
 
 _register("T8", ("E_1", "E_2", "E_21", "E_4", "E_41", "E_8", "E_81", "E_16"),
-          (1, 2, 4, 4, 8, 8, 16, 16),
-          (("E_1", "E_2", 2), ("E_21", "E_2", 2), ("E_2", "E_4", 2), ("E_4", "E_41", 2),
+          (("E_1", "E_2", 2), ("E_2", "E_21", 2), ("E_2", "E_4", 2), ("E_4", "E_41", 2),
            ("E_4", "E_8", 2), ("E_8", "E_81", 2), ("E_8", "E_16", 2)),
           [PrimeBlock(2, 0, ("v<=0", {1: "v=1,1(4)", 3: "v=1,3(4)"}, "v>=2"), {
               "v>=2": ((0, 1, 2, 1, 1, 1, 1, 1), None),
@@ -372,9 +380,9 @@ _rect(2, 5, [
     ("v2<=0", "other"): _every("E_1"),
     ("v2<=0", "t=4(5)"): _every("E_5")})
 
-_register("R6", ("E_1", "E_2", "E_3", "E_6", "E_9", "E_18"), (1, 2, 3, 6, 9, 18),
-          (("E_1", "E_3", 3), ("E_3", "E_9", 3), ("E_2", "E_6", 3), ("E_6", "E_18", 3),
-           ("E_1", "E_2", 2), ("E_3", "E_6", 2), ("E_9", "E_18", 2)),
+_register("R6", ("E_1", "E_2", "E_3", "E_6", "E_9", "E_18"),
+          (("E_1", "E_3", 3), ("E_3", "E_9", 3), ("E_1", "E_2", 2), ("E_2", "E_6", 3),
+           ("E_6", "E_18", 3), ("E_3", "E_6", 2), ("E_9", "E_18", 2)),
           [PrimeBlock(2, 0, ("v2<=0", "v2>0"), {
               "v2>0": ((0, 1, 0, 1, 0, 1), None),
               "v2<=0": (None, None)}),
@@ -387,7 +395,6 @@ _register("R6", ("E_1", "E_2", "E_3", "E_6", "E_9", "E_18"), (1, 2, 3, 6, 9, 18)
            ("v2<=0", "v3=0"): _every("E_9")})
 
 _register("S8", ("E_1", "E_3", "E_2", "E_6", "E_21", "E_12", "E_4", "E_31"),
-          (1, 3, 2, 6, 4, 12, 4, 12),
           (("E_1", "E_3", 3), ("E_1", "E_2", 2), ("E_3", "E_6", 2), ("E_2", "E_6", 3),
            ("E_2", "E_21", 2), ("E_2", "E_4", 2), ("E_6", "E_12", 2), ("E_6", "E_31", 2),
            ("E_21", "E_12", 3), ("E_4", "E_31", 3)),

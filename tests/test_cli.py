@@ -189,14 +189,25 @@ class TestValidation:
         if "--sig=1,2" in argv:
             assert error == "--sig needs c4,c6,delta"
 
-    @pytest.mark.parametrize("t", ["1e-100000", "1e-2000000000", "1." + "1" * 4000 + "e-1000"],
-                             ids=["1e-100000", "1e-2000000000", "5001_digits"])
+    @pytest.mark.parametrize("t", ["1e-100000", "1e-2000000000", "1." + "1" * 4000 + "e-1000",
+                                   "7" * 4301, "1/" + "7" * 4301],
+                             ids=["1e-100000", "1e-2000000000", "5001_digits",
+                                  "4301_digit_integer", "4301_digit_denominator"])
     def test_past_input_digit_limit_exit_2(self, t, capsys):
-        # an exponent is refused before 10^exponent is built
+        # an exponent is refused before 10^exponent is built, and a part past
+        # the limit gets the package's message, not int()'s
         start = time.perf_counter()
         error = refused("prob", "--type=T4", f"--t={t}", capsys=capsys)
         assert time.perf_counter() - start < 1
         assert error.endswith(f"past the {sys.get_int_max_str_digits()}-digit input limit")
+        if "7" * 4301 in t:
+            assert error.startswith("the input has a 4301-digit number")
+
+    @pytest.mark.parametrize("t", ["7" * 4300, "-1/" + "7" * 4300],
+                             ids=["4300_digit_integer", "4300_digit_denominator"])
+    def test_at_input_digit_limit_exit_0(self, t, capsys):
+        out = ok("prob", "--type=T4", f"--t={t}", capsys=capsys)
+        assert out["t"] == t
 
     @pytest.mark.parametrize("d", [12, 0, 10**24 + 7])
     @pytest.mark.parametrize("argv", [

@@ -8,6 +8,7 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qtwist import exactnum
 from qtwist.exactnum import (
     D_MAX,
     _strong_lucas,
@@ -282,6 +283,14 @@ class TestPrimeFactors:
         n = sympy.nextprime(10**19) * sympy.nextprime(3 * 10**19)
         with pytest.raises(ValueError, match="39-digit number found within the Pollard-rho budget"):
             prime_factors(7 * n)
+
+    def test_work_budget_spent_inside_a_batch(self, monkeypatch):
+        # with 766 steps, rho on two primes near 10^9 runs out between two
+        # batches of gcds, not at the start of a doubling
+        monkeypatch.setattr(exactnum, "RHO_MAX_STEPS", 766)
+        with pytest.raises(ValueError, match="no factor of a 18-digit number found within "
+                                             "the Pollard-rho budget"):
+            prime_factors(999999937 * 999999929)
 
     def test_work_budget_scales_with_size(self):
         # two 151-digit primes: 2^22 rho steps at that size would take about
