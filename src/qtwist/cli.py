@@ -20,7 +20,7 @@ import json
 import math
 import sys
 
-from .exactnum import TableMissError, TieError, fmt_rat, parse_rat
+from .exactnum import TableMissError, fmt_rat, parse_rat
 
 SCHEMA_VERSION = 2
 
@@ -243,7 +243,7 @@ def run(argv=None) -> int:
     except ValueError as e:
         print(json.dumps({"error": str(e)}), file=sys.stderr)
         return 2
-    except (TableMissError, TieError) as e:
+    except TableMissError as e:
         print(json.dumps({"error": f"internal: {e}"}), file=sys.stderr)
         return 3
     out = {"schema_version": SCHEMA_VERSION, "command": args.command}

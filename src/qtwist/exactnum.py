@@ -1,9 +1,9 @@
 """Exact rational arithmetic helpers: p-adic valuations, residues mod p^k,
 primality and factoring, rational I/O, and the input checks shared by
 every module (the twist parameter d, a prime p, and the ``CuspError`` of a
-hauptmodul value t).  The package's two internal errors, ``TableMissError``
-and ``TieError``, live here too, so that the CLI can catch them without
-importing ``localdata`` or ``graphs``.
+hauptmodul value t).  The package's one internal error, ``TableMissError``,
+lives here too, so that the CLI can catch it without importing
+``localdata`` or ``graphs``.
 
 Rationals are plain ``fractions.Fraction`` (eagerly reduced, positive
 denominator), which is exactly the representation the valuation and table
@@ -72,12 +72,8 @@ class CuspError(ValueError):
 
 
 class TableMissError(Exception):
-    """No classification row matched, or a graph-type spec's decision rows
-    disagree with its volume argmax: an internal bug or malformed input."""
-
-
-class TieError(Exception):
-    """Argmax tie: contradicts uniqueness of the minimal Faltings height."""
+    """A table-data bug: no classification row matched, an entry is malformed,
+    or a graph-type spec's volume argmax ties or disagrees with its decision rows."""
 
 
 def _strong_probable_prime(n: int, a: int, d: int, s: int) -> bool:
@@ -181,9 +177,9 @@ def is_prime(n: int) -> bool:
 
 
 def check_prime(p: int) -> None:
-    """ValueError unless p is prime."""
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+    """ValueError unless p is a prime int (a bool or a float is not one)."""
+    if type(p) is not int or not is_prime(p):
+        raise ValueError(f"p = {p!r} is not prime")
 
 
 def _vp_int(n: int, p: int) -> int:
@@ -346,10 +342,12 @@ def prime_factors(n: int) -> set:
 @functools.lru_cache(maxsize=1, typed=True)
 def check_d(d: int) -> frozenset:
     """The primes of d, a frozenset that no caller can change, if d is a
-    nonzero square-free integer (its primes multiply to |d|) with |d| <=
-    D_MAX, else ValueError.  The last d that passed is remembered, typed
-    (3.0 and Fraction(3) stay refused after 3): ``verify`` checks one d four
-    times in a row, both decision paths twice, ``faltings`` once."""
+    nonzero square-free int (not a bool; its primes multiply to |d|) with
+    |d| <= D_MAX, else ValueError.  The last d that passed is remembered,
+    typed (3.0 and Fraction(3) stay refused after 3): ``verify`` checks one
+    d four times in a row, both decision paths twice, ``faltings`` once."""
+    if type(d) is not int:
+        raise ValueError(f"d = {d!r} is not an integer")
     if abs(d) > D_MAX:
         raise ValueError(f"d = {d} exceeds 10^18 in absolute value")
     primes = prime_factors(d) if d else set()
@@ -366,7 +364,8 @@ _DIGIT_RUN = re.compile(r"\d+(?:_\d+)*")
 
 def parse_rat(s: str) -> Fraction:
     """Parse a "num/den", integer or decimal string.  ValueError if den is
-    0, or if the exponent or a part of the number is past the digit limit;
+    0, or if the exponent or a part of the number is past the digit limit,
+    which counts every digit typed, leading zeros included, as int() does;
     the exponent is checked before anything is built."""
     s = s.strip()
     # 0 switches Python's limit off; the input limit stays at the default

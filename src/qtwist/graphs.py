@@ -32,7 +32,7 @@ from fractions import Fraction
 from itertools import product
 from typing import NamedTuple, Optional
 
-from .exactnum import CuspError, RatLike, TableMissError, TieError, check_d, residue, vp
+from .exactnum import CuspError, RatLike, TableMissError, check_d, residue, vp
 
 
 class FaltingsResult(NamedTuple):
@@ -194,12 +194,12 @@ class GraphType:
 
     def argmax(self, uv: UVectors) -> str:
         """The vertex of largest u~_i^2 u_i^2 v_i, in exact integers (the volumes
-        times one positive factor, ``weights``); TieError if two share it."""
+        times one positive factor, ``weights``); TableMissError if two share it."""
         scores = [ue * ue * ud * ud * w for ue, ud, w in zip(uv.uE, uv.uEd, self.weights)]
         best = max(scores)
         winners = [lbl for lbl, sc in zip(self.vertices, scores) if sc == best]
         if len(winners) != 1:
-            raise TieError(f"{self.kind}: tie among {winners} (table-data bug)")
+            raise TableMissError(f"{self.kind}: tie among {winners} (table-data bug)")
         return winners[0]
 
 

@@ -192,9 +192,10 @@ def _kraus(s: Signature, p: int, vc4, vc6, k: int) -> bool:
 #            miss.  ``_index`` checks every outcome at import.
 #   pal:     printed u_p(E^d) columns, the values ``pal_u`` returns: for
 #            p != 2 a pair of exponents of p for (d = 0 mod p,
-#            d != 0 mod p); for p = 2 a value triple for d = 1, 2, 3 mod 4
-#            (entries may be callables of (sig, k, d), which read the
-#            model at scale k as the conditions do)
+#            d != 0 mod p); for p = 2 a value triple for d = 1, 2, 3 mod 4,
+#            where a cell may be a rule (e, u_same, u_other): u_same if
+#            c6/2^e of the model at scale k is d/2 mod 4, else u_other,
+#            read off s as the conditions do; no cell is a function
 
 TABLE_P_GE5 = [
     ((("e", 0), ("g", 0), ("e", 0)), [(None, "I0", 0)], (0, 0)),
@@ -236,17 +237,6 @@ TABLE_P3 = [
 ]
 
 
-def _pal_666(s: Signature, k: int, d: int) -> Fraction:
-    # sig_2 = (>=6, 6, 6), d = 2 mod 4: keyed on c6/2^6 vs d/2 mod 4, with
-    # c6 that of the model at scale k, read off s as the conditions do
-    return Fraction(1) if residue(s.c6, 2, 2, 6 * k + 6) != (d // 2) % 4 else Fraction(2)
-
-
-def _pal_6918(s: Signature, k: int, d: int) -> Fraction:
-    # sig_2 = (6, 9, >=18), d = 2 mod 4: keyed on c6/2^9 vs d/2 mod 4
-    return Fraction(4) if residue(s.c6, 2, 2, 6 * k + 9) != (d // 2) % 4 else Fraction(2)
-
-
 _H = Fraction(1, 2)
 
 TABLE_P2 = [
@@ -265,7 +255,7 @@ TABLE_P2 = [
     ((("e", 4), ("e", 6), ("g", 12)), [("2f", "In*", 4)], (1, 1, 2)),
     ((("e", 5), ("e", 5), ("e", 4)), [("2a", "II", 0), (None, "III", 0)], (1, 1, 1)),
     ((("e", 5), ("e", 6), ("e", 6)), [(None, "II", 0)], (1, 1, 1)),
-    ((("g", 6), ("e", 6), ("e", 6)), [(None, "II", 0)], (1, _pal_666, 1)),
+    ((("g", 6), ("e", 6), ("e", 6)), [(None, "II", 0)], (1, (6, 2, 1), 1)),
     ((("e", 5), ("e", 7), ("e", 8)), [(None, "III", 0)], (1, 1, 1)),
     ((("e", 5), ("g", 8), ("e", 9)), [(None, "III", 0)], (1, 1, 1)),
     ((("g", 6), ("e", 5), ("e", 4)), [("2a", "II", 0), (None, "IV", 0)], (1, 1, 1)),
@@ -276,7 +266,7 @@ TABLE_P2 = [
     ((("e", 6), ("e", 9), ("e", 15)), [(None, "In*", 5)], (1, 2, 1)),
     ((("e", 6), ("e", 9), ("e", 16)), [(None, "In*", 6)], (1, 2, 1)),
     ((("e", 6), ("e", 9), ("e", 17)), [(None, "In*", 7)], (1, 2, 1)),
-    ((("e", 6), ("e", 9), ("g", 18)), [(None, "In*", 8)], (1, _pal_6918, 1)),
+    ((("e", 6), ("e", 9), ("g", 18)), [(None, "In*", 8)], (1, (9, 2, 4), 1)),
     ((("e", 6), ("g", 9), ("e", 12)), [("2e", "In*", 2), (None, "In*", 3)], (1, 2, 1)),
     ((("g", 7), ("e", 7), ("e", 8)), [("2c", "In*", 0), (None, "IV*", 0)], (1, 1, 1)),
     ((("e", 7), ("e", 9), ("e", 12)), [(None, "III*", 0)], (1, 2, 1)),
@@ -389,7 +379,10 @@ def pal_u(c: LocalClassification, d: int) -> Fraction:
     if c.p != 2:
         return Fraction(c.p ** (c.row_pal[0] if d % c.p == 0 else c.row_pal[1]))
     entry = c.row_pal[d % 4 - 1]
-    return entry(c.sig, c.k, d) if callable(entry) else Fraction(entry)
+    if type(entry) is tuple:
+        e, same, other = entry
+        entry = same if residue(c.sig.c6, 2, 2, 6 * c.k + e) == d // 2 % 4 else other
+    return Fraction(entry)
 
 
 def global_pal(minimal_sig: Signature, d: int) -> Fraction:

@@ -190,9 +190,10 @@ class TestValidation:
             assert error == "--sig needs c4,c6,delta"
 
     @pytest.mark.parametrize("t", ["1e-100000", "1e-2000000000", "1." + "1" * 4000 + "e-1000",
-                                   "7" * 4301, "1/" + "7" * 4301],
+                                   "7" * 4301, "1/" + "7" * 4301, "0" * 4301 + "7"],
                              ids=["1e-100000", "1e-2000000000", "5001_digits",
-                                  "4301_digit_integer", "4301_digit_denominator"])
+                                  "4301_digit_integer", "4301_digit_denominator",
+                                  "4302_digits_leading_zeros"])
     def test_past_input_digit_limit_exit_2(self, t, capsys):
         # an exponent is refused before 10^exponent is built, and a part past
         # the limit gets the package's message, not int()'s
@@ -202,6 +203,9 @@ class TestValidation:
         assert error.endswith(f"past the {sys.get_int_max_str_digits()}-digit input limit")
         if "7" * 4301 in t:
             assert error.startswith("the input has a 4301-digit number")
+        # the limit counts every digit typed, leading zeros included
+        if t.startswith("0"):
+            assert error.startswith("the input has a 4302-digit number")
 
     @pytest.mark.parametrize("t", ["7" * 4300, "-1/" + "7" * 4300],
                              ids=["4300_digit_integer", "4300_digit_denominator"])

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -21,6 +22,9 @@ from qtwist.exactnum import (
     residue,
     vp,
 )
+from qtwist.graphs import faltings_by_theorem
+from qtwist.localdata import classify
+from qtwist.weierstrass import Signature, twist_sig
 
 # Miller-Rabin with the prime bases 2..41 is proven below PSI_13 (Sorenson
 # and Webster 2015); is_prime switches to Baillie-PSW at it
@@ -353,13 +357,38 @@ class TestCheckD:
         # 3.0 and Fraction(3) equal 3 and hash alike, but are no int d
         for d in (3.0, Fraction(3)):
             check_d(3)
-            with pytest.raises(TypeError):
+            with pytest.raises(ValueError, match="is not an integer"):
                 check_d(d)
 
     def test_refusal_not_remembered(self):
         for _ in range(2):
             with pytest.raises(ValueError, match="square-free"):
                 check_d(12)
+
+
+S11 = Signature(496, 20008, -161051)
+
+
+# the shared input checks refuse anything but an int, each through every
+# public reader that takes it; the memo holds the int of equal value first
+@pytest.mark.parametrize("x", [3.0, Fraction(3), "3", True], ids=["float", "Fraction", "str", "bool"])
+@pytest.mark.parametrize("read", [check_d, lambda d: twist_sig(S11, d),
+                                  lambda d: faltings_by_theorem("L3_9", 45, d)],
+                         ids=["check_d", "twist_sig", "faltings_by_theorem"])
+def test_d_not_an_int_refused(read, x):
+    read(int(x))
+    with pytest.raises(ValueError, match=f"^d = {re.escape(repr(x))} is not an integer$"):
+        read(x)
+
+
+@pytest.mark.parametrize("x", [2.0, 1009.0, Fraction(2), "2"],
+                         ids=["float", "large_float", "Fraction", "str"])
+@pytest.mark.parametrize("read", [check_prime, lambda p: classify(S11, p)],
+                         ids=["check_prime", "classify"])
+def test_p_not_an_int_refused(read, x):
+    read(int(x))
+    with pytest.raises(ValueError, match=f"^p = {re.escape(repr(x))} is not prime$"):
+        read(x)
 
 
 class TestRatIO:

@@ -23,7 +23,7 @@ from qtwist.graphs import (
     prob_table,
     u_vectors,
 )
-from qtwist.exactnum import TableMissError, TieError, is_prime, prime_factors, residue, vp
+from qtwist.exactnum import TableMissError, is_prime, prime_factors, residue, vp
 from qtwist.families import class_signatures
 
 from pools import entry, pooled_ts, representatives, squarefree_ds, unit_parts
@@ -288,8 +288,8 @@ def row_mutations():
 class TestSpecValidation:
     """Each spec checks at construction that its decision rows cover every
     branch and that, for every set of block primes dividing d, exactly one
-    row matches d and names the volume argmax.  A broken spec is an
-    internal error (TableMissError, or TieError for a tie), not bad input."""
+    row matches d and names the volume argmax.  A broken spec, a tie
+    included, is an internal error (TableMissError), not bad input."""
 
     WELL_FORMED = {("all",): (FaltingsResult("E_1", 3, False), FaltingsResult("E_3", 3, True))}
 
@@ -362,7 +362,7 @@ class TestSpecValidation:
             g = graph_type(kind)
             try:
                 rebuilt(g, decisions={**g.decisions, key: rows})
-            except (TableMissError, TieError):
+            except TableMissError:
                 continue
             built.append((kind, key, rows))
         assert built == []
@@ -378,7 +378,7 @@ class TestSpecValidation:
     def test_tie_raises(self):
         # the chain E_1 -3- E_3 -3- E_9 with u(E) = (1, 1, 3): the scores
         # are 1, 1/3 and 3^2 / 9, a tie of E_1 and E_9
-        with pytest.raises(TieError, match=r"\['E_1', 'E_9'\]"):
+        with pytest.raises(TableMissError, match=r"tie among \['E_1', 'E_9'\]"):
             self.spec(self.WELL_FORMED, ((0, 0, 1), None), ("E_1", "E_3", "E_9"),
                       (("E_1", "E_3", 3), ("E_3", "E_9", 3)))
 

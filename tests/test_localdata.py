@@ -233,7 +233,7 @@ class TestPal:
         # rules; d = 0 mod 4 lies outside pal_u's contract, and both read
         # the 3 mod 4 value there
         rng = random.Random(35)
-        callables = {}
+        rule_values = {}
         for p, table in ((2, localdata.TABLE_P2), (3, localdata.TABLE_P3),
                          (5, localdata.TABLE_P_GE5), (7, localdata.TABLE_P_GE5),
                          (11, localdata.TABLE_P_GE5)):
@@ -249,12 +249,13 @@ class TestPal:
                         for d in ds:
                             got = pal_u(c, d)
                             assert got == pal_u_rules(c, d), (p, i, s, c.k, d)
-                            if p == 2 and callable(entry := pal[d % 4 - 1]):
-                                callables.setdefault(entry.__name__, set()).add(got)
+                            if p == 2 and type(entry := pal[d % 4 - 1]) is tuple:
+                                rule_values.setdefault(entry, set()).add(got)
                     if hits[i] == 4:
                         break
             assert all(hits), (p, hits)
-        assert callables == {"_pal_666": {1, 2}, "_pal_6918": {2, 4}}, callables
+        # each rule cell gives both its values
+        assert rule_values == {(6, 2, 1): {1, 2}, (9, 2, 4): {2, 4}}, rule_values
         # global_pal skips the odd primes that do not divide d
         for table in (localdata.TABLE_P3, localdata.TABLE_P_GE5):
             assert all(pal[1] == 0 for _pattern, _outcome, pal in table)

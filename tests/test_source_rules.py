@@ -24,6 +24,11 @@
   (``functools.lru_cache(maxsize=1, typed=True)``): one query checks its d
   in a row.  A memo anywhere else would let the benchmark's repeated
   inputs pass for speed.
+* The package defines two exception classes, ``CuspError`` (a
+  ``ValueError``, bad input) and ``TableMissError`` (not one: the one
+  internal error), each at module level; and ``cli.run`` maps exactly
+  ``ValueError`` to exit 2 and ``TableMissError`` to exit 3.  A third
+  error class would leave the CLI unmapped, as exit 1 and a traceback.
 
 Two rules read other files instead.  The Python floor in pyproject.toml
 and README is 3.10.7 at least: ``exactnum.parse_rat`` calls
@@ -32,15 +37,23 @@ and README is 3.10.7 at least: ``exactnum.parse_rat`` calls
 And one rule reads the tests and demos: the names ``l39_signatures``,
 ``"l39"`` and ``"l211"``, which stay only while the benchmark calls them,
 appear only in the one test that pins each.
+
+One rule walks the shipped table data itself: no cell of the local tables
+(``localdata.TABLE_P2``, ``TABLE_P3``, ``TABLE_P_GE5``) or of a registry
+type's prime blocks and decision rows is callable, so every cell is data
+that a reader, a mutation or a printout can see.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
 import pytest
 
 import qtwist
+from qtwist import graphs, localdata
+from qtwist.exactnum import CuspError, TableMissError
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -202,3 +215,65 @@ def test_only_memo_is_check_d():
     assert memos == [decorators[0].func]
     assert _offending(lambda node: isinstance(node, ast.ImportFrom) and node.module == "functools"
                       and any(alias.name in MEMOS for alias in node.names)) == []
+
+
+def _callables(x, path="") -> list:
+    """The path of every callable inside x, walking tuples, lists and dict
+    keys and values."""
+    if callable(x):
+        return [path]
+    if isinstance(x, (tuple, list)):
+        return [p for i, y in enumerate(x) for p in _callables(y, f"{path}[{i}]")]
+    if isinstance(x, dict):
+        return [p for k, y in x.items() for p in _callables(k, f"{path} key {k!r}")
+                + _callables(y, f"{path}[{k!r}]")]
+    return []
+
+
+def test_callable_walk_finds_a_nested_function():
+    assert _callables([(1, {"a": (2, len)})]) == ["[0][1]['a'][1]"]
+    assert _callables(localdata.TABLE_P2[:1] + [((), [], (1, abs, 1))]) == ["[1][2][1]"]
+
+
+@pytest.mark.parametrize("name", ["TABLE_P2", "TABLE_P3", "TABLE_P_GE5"])
+def test_local_table_cells_are_data(name):
+    table = getattr(localdata, name)
+    assert table
+    assert _callables(table) == []
+
+
+def test_registry_cells_are_data():
+    assert graphs.ALL_TYPES
+    for kind in graphs.ALL_TYPES:
+        g = graphs.graph_type(kind)
+        assert g.blocks
+        assert _callables((g.blocks, g.decisions), kind) == []
+
+
+def _module(filename):
+    name = filename[:-3]
+    return qtwist if name == "__init__" else importlib.import_module(f"qtwist.{name}")
+
+
+def test_only_exceptions_are_cusp_and_table_miss():
+    # every class is defined at module level, so the module names hold them all
+    assert _offending(lambda node: isinstance(node, ast.ClassDef) and not any(
+        node in tree.body for tree in TREES.values())) == []
+    errors = {obj for name in TREES for obj in vars(_module(name)).values()
+              if isinstance(obj, type) and issubclass(obj, BaseException)
+              and obj.__module__.startswith("qtwist")}
+    assert errors == {CuspError, TableMissError}
+    # bad input exits 2, the internal error 3: neither may catch the other
+    assert issubclass(CuspError, ValueError) and not issubclass(TableMissError, ValueError)
+
+
+def test_cli_run_maps_value_error_and_table_miss():
+    run = [node for node in TREES["cli.py"].body
+           if isinstance(node, ast.FunctionDef) and node.name == "run"]
+    assert len(run) == 1
+    tries = [node for node in ast.walk(run[0]) if isinstance(node, ast.Try)]
+    assert len(tries) == 1
+    handlers = [(ast.unparse(h.type), [ast.literal_eval(node.value) for node in ast.walk(h)
+                                       if isinstance(node, ast.Return)])
+                for h in tries[0].handlers]
+    assert handlers == [("ValueError", [2]), ("TableMissError", [3])]
