@@ -3,11 +3,11 @@
 Subcommands: classify, minimal, twist, faltings, prob, family, verify,
 density, empirical.  Output is one JSON object with exact rationals as
 "num/den" strings; --pretty indents the same JSON.  A curve is given by
-exactly one of --ainvs and --sig.  Exit codes: 0 success, 2 invalid
-input, 3 internal table miss / tie.  Every exit 2, argparse's own refusals
-included, prints nothing on stdout and one JSON {"error": ...} on stderr.
-No option has argparse choices: the registries (``graphs`` for the types,
-``families.FAMILIES`` for the variants) refuse what they do not hold.
+exactly one of --ainvs and --sig.  Exit codes: 0 success, 2 invalid input,
+3 internal table-data error (``TableMissError``).  Every exit 2, argparse's
+own refusals included, prints nothing on stdout and one JSON {"error": ...}
+on stderr.  No option has argparse choices: the registries (``graphs`` for
+the types, ``families.FAMILIES`` for the variants) refuse what they lack.
 
 A call runs in a fresh process, so each subcommand imports the modules it
 runs when it runs, and the module level imports ``exactnum`` alone.

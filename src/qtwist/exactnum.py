@@ -24,16 +24,17 @@ square-free test, factors d, checks that its primes multiply to |d| and
 returns them as a frozenset.  It remembers the last d that passed: a
 query checks d once in ``faltings``, but four times in a row in ``verify``.
 
-``vp`` is the one p-adic valuation, of an int or a Fraction alike (it
-reads numerator and denominator).  ``residue`` is the one residue mod p^k:
-of x / p^e for any integer e, so that a table condition reads the residue
-of a rescaled number without building it, and with e = vp(x) the residue
-of x's p-free part.  Neither tests that p is prime: the input checks
+``vp`` is the one p-adic valuation, of an int or a Fraction alike, and
+``_vp_int`` the one place that divides a prime out of an integer, in
+O(log(v)^2) divisions for valuation v.  ``residue`` is the one residue mod
+p^k: of x / p^e for any integer e, so that a table condition reads the
+residue of a rescaled number without building it, and with e = vp(x) the
+residue of x's p-free part.  Neither tests that p is prime: the input checks
 (``check_prime`` in ``weierstrass.p_signature``) do that where p enters.
 
 ``parse_rat`` and ``fmt_rat`` keep to the digits Python converts between
 an integer and a string (``sys.get_int_max_str_digits()``, 4300 by
-default); ``parse_rat`` checks an exponent before it builds 10^exponent.
+default); ``parse_rat`` checks each typed digit run and the exponent first.
 """
 
 from __future__ import annotations
@@ -76,6 +77,21 @@ class TableMissError(Exception):
     or a graph-type spec's volume argmax ties or disagrees with its decision rows."""
 
 
+def _vp_int(n: int, p: int) -> int:
+    """Valuation of a nonzero integer: its lowest set bit at p = 2, else
+    passes by p, p^2, p^4, ... while they divide; each halves what is left."""
+    if p == 2:
+        return (n & -n).bit_length() - 1
+    v = 0
+    while n % p == 0:
+        q, e = p, 1
+        while n % q == 0:
+            n //= q
+            v += e
+            q, e = q * q, 2 * e
+    return v
+
+
 def _strong_probable_prime(n: int, a: int, d: int, s: int) -> bool:
     """n odd, n - 1 = d * 2^s with d odd: the strong test to base a."""
     x = pow(a, d, n)
@@ -93,10 +109,10 @@ def _jacobi(a: int, n: int) -> int:
     a %= n
     result = 1
     while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
+        s = _vp_int(a, 2)
+        a >>= s
+        if s % 2 and n % 8 in (3, 5):
+            result = -result
         a, n = n, a
         if a % 4 == 3 and n % 4 == 3:
             result = -result
@@ -122,10 +138,8 @@ def _strong_lucas(n: int) -> bool:
             return False
         D = -D - 2 if D > 0 else -D + 2
     Q = (1 - D) // 4 % n
-    d, s = n + 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s = _vp_int(n + 1, 2)
+    d = (n + 1) >> s
     # U_k, V_k and Q^k from k = 1 up the bits of d (P = 1)
     U, V, Qk = 1, 1, Q
     for bit in bin(d)[3:]:
@@ -163,10 +177,8 @@ def is_prime(n: int) -> bool:
     for p in _MR_BASES:
         if n % p == 0:
             return False
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s = _vp_int(n - 1, 2)
+    d = (n - 1) >> s
     if n < _PSI_13:
         bases = _MR_BASES[:4] if n < _PSI_4 else _MR_BASES
         return all(_strong_probable_prime(n, a, d, s) for a in bases)
@@ -180,15 +192,6 @@ def check_prime(p: int) -> None:
     """ValueError unless p is a prime int (a bool or a float is not one)."""
     if type(p) is not int or not is_prime(p):
         raise ValueError(f"p = {p!r} is not prime")
-
-
-def _vp_int(n: int, p: int) -> int:
-    """Valuation of a nonzero integer."""
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def vp(x: RatLike, p: int) -> Union[int, float]:
@@ -309,9 +312,7 @@ def prime_factors(n: int) -> set:
         if g % p == 0:
             g //= p
             primes.add(p)
-            n //= p
-            while n % p == 0:
-                n //= p
+            n //= p ** _vp_int(n, p)
     steps = RHO_MAX_STEPS
     todo = [n] if n > 1 else []
     while todo:
@@ -364,27 +365,22 @@ _DIGIT_RUN = re.compile(r"\d+(?:_\d+)*")
 
 def parse_rat(s: str) -> Fraction:
     """Parse a "num/den", integer or decimal string.  ValueError if den is
-    0, or if the exponent or a part of the number is past the digit limit,
-    which counts every digit typed, leading zeros included, as int() does;
-    the exponent is checked before anything is built."""
+    0, or if the exponent, a typed run of digits or a part of the number is
+    past the digit limit, which counts every digit typed, leading zeros
+    included, as int() does; the first two are checked before any parsing."""
     s = s.strip()
     # 0 switches Python's limit off; the input limit stays at the default
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    exp = _EXPONENT.search(s)
-    if exp and int(exp[1]) > limit:
-        raise ValueError(f"an exponent past {limit} makes a number past the "
-                         f"{limit}-digit input limit")
-    try:
-        x = Fraction(s)
-    except ZeroDivisionError:
-        raise ValueError(f"{s!r} has a zero denominator") from None
-    except ValueError:
-        # a part past the limit, which int() refuses in Python's words, or
-        # not a number at all
-        digits = max((len(run.replace("_", "")) for run in _DIGIT_RUN.findall(s)), default=0)
-        if digits <= limit:
-            raise
-    else:
+    digits = max((len(run.replace("_", "")) for run in _DIGIT_RUN.findall(s)), default=0)
+    if digits <= limit:  # else int() would refuse a run in its own words
+        exp = _EXPONENT.search(s)
+        if exp and int(exp[1]) > limit:
+            raise ValueError(f"an exponent past {limit} makes a number past the "
+                             f"{limit}-digit input limit")
+        try:
+            x = Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError(f"{s!r} has a zero denominator") from None
         digits = max(_digits(abs(x.numerator)), _digits(x.denominator))
     if digits > limit:
         raise ValueError(f"the input has a {digits}-digit number, which is past the "

@@ -445,11 +445,11 @@ def graph_type(kind: str) -> GraphType:
 
 def check_t(kind: str, t: Optional[RatLike]) -> Optional[Fraction]:
     """t as a Fraction for a genus-0 type (a Fraction is returned as is,
-    anything else goes through ``Fraction``), None for a genus >= 1 type.
+    an int converted), None for a genus >= 1 type.
 
-    Raises ValueError when a genus-0 type gets no t or a genus >= 1 type
-    gets one, and CuspError at the cusp t = 0 or an excluded value.
-    """
+    Raises ValueError when a genus-0 type gets no t or one that is neither
+    an int nor a Fraction (a bool, a float or a string), or a genus >= 1
+    type gets one, and CuspError at the cusp t = 0 or an excluded value."""
     g = graph_type(kind)
     if g.genus_ge_1:
         if t is not None:
@@ -457,8 +457,10 @@ def check_t(kind: str, t: Optional[RatLike]) -> Optional[Fraction]:
         return None
     if t is None:
         raise ValueError(f"type {kind} needs a hauptmodul value t")
-    if not isinstance(t, Fraction):
+    if type(t) is int:
         t = Fraction(t)
+    elif not isinstance(t, Fraction):
+        raise ValueError(f"t = {t!r} is not an integer or a Fraction")
     if t == 0:
         raise CuspError("t = 0 is a cusp")
     if t in g.excluded:

@@ -190,13 +190,15 @@ class TestValidation:
             assert error == "--sig needs c4,c6,delta"
 
     @pytest.mark.parametrize("t", ["1e-100000", "1e-2000000000", "1." + "1" * 4000 + "e-1000",
-                                   "7" * 4301, "1/" + "7" * 4301, "0" * 4301 + "7"],
+                                   "7" * 4301, "1/" + "7" * 4301, "0" * 4301 + "7",
+                                   "1e" + "7" * 4301],
                              ids=["1e-100000", "1e-2000000000", "5001_digits",
                                   "4301_digit_integer", "4301_digit_denominator",
-                                  "4302_digits_leading_zeros"])
+                                  "4302_digits_leading_zeros", "4301_digit_exponent"])
     def test_past_input_digit_limit_exit_2(self, t, capsys):
-        # an exponent is refused before 10^exponent is built, and a part past
-        # the limit gets the package's message, not int()'s
+        # an exponent is refused before 10^exponent is built, and a typed
+        # run past the limit, the exponent's too, gets the package's
+        # message, not int()'s
         start = time.perf_counter()
         error = refused("prob", "--type=T4", f"--t={t}", capsys=capsys)
         assert time.perf_counter() - start < 1
@@ -212,6 +214,16 @@ class TestValidation:
     def test_at_input_digit_limit_exit_0(self, t, capsys):
         out = ok("prob", "--type=T4", f"--t={t}", capsys=capsys)
         assert out["t"] == t
+
+    def test_verify_at_input_digit_limit(self, capsys):
+        # the members of the family at this t have numbers of about 17,000
+        # digits, with valuations in the thousands: a valuation must not
+        # cost a division per unit (that took 30 s)
+        start = time.perf_counter()
+        out = ok("verify", "--type=L3_9", f"--t={'7' * 4300}/{10**4299}", "--d=7", "--bits=4096",
+                 capsys=capsys)
+        assert time.perf_counter() - start < 10
+        assert out["match"] is True and out["theorem"] == "E_1"
 
     @pytest.mark.parametrize("d", [12, 0, 10**24 + 7])
     @pytest.mark.parametrize("argv", [

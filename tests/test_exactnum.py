@@ -6,13 +6,16 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy.external.gmpy import jacobi
 
 from qtwist import exactnum
 from qtwist.exactnum import (
     D_MAX,
+    _jacobi,
     _strong_lucas,
+    _vp_int,
     check_d,
     check_prime,
     fmt_rat,
@@ -116,6 +119,28 @@ class TestVp:
     def test_defining_property(self, n, p):
         v = vp(n, p)
         assert n % p**v == 0 and (n // p**v) % p != 0
+
+    @staticmethod
+    def _naive_vp(n, p):
+        """The reference: divide p out one at a time."""
+        v = 0
+        while n % p == 0:
+            n //= p
+            v += 1
+        return v
+
+    # p^v is built, so the naive loop runs on the cofactor u alone: on
+    # p^20000 with p = 10^9 + 7 it would take seconds
+    @given(st.sampled_from([2, 3, 5, 7, 1009, 10**9 + 7]),
+           st.integers(min_value=0, max_value=20_500),
+           st.integers(min_value=1, max_value=10**40) | st.integers(min_value=1, max_value=7**60),
+           st.sampled_from([1, -1]))
+    @example(10**9 + 7, 20_001, 10**9 + 8, -1)
+    @example(2, 20_500, 3 * 2**70, 1)
+    @example(3, 2**14 - 1, 3**2 * 2, -1)
+    @settings(max_examples=60, deadline=None)
+    def test_vp_int_against_naive_loop(self, p, v, u, sign):
+        assert _vp_int(sign * u * p**v, p) == v + self._naive_vp(u, p)
 
 
 class TestUnitResidue:
@@ -238,6 +263,24 @@ class TestIsPrime:
             if math.isqrt(n) ** 2 != n:
                 want = sympy.isprime(n) or n in STRONG_LUCAS_PSP
                 assert _strong_lucas(n) == want, n
+
+    def test_jacobi_every_odd_n_below_2000(self):
+        # sympy.jacobi_symbol evaluates an integer pair with
+        # sympy.external.gmpy.jacobi; its symbolic wrapper costs 0.1 ms a
+        # call, so the million pairs here call the kernel directly
+        for n in range(1, 2000, 2):
+            got = [_jacobi(a, n) for a in range(n)]
+            assert got == [jacobi(a, n) for a in range(n)], n
+
+    def test_jacobi_random_200_bit(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            n = rng.getrandbits(200) | 1
+            a = rng.getrandbits(200)
+            assert _jacobi(a, n) == sympy.jacobi_symbol(a, n), (a, n)
+            # an even a stresses the 2-strip: a 2^k multiple
+            a = rng.getrandbits(120) << rng.randrange(1, 80)
+            assert _jacobi(a, n) == sympy.jacobi_symbol(a, n), (a, n)
 
     def test_check_prime(self):
         for p in (2, 997, 1009, 10**9 + 7, sympy.nextprime(PSI_13)):

@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -182,6 +184,21 @@ class TestCusps:
         t = Fraction(45)
         assert check_t("L3_9", t) is t
         assert type(check_t("L3_9", 45)) is Fraction and check_t("L3_9", 45) == t
+
+
+# t is a non-bool int or a Fraction, through every public reader that takes
+# it: a float would be read as its binary value, a bool as 0 or 1
+@pytest.mark.parametrize("x", [0.1, 4.5, True, "45", Decimal("4.5")],
+                         ids=["float", "float_4.5", "bool", "str", "Decimal"])
+@pytest.mark.parametrize("read", [lambda t: faltings_by_theorem("L3_9", t, 1),
+                                  lambda t: prob_table("L3_9", t),
+                                  lambda t: u_vectors("L3_9", t, 1),
+                                  lambda t: class_signatures("L3_9", t)],
+                         ids=["faltings_by_theorem", "prob_table", "u_vectors", "class_signatures"])
+def test_t_not_an_int_or_fraction_refused(read, x):
+    read(45)
+    with pytest.raises(ValueError, match=f"^t = {re.escape(repr(x))} is not an integer or a Fraction$"):
+        read(x)
 
 
 # (type, t, branch key) worked out by hand from the paper's branch

@@ -29,6 +29,10 @@
   internal error), each at module level; and ``cli.run`` maps exactly
   ``ValueError`` to exit 2 and ``TableMissError`` to exit 3.  A third
   error class would leave the CLI unmapped, as exit 1 and a traceback.
+* Every ``while`` loop whose test is divisibility (``x % y == 0`` or
+  ``not x % y``) is in ``exactnum._vp_int``: it is the one routine that
+  divides a prime out of an integer, at a cost logarithmic in the
+  valuation, where a loop dividing once per unit is quadratic in the digits.
 
 Two rules read other files instead.  The Python floor in pyproject.toml
 and README is 3.10.7 at least: ``exactnum.parse_rat`` calls
@@ -277,3 +281,47 @@ def test_cli_run_maps_value_error_and_table_miss():
                                        if isinstance(node, ast.Return)])
                 for h in tries[0].handlers]
     assert handlers == [("ValueError", [2]), ("TableMissError", [3])]
+
+
+def _is_mod(node):
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+
+
+def _is_divisibility(test):
+    """True for a test ``x % y == 0``, ``0 == x % y`` or ``not x % y``."""
+    if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
+        return _is_mod(test.operand)
+    if not (isinstance(test, ast.Compare) and [type(op) for op in test.ops] == [ast.Eq]):
+        return False
+    sides = (test.left, *test.comparators)
+    return any(map(_is_mod, sides)) and any(isinstance(x, ast.Constant) and x.value == 0
+                                            for x in sides)
+
+
+def _divisibility_loops(tree):
+    """The (innermost function, line) of every while loop whose test is
+    divisibility; "<module>" for one outside any function."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    # ast.walk visits an outer function before an inner one, so the inner name wins
+    owner = {node: outer.name for outer in ast.walk(tree) if isinstance(outer, defs)
+             for node in ast.walk(outer)}
+    return [(owner.get(node, "<module>"), node.lineno) for node in ast.walk(tree)
+            if isinstance(node, ast.While) and _is_divisibility(node.test)]
+
+
+def test_divisibility_loop_rule_flags_divide_while_divisible():
+    source = ("while m % 3 == 0:\n    m //= 3\n"
+              "def f(n, p):\n"
+              "    while n % p == 0:\n        n //= p\n"
+              "    while not n % 2:\n        n //= 2\n"
+              "    while 0 == n % 5:\n        n //= 5\n"
+              "    while n % 4 == 3 or n % 7:\n        n -= 1\n"
+              "    return n\n")
+    assert _divisibility_loops(ast.parse(source)) == [
+        ("<module>", 1), ("f", 4), ("f", 6), ("f", 8)]
+
+
+def test_only_vp_int_divides_a_prime_out():
+    found = {(name, func) for name, tree in TREES.items()
+             for func, _line in _divisibility_loops(tree)}
+    assert found == {("exactnum.py", "_vp_int")}
