@@ -40,7 +40,8 @@ def main():
           f"(branch {res.d_condition}, density {fmt_rat(res.probability)})")
 
     uv = graphs.u_vectors("L3_9", t, d)
-    vols = graphs.graph_type("L3_9").volumes
+    weights = graphs.graph_type("L3_9").weights
+    vols = [Fraction(w, weights[0]) for w in weights]
     print("\nexact re-derivation (u(E)^2 u(E^d)^2 vol per vertex):")
     for label, ue, ud, v in zip(labels, uv.uE, uv.uEd, vols):
         score = ue**2 * ud**2 * v

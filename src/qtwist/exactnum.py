@@ -1,9 +1,9 @@
 """Exact rational arithmetic helpers: p-adic valuations, residues mod p^k,
 primality and factoring, rational I/O, and the input checks shared by
-every module (the twist parameter d, a prime p, and the ``CuspError`` of a
-hauptmodul value t).  The package's one internal error, ``TableMissError``,
-lives here too, so that the CLI can catch it without importing
-``localdata`` or ``graphs``.
+every module (the twist parameter d and a prime p); an input check raises
+``ValueError``.  The package's one exception class, ``TableMissError``, the
+internal table-data error, lives here too, so that the CLI can catch it
+without importing ``localdata`` or ``graphs``.
 
 Rationals are plain ``fractions.Fraction`` (eagerly reduced, positive
 denominator), which is exactly the representation the valuation and table
@@ -66,10 +66,6 @@ _PSI_13 = 3317044064679887385961981
 # 2^11213 - 1, at 4300 digits 8.2 s for a composite
 PRIME_MAX_DIGITS = 1000
 _PRIME_LIMIT = 10**PRIME_MAX_DIGITS
-
-
-class CuspError(ValueError):
-    """t hits a cusp / excluded value of the parametrizing hauptmodul."""
 
 
 class TableMissError(Exception):
@@ -312,7 +308,9 @@ def prime_factors(n: int) -> set:
         if g % p == 0:
             g //= p
             primes.add(p)
-            n //= p ** _vp_int(n, p)
+            n //= p
+            if n % p == 0:  # v >= 2: rare on the square-free d of a query
+                n //= p ** _vp_int(n, p)
     steps = RHO_MAX_STEPS
     todo = [n] if n > 1 else []
     while todo:

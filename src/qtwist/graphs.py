@@ -32,7 +32,7 @@ from fractions import Fraction
 from itertools import product
 from typing import NamedTuple, Optional
 
-from .exactnum import CuspError, RatLike, TableMissError, check_d, residue, vp
+from .exactnum import RatLike, TableMissError, check_d, residue, vp
 
 
 class FaltingsResult(NamedTuple):
@@ -126,9 +126,6 @@ class GraphType:
                 raise TableMissError(f"{kind}: {a}-{b} is out of order or gives {b} two degrees")
         if set(degree) != set(vertices):
             raise TableMissError(f"{kind}: the edges reach {sorted(degree)}, not {vertices}")
-        # the Neron volumes, projective with the first at 1: an isogeny of
-        # prime degree p changes the volume by p or 1/p
-        self.volumes = tuple(Fraction(1, degree[v]) for v in vertices)
         # u-exponents are non-negative ints, one per vertex, so every u is
         # an int.  Each table reaches exactly its block's keys, each residue
         # dict reads every unit, and an offset entry at v, neither empty nor
@@ -158,7 +155,9 @@ class GraphType:
         self.excluded = tuple(excluded)  # t values besides 0 where a branch is undefined
         # no block reads t: a genus >= 1 type
         self.genus_ge_1 = all(len(b.keys) == 1 for b in self.blocks)
-        # the volumes as ints: times the lcm of their denominators
+        # the volume vector: the Neron volumes, 1 / degree with the first at 1
+        # (an isogeny of prime degree p changes the volume by p or 1/p),
+        # as ints: times the lcm of the degrees
         m = math.lcm(*degree.values())
         self.weights = tuple(m // degree[v] for v in vertices)
         # every combination of block keys has rows, each row splits d at a
@@ -447,9 +446,9 @@ def check_t(kind: str, t: Optional[RatLike]) -> Optional[Fraction]:
     """t as a Fraction for a genus-0 type (a Fraction is returned as is,
     an int converted), None for a genus >= 1 type.
 
-    Raises ValueError when a genus-0 type gets no t or one that is neither
-    an int nor a Fraction (a bool, a float or a string), or a genus >= 1
-    type gets one, and CuspError at the cusp t = 0 or an excluded value."""
+    Raises ValueError when a genus-0 type gets no t, one that is neither an
+    int nor a Fraction (a bool, a float or a string), the cusp t = 0 or an
+    excluded value, or when a genus >= 1 type gets one."""
     g = graph_type(kind)
     if g.genus_ge_1:
         if t is not None:
@@ -462,9 +461,9 @@ def check_t(kind: str, t: Optional[RatLike]) -> Optional[Fraction]:
     elif not isinstance(t, Fraction):
         raise ValueError(f"t = {t!r} is not an integer or a Fraction")
     if t == 0:
-        raise CuspError("t = 0 is a cusp")
+        raise ValueError("t = 0 is a cusp")
     if t in g.excluded:
-        raise CuspError(f"t = {t} is excluded for {kind}")
+        raise ValueError(f"t = {t} is excluded for {kind}")
     return t
 
 

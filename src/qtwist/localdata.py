@@ -43,10 +43,6 @@ class KodairaSymbol(NamedTuple):
     kind: str  # one of KINDS
     n: int = 0
 
-    @property
-    def starred(self) -> bool:
-        return self.kind.endswith("*")
-
     def __str__(self) -> str:
         if self.kind == "In":
             return f"I{self.n}"

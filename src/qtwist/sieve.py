@@ -6,7 +6,6 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from . import graphs
 from .exactnum import RatLike, check_prime
 
 
@@ -50,6 +49,8 @@ def empirical_prob(kind: str, t: Optional[RatLike], bound: int) -> dict:
     primes, so each branch is counted with one sieve pass; counting
     positive d suffices because every condition is sign-blind.
     """
+    from . import graphs  # here, so that density does not load the registry
+
     rows = graphs.prob_table(kind, t)
     mask = _squarefree_mask(bound)
     total = mask.count(1)

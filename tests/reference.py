@@ -49,7 +49,7 @@ def l39_j(i: int, t) -> Fraction:
 
 def fricke_w9(t) -> Fraction:
     """The involution t -> 27/t; swaps the chain ends up to twist by -3.
-    CuspError at t = 0."""
+    ValueError at the cusp t = 0."""
     return 27 / check_t("L3_9", t)
 
 
@@ -106,7 +106,7 @@ def pal_u_rules(c, d: int) -> Fraction:
     scale k."""
     p, k, (vc4, vc6, vd), kodaira, _fired, _row_pal, s = c
     if p != 2:
-        if d % p == 0 and kodaira.starred:
+        if d % p == 0 and kodaira.kind.endswith("*"):
             return Fraction(p)
         return Fraction(1)
     if d % 4 == 1:

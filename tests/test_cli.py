@@ -35,7 +35,7 @@ SUBCOMMAND_MODULES = [
     (["prob", "--type", "L3_9", "--t", "3"], {"graphs"}),
     (["family", "L3_9", "--t", "45"], {"weierstrass", "families", "graphs"}),
     (["family", "L2_11"], {"weierstrass", "families", "graphs"}),
-    (["density", "--p", "3", "--n", "10000"], {"sieve", "graphs"}),
+    (["density", "--p", "3", "--n", "10000"], {"sieve"}),
     (["empirical", "--type", "L3_9", "--t", "3", "--n", "10000"], {"sieve", "graphs"}),
     (["verify", "--type", "L3_9", "--t", "45", "--d", "3", "--bits", "64"],
      {"weierstrass", "localdata", "graphs", "families", "oracle"}),

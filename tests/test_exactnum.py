@@ -311,6 +311,15 @@ class TestPrimeFactors:
         with pytest.raises(ValueError):
             prime_factors(0)
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 997])
+    def test_small_prime_power_times_a_large_prime(self, p):
+        # trial division takes every power of p out: a cofactor p^(v-1) * 1009
+        # left behind is below 1009^2, and would be taken for a prime
+        for q in (1009, sympy.nextprime(10**12)):
+            for v in (1, 2, 3, 40):
+                n = p**v * q
+                assert prime_factors(n) == set(sympy.factorint(n)) == {p, q}, (p, v, q)
+
     def test_just_past_trial_division(self):
         # cofactors around 1009^2, the least with no prime factor below 1000
         # that is not prime

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtwist import graphs
-from qtwist.exactnum import CuspError
 from qtwist.families import FAMILIES, _poly_eval, class_signatures, l39_signatures
 from qtwist.localdata import classify, global_minimal, global_pal
 from qtwist.weierstrass import AInvariants, j_invariant, signature_of, twist_sig
@@ -27,8 +26,9 @@ ts = st.fractions(min_value=-80, max_value=80).filter(
 
 class TestL39:
     def test_cusp(self):
-        with pytest.raises(CuspError):
+        with pytest.raises(ValueError, match="^t = 0 is a cusp$") as e:
             class_signatures("L3_9", 0)
+        assert type(e.value) is ValueError
 
     @given(ts)
     @settings(max_examples=100, deadline=None)
@@ -83,10 +83,14 @@ class TestRegistry:
             class_signatures("L2_11", 45)
         with pytest.raises(ValueError, match="needs a hauptmodul value"):
             class_signatures("L3_9")
-        with pytest.raises(CuspError):
-            class_signatures("L3_9", 0)
-        with pytest.raises(CuspError):
-            fricke_w9(0)
+        # the cusp and an excluded t are a plain ValueError, no subclass
+        for read, t, message in ((lambda t: class_signatures("L3_9", t), 0, "t = 0 is a cusp"),
+                                 (fricke_w9, 0, "t = 0 is a cusp"),
+                                 (lambda t: class_signatures("L2_2", t), -64,
+                                  "t = -64 is excluded for L2_2")):
+            with pytest.raises(ValueError, match=f"^{message}$") as e:
+                read(t)
+            assert type(e.value) is ValueError
 
 
 class TestLocalTables:
@@ -94,7 +98,8 @@ class TestLocalTables:
     tables of ``localdata`` on the registry's curves, with no mpmath: for
     each vertex model E_i, u(E_i) is ``global_minimal(E_i)[1]``, u(E_i^d)
     is ``global_pal`` of E_i's minimal model, and the Faltings vertex of
-    the twisted class is the argmax of u(twist_sig(E_i, d))^2 * v_i."""
+    the twisted class is the argmax of u(twist_sig(E_i, d))^2 * w_i, w_i
+    the volume of E_i times one positive factor (``GraphType.weights``)."""
 
     @staticmethod
     def _cases():
@@ -116,8 +121,8 @@ class TestLocalTables:
             g = graphs.graph_type(kind)
             sigs = class_signatures(kind, t, variant)
             for d in ds:
-                scores = [global_minimal(twist_sig(s, d))[1] ** 2 * v
-                          for s, v in zip(sigs, g.volumes)]
+                scores = [global_minimal(twist_sig(s, d))[1] ** 2 * w
+                          for s, w in zip(sigs, g.weights)]
                 winners = [v for v, sc in zip(g.vertices, scores) if sc == max(scores)]
                 assert winners == [graphs.faltings_by_theorem(kind, t, d).vertex], (
                     kind, variant, t, d, scores)

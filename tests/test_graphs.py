@@ -13,7 +13,6 @@ from qtwist.graphs import (
     ALL_TYPES,
     GENUS0,
     GENUS_GE1,
-    CuspError,
     FaltingsResult,
     GraphType,
     PrimeBlock,
@@ -85,8 +84,10 @@ class TestRegistry:
     def test_graph_shapes(self):
         for kind in ALL_TYPES:
             g = graph_type(kind)
-            assert g.volumes[0] == 1
-            assert len(g.volumes) == len(g.vertices)
+            # the first vertex has volume 1, so its weight is the lcm of
+            # all of them, and the weights have no common factor
+            assert len(g.weights) == len(g.vertices)
+            assert g.weights[0] == math.lcm(*g.weights) and math.gcd(*g.weights) == 1
             labels = set(g.vertices)
             for a, b, deg in g.edges:
                 assert a in labels and b in labels and is_prime(deg)
@@ -104,18 +105,11 @@ class TestRegistry:
         assert graph_type("S8").primes == (2, 3)
 
     def test_volume_examples(self):
-        assert graph_type("L2_11").volumes == (1, Fraction(1, 11))
-        assert graph_type("L3_9").volumes == (1, Fraction(1, 3), Fraction(1, 9))
-        assert graph_type("T6").volumes == (
-            1, Fraction(1, 2), Fraction(1, 4), Fraction(1, 4),
-            Fraction(1, 8), Fraction(1, 8),
-        )
-        # every type's weights against literals that the edges must
-        # reproduce; the volumes are the weights over the first
+        assert graph_type("L2_11").weights == (11, 1)
+        assert graph_type("L3_9").weights == (9, 3, 1)
+        assert graph_type("T6").weights == (8, 4, 2, 2, 1, 1)
+        # every type's weights against literals that the edges must reproduce
         assert {kind: graph_type(kind).weights for kind in ALL_TYPES} == WEIGHTS
-        for kind in ALL_TYPES:
-            g = graph_type(kind)
-            assert g.volumes == tuple(Fraction(w, g.weights[0]) for w in g.weights), kind
 
     @pytest.mark.parametrize("kind", [kind for kind in ALL_TYPES if kind != "S8"])
     def test_edges_change_the_score_by_their_degree(self, kind):
@@ -151,17 +145,34 @@ class TestRegistry:
                 if graph_type(kind).excluded} == {"L2_2": (-64,), "L2_3": (-27,)}
 
 
+# every public reader that takes t, as read(kind, t)
+T_READERS = {
+    "faltings_by_theorem": lambda kind, t: faltings_by_theorem(kind, t, 1),
+    "prob_table": prob_table,
+    "u_vectors": lambda kind, t: u_vectors(kind, t, 1),
+    "class_signatures": class_signatures,
+}
+
+
+def refusal(read, kind, t) -> str:
+    """The message of the plain ValueError (no subclass) that read raises."""
+    with pytest.raises(ValueError) as e:
+        read(kind, t)
+    assert type(e.value) is ValueError, (kind, t, type(e.value))
+    return str(e.value)
+
+
 class TestCusps:
     def test_t_zero(self):
         for kind in sorted(GENUS0):
-            with pytest.raises(CuspError):
-                faltings_by_theorem(kind, 0, 1)
+            for name, read in T_READERS.items():
+                for t in (0, Fraction(0)):
+                    assert refusal(read, kind, t) == "t = 0 is a cusp", (kind, name)
 
     def test_type_specific_exclusions(self):
-        with pytest.raises(CuspError):
-            u_vectors("L2_2", -64, 1)
-        with pytest.raises(CuspError):
-            u_vectors("L2_3", -27, 1)
+        for kind, t in (("L2_2", -64), ("L2_3", -27), ("L2_2", Fraction(-64))):
+            for name, read in T_READERS.items():
+                assert refusal(read, kind, t) == f"t = {int(t)} is excluded for {kind}", name
         # fine for other types
         assert u_vectors("L2_5", -64, 1)
 
@@ -190,15 +201,11 @@ class TestCusps:
 # it: a float would be read as its binary value, a bool as 0 or 1
 @pytest.mark.parametrize("x", [0.1, 4.5, True, "45", Decimal("4.5")],
                          ids=["float", "float_4.5", "bool", "str", "Decimal"])
-@pytest.mark.parametrize("read", [lambda t: faltings_by_theorem("L3_9", t, 1),
-                                  lambda t: prob_table("L3_9", t),
-                                  lambda t: u_vectors("L3_9", t, 1),
-                                  lambda t: class_signatures("L3_9", t)],
-                         ids=["faltings_by_theorem", "prob_table", "u_vectors", "class_signatures"])
+@pytest.mark.parametrize("read", list(T_READERS.values()), ids=list(T_READERS))
 def test_t_not_an_int_or_fraction_refused(read, x):
-    read(45)
+    read("L3_9", 45)
     with pytest.raises(ValueError, match=f"^t = {re.escape(repr(x))} is not an integer or a Fraction$"):
-        read(x)
+        read("L3_9", x)
 
 
 # (type, t, branch key) worked out by hand from the paper's branch
@@ -318,7 +325,7 @@ class TestSpecValidation:
 
     def test_well_formed(self):
         g = self.spec(self.WELL_FORMED)
-        assert (g.volumes, g.weights) == ((1, Fraction(1, 3)), (3, 1))
+        assert g.weights == (3, 1)
 
     # the edges, each nearer end first, give every vertex one degree
     @pytest.mark.parametrize("vertices,edges,message", [
@@ -512,7 +519,8 @@ class TestDecisions:
 
 class TestIntegerScores:
     """faltings_by_volumes scores in ints; the Fraction scores built here
-    from ``volumes`` must have the same unique argmax."""
+    from the volumes, the weights over the first, must have the same unique
+    argmax."""
 
     @staticmethod
     def ds(g, rows):
@@ -524,6 +532,7 @@ class TestIntegerScores:
     @pytest.mark.parametrize("kind", ALL_TYPES)
     def test_int_argmax_equals_fraction_argmax(self, kind):
         g = graph_type(kind)
+        volumes = [Fraction(w, g.weights[0]) for w in g.weights]
         if kind in GENUS_GE1:
             ts = [None]
         else:
@@ -533,7 +542,7 @@ class TestIntegerScores:
                 uv = u_vectors(kind, t, d)
                 assert all(type(u) is int for u in uv.uE + uv.uEd), (kind, t, d, uv)
                 scores = [Fraction(ue) ** 2 * Fraction(ud) ** 2 * v
-                          for ue, ud, v in zip(uv.uE, uv.uEd, g.volumes)]
+                          for ue, ud, v in zip(uv.uE, uv.uEd, volumes)]
                 best = max(scores)
                 winners = [lbl for lbl, sc in zip(g.vertices, scores) if sc == best]
                 assert [faltings_by_volumes(kind, t, d)] == winners, (kind, t, d)
@@ -542,8 +551,6 @@ class TestIntegerScores:
         for kind in ALL_TYPES:
             g = graph_type(kind)
             assert all(type(w) is int for w in g.weights)
-            assert g.weights[0] == math.lcm(*(v.denominator for v in g.volumes))
-            assert all(Fraction(w, g.weights[0]) == v for w, v in zip(g.weights, g.volumes))
             assert "weights" in vars(g)  # set once in __init__, not derived per read
 
 
@@ -649,7 +656,7 @@ class TestAtkinLehner:
                 else:
                     p, W, delta_of = self.PRIME_LEVEL[kind]
                     w, delta = W / t, delta_of(t)
-                # no CuspError: the pools hold no excluded t, and each
+                # no excluded-t refusal: the pools hold no excluded t, and each
                 # excluded t (-64 for L2_2, -27 for L2_3) is its own image
                 for d in squarefree_ds(p, True, 10) + squarefree_ds(p, False, 10):
                     there = faltings_by_theorem(kind, w, d)

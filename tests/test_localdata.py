@@ -53,11 +53,6 @@ class TestKodairaSymbol:
         assert str(KodairaSymbol("In*", 3)) == "I3*"
         assert str(KodairaSymbol("II*")) == "II*"
 
-    def test_starred(self):
-        assert KodairaSymbol("In*", 2).starred
-        assert KodairaSymbol("IV*").starred
-        assert not KodairaSymbol("III").starred
-
 
 class TestClassifyKnownCurves:
     def test_multiplicative(self):

@@ -24,11 +24,12 @@
   (``functools.lru_cache(maxsize=1, typed=True)``): one query checks its d
   in a row.  A memo anywhere else would let the benchmark's repeated
   inputs pass for speed.
-* The package defines two exception classes, ``CuspError`` (a
-  ``ValueError``, bad input) and ``TableMissError`` (not one: the one
-  internal error), each at module level; and ``cli.run`` maps exactly
-  ``ValueError`` to exit 2 and ``TableMissError`` to exit 3.  A third
-  error class would leave the CLI unmapped, as exit 1 and a traceback.
+* The package defines one exception class, ``TableMissError`` (not a
+  ``ValueError``: the one internal error), at module level; every ``raise``
+  in the package raises ``ValueError(...)`` (bad input) or
+  ``TableMissError(...)``; and ``cli.run`` maps exactly ``ValueError`` to
+  exit 2 and ``TableMissError`` to exit 3.  Any other error would leave the
+  CLI unmapped, as exit 1 and a traceback.
 * Every ``while`` loop whose test is divisibility (``x % y == 0`` or
   ``not x % y``) is in ``exactnum._vp_int``: it is the one routine that
   divides a prime out of an integer, at a cost logarithmic in the
@@ -57,7 +58,7 @@ import pytest
 
 import qtwist
 from qtwist import graphs, localdata
-from qtwist.exactnum import CuspError, TableMissError
+from qtwist.exactnum import TableMissError
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -259,16 +260,41 @@ def _module(filename):
     return qtwist if name == "__init__" else importlib.import_module(f"qtwist.{name}")
 
 
-def test_only_exceptions_are_cusp_and_table_miss():
+def test_only_exception_is_table_miss():
     # every class is defined at module level, so the module names hold them all
     assert _offending(lambda node: isinstance(node, ast.ClassDef) and not any(
         node in tree.body for tree in TREES.values())) == []
     errors = {obj for name in TREES for obj in vars(_module(name)).values()
               if isinstance(obj, type) and issubclass(obj, BaseException)
               and obj.__module__.startswith("qtwist")}
-    assert errors == {CuspError, TableMissError}
+    assert errors == {TableMissError}
     # bad input exits 2, the internal error 3: neither may catch the other
-    assert issubclass(CuspError, ValueError) and not issubclass(TableMissError, ValueError)
+    assert not issubclass(TableMissError, ValueError)
+
+
+def _is_mapped_raise(node):
+    """True for ``raise ValueError(...)`` or ``raise TableMissError(...)``,
+    with or without a ``from`` clause."""
+    return (isinstance(node.exc, ast.Call) and isinstance(node.exc.func, ast.Name)
+            and node.exc.func.id in ("ValueError", "TableMissError"))
+
+
+def test_raise_rule_flags_other_raises():
+    tree = ast.parse("def f(x):\n"
+                     "    raise ValueError(x)\n"
+                     "    raise TableMissError(x) from None\n"
+                     "    raise KeyError(x)\n"
+                     "    raise ValueError\n"
+                     "    raise\n"
+                     "    raise errors.ValueError(x)\n")
+    raises = [node for node in ast.walk(tree) if isinstance(node, ast.Raise)]
+    assert [node.lineno for node in raises if not _is_mapped_raise(node)] == [4, 5, 6, 7]
+
+
+def test_every_raise_is_value_error_or_table_miss():
+    assert _offending(lambda node: isinstance(node, ast.Raise)) != []
+    assert _offending(lambda node: isinstance(node, ast.Raise)
+                      and not _is_mapped_raise(node)) == []
 
 
 def test_cli_run_maps_value_error_and_table_miss():
