@@ -1,8 +1,9 @@
-"""Sieve experiment: exact branch probabilities vs observed frequencies.
+"""Density experiment: exact branch probabilities vs observed frequencies.
 
 Among square-free integers, those divisible by a prime p have density
 1/(1+p).  The decision tables turn that into exact probabilities for
-each vertex; this script sieves |d| <= bound and compares.
+each vertex; this script counts the square-free |d| <= bound exactly
+(``qtwist.sieve``, bound 10^4 to 10^12) and compares.
 
 Run:  python3 demos/density_experiment.py [--bound N]
 """
@@ -33,7 +34,7 @@ def main():
         print(f"{tag}:")
         for row in graphs.prob_table(kind, t):
             print(f"  {row.vertex}: exact {float(row.probability):.5f}, "
-                  f"sieved {freqs[row.vertex]:.5f}  ({row.d_condition})")
+                  f"counted {freqs[row.vertex]:.5f}  ({row.d_condition})")
 
 
 if __name__ == "__main__":

@@ -223,12 +223,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", default="a")
     p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("density", help="sieved square-free densities")
+    p = sub.add_parser("density", help="counted square-free densities")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--n", type=int, default=10**6)
     p.set_defaults(fn=_cmd_density)
 
-    p = sub.add_parser("empirical", help="sieved vertex frequencies")
+    p = sub.add_parser("empirical", help="counted vertex frequencies")
     p.add_argument("--type", required=True)
     p.add_argument("--t")
     p.add_argument("--n", type=int, default=10**5)

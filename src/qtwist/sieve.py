@@ -1,27 +1,35 @@
-"""Sieved square-free densities and vertex frequencies, to set against the
-exact branch probabilities of the decision tables.
-"""
-
-from __future__ import annotations
+"""Exact square-free counts up to a bound, to set against the exact branch
+probabilities of the decision tables.  S(Y) = sum over k <= sqrt(Y) of
+mu(k) * floor(Y / k^2) counts the square-free n <= Y (Hardy and Wright, An
+Introduction to the Theory of Numbers, 18.6).  Those prime to p number
+P(Y) = S(Y) - P(Y / p) = sum over j >= 0 of (-1)^j * S(floor(Y / p^j)):
+a square-free n <= Y divisible by p is p * m, with m square-free, prime to
+p and at most Y / p.  Both take time and memory of order sqrt(Y)."""
 
 from typing import NamedTuple, Optional
 
 from .exactnum import RatLike, check_prime
 
 
-def _squarefree_mask(n: int) -> bytearray:
-    """mask[i] = 1 for the square-free i in 0..n, else 0 (mask[0] = 0).
+def _mobius(bound: int) -> list:
+    """[0, mu(1), mu(2), ...] past sqrt(bound), for an int bound in 10^4..10^12."""
+    if type(bound) is not int or not 10**4 <= bound <= 10**12:
+        raise ValueError(f"bound = {bound!r} is not an integer in 10^4..10^12")
+    r = int(bound ** 0.5) + 1
+    mu, prime = [0] + [1] * r, bytearray(b"\x01") * (r + 1)
+    for p in range(2, r + 1):
+        if prime[p]:
+            prime[p * p::p] = bytes(len(range(p * p, r + 1, p)))
+            mu[p::p] = [-m for m in mu[p::p]]
+            mu[p * p::p * p] = [0] * (r // (p * p))
+    return mu
 
-    The mask takes n + 1 bytes, hence the upper bound."""
-    if not 10**4 <= n <= 10**8:
-        raise ValueError(f"bound = {n} is outside 10^4..10^8")
-    mask = bytearray(b"\x01") * (n + 1)
-    mask[0] = 0
-    k = 2
-    while k * k <= n:
-        mask[k * k:: k * k] = bytes(n // (k * k))
-        k += 1
-    return mask
+
+def _count(y: int, mu: list, p: Optional[int] = None) -> int:
+    """S(y), or for a prime p the number P(y) of square-free n <= y prime to p."""
+    # a k past sqrt(y) adds mu(k) * 0, so the float root need only be near
+    s = sum(m * (y // (k * k)) for k, m in enumerate(mu[:int(y ** 0.5) + 2]) if m)
+    return s - _count(y // p, mu, p) if p and y else s
 
 
 class DensityReport(NamedTuple):
@@ -35,31 +43,23 @@ def squarefree_density(p: int, bound: int) -> DensityReport:
     """Among square-free n <= bound: fraction divisible by p, plus the
     overall square-free density (expected 1/(1+p) and 6/pi^2)."""
     check_prime(p)
-    mask = _squarefree_mask(bound)
-    total_sf = mask.count(1)
-    div = mask[p::p].count(1)
-    return DensityReport(p, bound, div / total_sf, total_sf / bound)
+    mu = _mobius(bound)
+    total = _count(bound, mu)
+    return DensityReport(p, bound, _count(bound // p, mu, p) / total, total / bound)
 
 
 def empirical_prob(kind: str, t: Optional[RatLike], bound: int) -> dict:
-    """Frequencies, over square-free |d| <= bound, of the vertex chosen
-    by the closed-form decision.
-
-    The decision depends on d only through divisibility by the table's
-    primes, so each branch is counted with one sieve pass; counting
-    positive d suffices because every condition is sign-blind.
-    """
+    """Frequencies, over square-free |d| <= bound, of the vertex chosen by
+    the closed-form decision.  The d divisible by p are p times the d prime
+    to p up to bound / p, and every condition is sign-blind."""
     from . import graphs  # here, so that density does not load the registry
 
     rows = graphs.prob_table(kind, t)
-    mask = _squarefree_mask(bound)
-    total = mask.count(1)
+    mu = _mobius(bound)
+    total = _count(bound, mu)
     freq: dict = {}
     for row in rows:
-        if row.p is None:
-            count = total
-        else:
-            div = mask[row.p::row.p].count(1)
-            count = div if row.divisible else total - div
+        div = _count(bound // row.p, mu, row.p) if row.p else 0
+        count = div if row.divisible else total - div
         freq[row.vertex] = freq.get(row.vertex, 0.0) + count / total
     return freq

@@ -13,7 +13,8 @@ reads that column through ``localdata.pal_u``.
 
 It also keeps the lattice-volume kernel that ``oracle`` ran on mpmath's
 ``mpf`` objects before it moved to the raw layer, so the tests can hold
-the raw kernel to the same bits.
+the raw kernel to the same bits, and the byte mask of square-free numbers
+that ``sieve`` counted before it counted by formula.
 """
 
 from fractions import Fraction
@@ -201,3 +202,23 @@ def mpf_volume_once(s, prec: int) -> mp.mpf:
     """The kernel above, run once at precision prec."""
     with mp.workprec(prec):
         return _volume_once(s)
+
+
+# ---------------------------------------------------------------------------
+# the square-free mask that ``sieve`` counted before it counted by formula,
+# kept as it was, upper bound included
+
+
+def squarefree_mask(n: int) -> bytearray:
+    """mask[i] = 1 for the square-free i in 0..n, else 0 (mask[0] = 0).
+
+    The mask takes n + 1 bytes, hence the upper bound."""
+    if not 10**4 <= n <= 10**8:
+        raise ValueError(f"bound = {n} is outside 10^4..10^8")
+    mask = bytearray(b"\x01") * (n + 1)
+    mask[0] = 0
+    k = 2
+    while k * k <= n:
+        mask[k * k:: k * k] = bytes(n // (k * k))
+        k += 1
+    return mask

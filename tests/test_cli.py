@@ -130,8 +130,8 @@ class TestValidation:
         ["verify", "--type", "L2_11", "--t", "45", "--d", "1"],
         *(["verify", "--type", "L3_9", "--t", "45", "--d", "3", "--bits", bits]
           for bits in ("-5", "0", "16", "5000")),
-        ["density", "--p", "3", "--n", "10000000000"],
-        ["empirical", "--type", "L3_9", "--t", "3", "--n", "10000000000"],
+        ["density", "--p", "3", "--n", "10000000000000"],
+        ["empirical", "--type", "L3_9", "--t", "3", "--n", "10000000000000"],
         ["faltings", "--type", "L3_9", "--t", "45", "--d", str(10**24 + 7)],
         # the curve 11a1 scaled by u = 1/n, n a product of two 23-digit
         # primes: global_minimal must split n, beyond the factoring budget
@@ -271,6 +271,18 @@ class TestValidation:
     def test_schema_version(self, capsys):
         assert ok("prob", "--type", "L2_11", capsys=capsys)["schema_version"] == 2
 
+    @pytest.mark.parametrize("argv", [["density", "--p", "2"],
+                                      ["empirical", "--type", "T4", "--t", "8"]],
+                             ids=["density", "empirical"])
+    def test_bound_cap(self, argv, capsys):
+        # the counts take time and memory of order sqrt(n), so time sets
+        # the cap: a call at it stays well within the bound below
+        start = time.perf_counter()
+        assert ok(*argv, f"--n={10**12}", capsys=capsys)["bound"] == 10**12
+        assert time.perf_counter() - start < 5
+        assert refused(*argv, f"--n={10**12 + 1}", capsys=capsys) == (
+            f"bound = {10**12 + 1} is not an integer in 10^4..10^12")
+
 
 # Small alphabets for the fuzzed argv: per flag, values that pass on their
 # own and values that are refused (a t of None leaves --t out, which the
@@ -278,7 +290,7 @@ class TestValidation:
 FUZZ_T = (["45", "3/7", "-1/2", "-64", "2.5", None], ["0", "1/0", "x", ""])
 FUZZ_D = (["1", "-1", "3", "-15", "7"], ["0", "12", "-18", str(D_MAX + 1), "1/2", "x"])
 FUZZ_P = (["2", "3", "11"], ["4", "1", "0", "-3", "x"])
-FUZZ_N = (["10000", "30000"], ["9999", str(10**8 + 1)])
+FUZZ_N = (["10000", "30000"], ["9999", str(10**12 + 1)])
 FUZZ_TYPES = (ALL_TYPES, ["L2_9", "x"])
 FUZZ_FAMILY_TYPES = (["L3_9", "L2_11"], ["L2_5", "L2_9", "x"])
 FUZZ_VARIANTS = (["a", "b"], ["c", "A"])
@@ -499,6 +511,22 @@ class TestEntryPoint:
         argvs = sorted((argv for argv, _ in SUBCOMMAND_MODULES), key=lambda a: a[0] == "verify")
         assert [[code, mpmath] for code, _, mpmath in self._loaded_after_each(argvs)] == (
             [[0, False]] * (len(argvs) - 1) + [[0, True]])
+
+    def test_density_peak_memory(self):
+        # the counts keep tables of order sqrt(n), so at n = 10^8 the peak
+        # stays near a cold start's, far below the n bytes of a byte mask;
+        # a wrapper process reads the peak of its one child, so no other
+        # process of the session counts
+        script = """if True:
+            import resource, subprocess, sys
+            subprocess.run([sys.executable, "-m", "qtwist.cli", *sys.argv[1:]],
+                           check=True, stdout=subprocess.DEVNULL)
+            print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+        """
+        proc = subprocess.run([sys.executable, "-c", script, "density", "--p", "3",
+                               f"--n={10**8}"], capture_output=True, text=True, env=src_env())
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 64 * 1024  # ru_maxrss is in KiB on Linux
 
     def test_environment_is_ignored(self):
         proc = subprocess.run(
