@@ -338,15 +338,20 @@ def prime_factors(n: int) -> set:
     return primes
 
 
-@functools.lru_cache(maxsize=1, typed=True)
 def check_d(d: int) -> frozenset:
     """The primes of d, a frozenset that no caller can change, if d is a
     nonzero square-free int (not a bool; its primes multiply to |d|) with
-    |d| <= D_MAX, else ValueError.  The last d that passed is remembered,
-    typed (3.0 and Fraction(3) stay refused after 3): ``verify`` checks one
-    d four times in a row, both decision paths twice, ``faltings`` once."""
+    |d| <= D_MAX, else ValueError.  A non-int is refused first; the rest
+    is ``_squarefree_primes``, which remembers the last d that passed:
+    ``verify`` checks one d four times in a row, ``faltings`` once."""
     if type(d) is not int:
         raise ValueError(f"d = {d!r} is not an integer")
+    return _squarefree_primes(d)
+
+
+@functools.lru_cache(maxsize=1)
+def _squarefree_primes(d: int) -> frozenset:
+    """``check_d`` past its type check, memoized for the last d."""
     if abs(d) > D_MAX:
         raise ValueError(f"d = {d} exceeds 10^18 in absolute value")
     primes = prime_factors(d) if d else set()

@@ -80,7 +80,7 @@ def class_signatures(kind: str, t: Optional[RatLike] = None,
     t = check_t(kind, t)
     try:
         models = FAMILIES[kind][variant]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable variant
         raise ValueError(f"no family of curves for type {kind}, variant {variant!r}") from None
     # a type without t has constant polynomials
     x = Fraction(0) if t is None else t

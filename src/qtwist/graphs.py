@@ -434,7 +434,7 @@ ALL_TYPES = sorted(_TYPES)
 def graph_type(kind: str) -> GraphType:
     try:
         return _TYPES[kind]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
         raise ValueError(f"unknown graph type {kind!r}; the types are "
                          f"{', '.join(ALL_TYPES)}") from None
 

@@ -12,16 +12,16 @@ tests check it against ``pal_u_rules`` in ``tests/reference.py``).  Each
 Kodaira outcome is a plain (condition label, kind, n) entry, checked at
 import to give a valid ``KodairaSymbol`` (else TableMissError).  At import
 each table gets an index: a dict from the capped p-signature to the first
-row that matches it, so a lookup is one dict access.  The p-signature is
-read off the valuations of s at the largest realizable scale k.  That
-model is p-minimal by construction, so no row rescales; a row's 2f/2g
-condition (which would mean "not minimal" when false) always holds there.
-The conditions read their residues off the integers of s at scale k with
-``exactnum.residue``, so classifying builds no model.  ``classify`` gives
-the answer at p as one ``LocalClassification``, which ``global_minimal``
-and ``global_pal`` read too; reading its minimal_sig builds the model at
-scale k.  ``global_minimal`` builds one model, for the product of the
-per-prime scales.
+row that matches it, so a lookup is one dict access.  ``_scale`` reads
+the largest realizable scale k, and the p-signature there, off the
+valuations of s and Kraus' criterion alone.  That model is p-minimal by
+construction, so no row rescales; a row's 2f/2g condition (which would
+mean "not minimal" when false) always holds there.  The conditions read
+their residues off the integers of s at scale k with ``exactnum.residue``,
+so classifying builds no model.  ``classify`` gives the answer at p as one
+``LocalClassification``, which ``global_pal`` reads too.
+``global_minimal`` reads only the scales, so it runs no table, and builds
+one model, for the product of the per-prime scales.
 """
 
 from __future__ import annotations
@@ -67,11 +67,6 @@ class LocalClassification(NamedTuple):
     @property
     def u_p(self) -> Fraction:
         return Fraction(self.p) ** self.k
-
-    @property
-    def minimal_sig(self) -> Signature:
-        """The model at scale k, built on each read (sig itself at k = 0)."""
-        return self.sig if self.k == 0 else transform(self.sig, self.u_p)
 
 
 # ---------------------------------------------------------------------------
@@ -315,24 +310,27 @@ def _row(p: int, psig: tuple):
 
 # ---------------------------------------------------------------------------
 
-def classify(s: Signature, p: int) -> LocalClassification:
-    """Minimal-model scale u_p = p^k, Kodaira symbol, and condition trace.
-
-    k is the largest scale whose model is realizable: the largest k keeping
-    transform(s, p^k) p-integral, or one less when Kraus' criterion fails
-    there.  One step back always suffices: it raises v3(c6) by 6, and at
-    p = 2 it makes 16 | c4 and 64 | c6.  The valuations are taken once, and
-    the p-signature at scale k is read off them.  It picks one table row,
-    whose conditions are tried in order on the residues of s at scale k;
-    every condition evaluated is recorded in conditions_fired.  No model is
-    built: minimal_sig builds the one at scale k when read.
-    """
+def _scale(s: Signature, p: int) -> tuple[int, tuple]:
+    """(k, p-signature at scale k) for the minimal-model scale u_p = p^k:
+    the largest k keeping transform(s, p^k) p-integral, or one less when
+    Kraus' criterion fails there.  One step back always suffices: it raises
+    v3(c6) by 6, and at p = 2 it makes 16 | c4 and 64 | c6.  The valuations
+    are taken once, and no table is read."""
     vc4, vc6, vd = p_signature(s, p)
     k = min(v // w for v, w in ((vc4, 4), (vc6, 6), (vd, 12)) if v != math.inf)
     if not _kraus(s, p, vc4, vc6, k):
         k -= 1
     # the p-signature at scale k (inf stays inf)
-    psig = (vc4 - 4 * k, vc6 - 6 * k, vd - 12 * k)
+    return k, (vc4 - 4 * k, vc6 - 6 * k, vd - 12 * k)
+
+
+def classify(s: Signature, p: int) -> LocalClassification:
+    """Minimal-model scale u_p = p^k and p-signature from ``_scale``, Kodaira
+    symbol, and condition trace.  The p-signature picks one table row, whose
+    conditions are tried in order on the residues of s at scale k; every
+    condition evaluated is recorded in conditions_fired.  No model is built
+    (transform(c.sig, c.u_p) is the one at scale k)."""
+    k, psig = _scale(s, p)
     row = _row(p, psig)
     if row is None:
         raise TableMissError(f"p={p}: no row for sig_p = {psig}")
@@ -350,10 +348,11 @@ def global_minimal(s: Signature) -> tuple[Signature, Fraction]:
     """(minimal signature, u) with u the product of the per-prime scales;
     the signature is s itself when u = 1, else the one model built.
 
-    Only 2, 3, the primes of the denominators and those dividing both
-    numerators can scale: at any other p >= 5, v_p(c4) or v_p(c6) is 0, so
-    u_p = 1.  Delta is never factored.  ValueError if those numbers do not
-    split within ``exactnum.RHO_MAX_STEPS`` (see ``prime_factors``).
+    Each u_p comes from ``_scale``, so no table row is read.  Only 2, 3,
+    the primes of the denominators and those dividing both numerators can
+    scale: at any other p >= 5, v_p(c4) or v_p(c6) is 0, so u_p = 1.
+    Delta is never factored.  ValueError if those numbers do not split
+    within ``exactnum.RHO_MAX_STEPS`` (see ``prime_factors``).
     """
     # 2 and 3 always: a pair coprime to p can still fail realizability
     # there, forcing a scale-up (e.g. odd c4 with c6 = 1 mod 4)
@@ -362,7 +361,7 @@ def global_minimal(s: Signature) -> tuple[Signature, Fraction]:
     primes |= prime_factors(s.c4.denominator * s.c6.denominator)
     num = den = 1  # of u, in integers
     for p in sorted(primes):
-        k = classify(s, p).k
+        k = _scale(s, p)[0]
         num, den = (num * p**k, den) if k >= 0 else (num, den * p**-k)
     u = Fraction(num, den)
     return (s, u) if num == den else (transform(s, u), u)

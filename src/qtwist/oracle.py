@@ -173,8 +173,8 @@ def _volume_once(q: tuple, prec: int) -> tuple:
 def lattice_volume(s: Signature, precision_bits: int = 128) -> LatticeApprox:
     """Period-lattice volume at precision_bits + 30, with its error claimed
     from a second run at precision_bits + 60."""
-    if not 64 <= precision_bits <= 4096:
-        raise ValueError(f"precision_bits = {precision_bits} is outside 64..4096")
+    if type(precision_bits) is not int or not 64 <= precision_bits <= 4096:
+        raise ValueError(f"precision_bits = {precision_bits!r} is not an int in 64..4096")
     q = (-s.c4 / 48, -s.c6 / 864, -s.delta / 1728, s.delta / 16)
     vol = _volume_once(q, precision_bits + 30)
     # subtract at the check's precision: rounding it to vol's first

@@ -186,7 +186,7 @@ def test_7_pal_table_cross_checks():
                     want = pal_u_rules(c, d)
                     assert got == want, (block, p, s, d, got, want)
                 # Kodaira idempotence on the same corpus
-                again = localdata.classify(c.minimal_sig, p)
+                again = localdata.classify(transform(c.sig, c.u_p), p)
                 assert again.u_p == 1, (p, s)
                 assert str(again.kodaira) == str(c.kodaira), (p, s)
                 total += 1

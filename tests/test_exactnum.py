@@ -25,8 +25,11 @@ from qtwist.exactnum import (
     residue,
     vp,
 )
-from qtwist.graphs import faltings_by_theorem
+from qtwist.families import class_signatures
+from qtwist.graphs import check_t, faltings_by_theorem, graph_type
 from qtwist.localdata import classify
+from qtwist.oracle import lattice_volume, verify_class
+from qtwist.sieve import squarefree_density
 from qtwist.weierstrass import Signature, twist_sig
 
 # Miller-Rabin with the prime bases 2..41 is proven below PSI_13 (Sorenson
@@ -450,3 +453,22 @@ class TestRatIO:
 
     def test_fmt_integer(self):
         assert fmt_rat(Fraction(8, 4)) == "2"
+
+
+# [3] is unhashable, 3.0 a float of an accepted value and None no value:
+# each input check raises ValueError itself, before a memo or a registry
+# lookup hashes the input, and never a subclass of it
+@pytest.mark.parametrize("x", [[3], 3.0, None], ids=["list", "float", "None"])
+@pytest.mark.parametrize("read", [
+    check_d, lambda d: faltings_by_theorem("L3_9", 45, d), check_prime,
+    lambda t: check_t("L3_9", t), graph_type, lambda kind: class_signatures(kind, 45),
+    lambda variant: class_signatures("L3_9", 45, variant),
+    lambda variant: verify_class("L3_9", 45, 3, 64, variant),
+    lambda bits: lattice_volume(S11, bits), lambda bound: squarefree_density(3, bound),
+], ids=["check_d", "faltings_by_theorem", "check_prime", "check_t", "graph_type",
+        "class_signatures_kind", "class_signatures_variant", "verify_class_variant",
+        "lattice_volume", "sieve_bound"])
+def test_input_check_raises_value_error(read, x):
+    with pytest.raises(ValueError) as e:
+        read(x)
+    assert type(e.value) is ValueError

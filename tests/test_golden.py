@@ -114,7 +114,8 @@ def _outcome(f, *args) -> str:
 
 def _classification(s, p):
     c = classify(s, p)
-    return (c.p, c.u_p, c.minimal_psig, c.kodaira, c.conditions_fired, c.minimal_sig, c.row_pal)
+    return (c.p, c.u_p, c.minimal_psig, c.kodaira, c.conditions_fired, transform(c.sig, c.u_p),
+            c.row_pal)
 
 
 def outputs(items) -> list:

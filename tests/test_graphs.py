@@ -503,7 +503,7 @@ class TestDecisions:
             return real(n)
 
         monkeypatch.setattr(exactnum, "prime_factors", counting)
-        exactnum.check_d.cache_clear()  # an earlier test may have checked d
+        exactnum._squarefree_primes.cache_clear()  # an earlier test may have checked d
         d = -999999937 * 1000000007
         r = faltings_by_theorem("L3_9", 45, d)
         assert faltings_by_volumes("L3_9", 45, d) == r.vertex

@@ -133,7 +133,7 @@ class TestClassifyScaling:
         for s in (S11, S121A2, S32):
             for p in (2, 3, 11):
                 c = classify(s, p)
-                again = classify(c.minimal_sig, p)
+                again = classify(transform(c.sig, c.u_p), p)
                 assert again.u_p == 1
                 assert str(again.kodaira) == str(c.kodaira)
 
@@ -146,7 +146,7 @@ class TestClassifyScaling:
                            (Signature(c4, c6, Fraction(c4**3 - c6**2, 1728)), 2, (4, 6, 12))):
             for e in (-2, -1, 0, 1):
                 c = classify(transform(s, Fraction(p) ** e), p)
-                assert c.u_p == Fraction(p) ** -e and c.minimal_sig == s, (p, e)
+                assert c.u_p == Fraction(p) ** -e and transform(c.sig, c.u_p) == s, (p, e)
                 assert c.minimal_psig == psig, (p, e)
 
     def test_denominator_scale(self):
@@ -197,7 +197,7 @@ class TestPal:
         monkeypatch.setattr(localdata, "prime_factors", counting)
         d = -999999937 * 1000000007  # 1 mod 4
         for dd, wanted in ((d, 1), (-d, Fraction(1, 2))):
-            exactnum.check_d.cache_clear()  # an earlier test may have checked dd
+            exactnum._squarefree_primes.cache_clear()  # an earlier test may have checked dd
             calls.clear()
             assert global_pal(S121A2, dd) == wanted
             assert len(calls) == 1, calls
@@ -600,9 +600,8 @@ def signatures(draw):
 
 
 class TestModelCount:
-    """Classifying builds no model: classify builds none, reading its
-    minimal_sig builds one when u_p != 1, global_minimal one for the
-    product of the scales when u != 1, and global_pal none."""
+    """Classifying builds no model: classify builds none, global_minimal
+    one for the product of the scales when u != 1, and global_pal none."""
 
     @given(signatures(), st.sampled_from((1, -1, 2, -3, 5, 6, -7, 10, -15)))
     @settings(max_examples=100, deadline=None)
@@ -618,10 +617,8 @@ class TestModelCount:
             mp.setattr(localdata, "transform", counting)
             for p in PRIMES:
                 calls.clear()
-                c = classify(s, p)
+                classify(s, p)
                 assert calls == [], (p, calls)
-                m = c.minimal_sig
-                assert calls == ([c.u_p] if c.u_p != 1 else []) and (c.u_p != 1 or m is s), p
             calls.clear()
             m, u = global_minimal(s)
             assert calls == ([u] if u != 1 else []) and (u != 1 or m is s)
@@ -640,6 +637,6 @@ class TestClassifyInvariants:
         for p in PRIMES:
             c = classify(s, p)
             assert type(c.minimal_psig) is PSignature and c.sig is s
-            assert c.minimal_sig == transform(s, c.u_p), p
-            assert c.minimal_psig == p_signature(c.minimal_sig, p), p
-            assert realizable(c.minimal_sig, p), p
+            m = transform(c.sig, c.u_p)
+            assert c.minimal_psig == p_signature(m, p), p
+            assert realizable(m, p), p

@@ -5,8 +5,8 @@ import mpmath
 import pytest
 from mpmath import libmp, mp
 
-from qtwist import families, oracle
-from qtwist.exactnum import check_d
+from qtwist import families, localdata, oracle
+from qtwist.exactnum import TableMissError, check_d
 from qtwist.oracle import (
     lattice_volume,
     neron_volume,
@@ -121,6 +121,12 @@ class TestLatticeVolume:
             om = mp.gamma(0.25) * mp.sqrt(mp.pi) / (2 * mp.gamma(0.75))
             got = lattice_volume(S32, 96).volume
             assert abs(got - om**2) < mp.mpf(2) ** -80
+
+    @pytest.mark.parametrize("bits", [128.0, Fraction(128), True, "128"])
+    def test_precision_not_an_int_refused(self, bits):
+        # 128.0 and Fraction(128) lie in the range, True (1) and "128" do not
+        with pytest.raises(ValueError, match=r"is not an int in 64\.\.4096$"):
+            lattice_volume(S11, bits)
 
     def test_claimed_error(self):
         la = lattice_volume(S11, 128)
@@ -332,6 +338,22 @@ class TestNeronVolume:
             assert v.neron_volume == neron_volume(twist_sig(s, 3), 96).volume
             with mp.workprec(96):
                 assert abs(v.faltings_height + mp.log(v.neron_volume) / 2) < mp.mpf(2) ** -80
+
+    def test_shares_no_table_with_localdata(self, monkeypatch):
+        # the minimal model comes from valuations and Kraus' criterion
+        # alone: with no table row to read, classify fails, while the
+        # scales and the Néron volumes stay as they were
+        cases = [twist_sig(s, d) for t, d in ((Fraction(7, 2), -15), (45, 3), (-6, 2))
+                 for s in families.class_signatures("L3_9", t)]
+        want = [(global_minimal(s), neron_volume(s, 64)) for s in cases]
+        assert any(u != 1 for (_m, u), _v in want)
+        monkeypatch.setattr(localdata, "_row", lambda p, psig: None)
+        for s, (minimal, volume) in zip(cases, want, strict=True):
+            for p in (2, 3):
+                with pytest.raises(TableMissError):
+                    localdata.classify(s, p)
+            assert global_minimal(s) == minimal
+            assert neron_volume(s, 64) == volume
 
 
 class TestVerifyClass:

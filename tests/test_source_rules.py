@@ -21,7 +21,8 @@
   checks its decision rows against the volume argmax at import, so a query
   runs the lookup alone; the re-derivation is for callers outside.
 * The one memo is ``exactnum.check_d``'s, of the last d alone
-  (``functools.lru_cache(maxsize=1, typed=True)``): one query checks its d
+  (``functools.lru_cache(maxsize=1)`` on ``_squarefree_primes``, which
+  ``check_d`` calls once it has refused a non-int): one query checks its d
   in a row.  A memo anywhere else would let the benchmark's repeated
   inputs pass for speed.
 * The package defines one exception class, ``TableMissError`` (not a
@@ -209,12 +210,15 @@ MEMOS = {"lru_cache", "cache", "cached_property"}
 
 
 def test_only_memo_is_check_d():
-    check_d = [node for node in ast.walk(TREES["exactnum.py"])
-               if isinstance(node, ast.FunctionDef) and node.name == "check_d"]
-    assert len(check_d) == 1
-    decorators = check_d[0].decorator_list
-    assert [ast.unparse(node) for node in decorators] == [
-        "functools.lru_cache(maxsize=1, typed=True)"]
+    # check_d is a plain function: it refuses a non-int before anything
+    # hashes d, then calls its one memoized helper
+    defs = {node.name: node for node in ast.walk(TREES["exactnum.py"])
+            if isinstance(node, ast.FunctionDef)}
+    assert defs["check_d"].decorator_list == []
+    assert [ast.unparse(node) for node in ast.walk(defs["check_d"]) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "_squarefree_primes"] == ["_squarefree_primes(d)"]
+    decorators = defs["_squarefree_primes"].decorator_list
+    assert [ast.unparse(node) for node in decorators] == ["functools.lru_cache(maxsize=1)"]
     memos = [node for tree in TREES.values() for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr in MEMOS]
     assert memos == [decorators[0].func]
