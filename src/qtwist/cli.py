@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("faltings", help="Faltings vertex of a twisted class")
     p.add_argument("--type", required=True)
     p.add_argument("--t", help="hauptmodul value (genus-0 types)")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=int, required=True, help="any nonzero int, read as Q(sqrt d)")
     p.set_defaults(fn=_cmd_faltings)
 
     p = sub.add_parser("prob", help="all d-branches for a (type, t)")

@@ -19,10 +19,8 @@ primes below 1000, takes roots of perfect powers and splits what is left
 with Brent's variant of Pollard's rho (Brent 1980) within a fixed budget,
 ``RHO_MAX_STEPS``.  Past either limit they raise ``ValueError``, so that
 neither runs for more than a few seconds.  ``prime_factors`` is the only
-routine that takes an integer apart; the d check ``check_d``, the one
-square-free test, factors d, checks that its primes multiply to |d| and
-returns them as a frozenset.  It remembers the last d that passed: a
-query checks d once in ``faltings``, but four times in a row in ``verify``.
+routine that takes an integer apart: ``check_d``, the square-free test,
+factors d; ``check_field`` asks only for a nonzero int d, for Q(sqrt d).
 
 ``vp`` is the one p-adic valuation, of an int or a Fraction alike, and
 ``_vp_int`` the one place that divides a prime out of an integer, in
@@ -341,12 +339,16 @@ def prime_factors(n: int) -> set:
 def check_d(d: int) -> frozenset:
     """The primes of d, a frozenset that no caller can change, if d is a
     nonzero square-free int (not a bool; its primes multiply to |d|) with
-    |d| <= D_MAX, else ValueError.  A non-int is refused first; the rest
-    is ``_squarefree_primes``, which remembers the last d that passed:
-    ``verify`` checks one d four times in a row, ``faltings`` once."""
+    |d| <= D_MAX, else ValueError: a non-int here, the rest in ``_squarefree_primes``."""
     if type(d) is not int:
         raise ValueError(f"d = {d!r} is not an integer")
     return _squarefree_primes(d)
+
+
+def check_field(d: int) -> None:
+    """ValueError, in ``check_d``'s words, unless d is a nonzero int (not a bool)."""
+    if type(d) is not int or not d:
+        check_d(d)
 
 
 @functools.lru_cache(maxsize=1)

@@ -17,12 +17,12 @@ Two independent encodings coexist on purpose:
   the exact argmax of u~_i^2 u_i^2 v_i from the blocks' exponents, in
   integers: every u is a power of an isogeny prime, and the volumes are
   scaled by the lcm of their denominators (``GraphType.weights``);
-* ``faltings_by_theorem`` looks the answer up in the literal decision
-  rows.
+* ``faltings_by_theorem`` looks the answer up in the literal rows.
 
-Each ``GraphType`` checks at import that they agree on every branch and
-every set of block primes dividing d (all that a row or u(E^d) reads of
-d), and the tests check it again.  A query runs the lookup alone.
+A row or u(E^d) reads d only as the block primes with v_p(d) odd, so a
+decision answers for Q(sqrt d), any nonzero int d, and factors nothing.
+Each ``GraphType`` checks at import that the two encodings agree on every
+branch and every such set of primes; a query runs the lookup alone.
 """
 
 from __future__ import annotations
@@ -32,18 +32,18 @@ from fractions import Fraction
 from itertools import product
 from typing import NamedTuple, Optional
 
-from .exactnum import RatLike, TableMissError, check_d, residue, vp
+from .exactnum import RatLike, TableMissError, check_field, residue, vp
 
 
 class FaltingsResult(NamedTuple):
-    """One decision row: vertex wins for every d (p is None), or for the d
-    with p | d (divisible) / p not dividing d."""
+    """A decision row: vertex wins for all d (p None), or for v_p(d) odd (divisible) / even."""
     vertex: str
     p: Optional[int] = None
     divisible: bool = False
 
     @property
     def d_condition(self) -> str:
+        """The condition as printed: all, d=0(p) for v_p(d) odd, d!=0(p) for even."""
         if self.p is None:
             return "all"
         return f"d=0({self.p})" if self.divisible else f"d!=0({self.p})"
@@ -57,7 +57,8 @@ class FaltingsResult(NamedTuple):
         return Fraction(1 if self.divisible else self.p, 1 + self.p)
 
     def matches(self, d: int) -> bool:
-        return self.p is None or (d % self.p == 0) == self.divisible
+        """Whether the nonzero int d meets the condition: v_p(d) odd or even."""
+        return self.p is None or (vp(d, self.p) & 1) == self.divisible
 
 
 class PrimeBlock(NamedTuple):
@@ -72,9 +73,8 @@ class PrimeBlock(NamedTuple):
     t: its one block's table is the one key "all".
 
     ``rows`` maps each key to the exponents of p in u(E), and in u(E^d)
-    when p | d, one non-negative int per vertex.  None on either side means
-    no power of p: u(E), or u(E^d) for every d, is 1 at p.  When p does not
-    divide d, u(E^d) is 1 at p.
+    when v_p(d) is odd (else u(E^d) is 1 at p), one non-negative int per
+    vertex; None on either side means no power of p, for every d.
     """
     p: int
     lo: int
@@ -161,9 +161,9 @@ class GraphType:
         m = math.lcm(*degree.values())
         self.weights = tuple(m // degree[v] for v in vertices)
         # every combination of block keys has rows, each row splits d at a
-        # block prime if at all, and for every set of block primes dividing
-        # d (all that a row or u(E^d) reads of d) exactly one row matches d
-        # and names the volume argmax
+        # block prime if at all, and for every set of block primes with
+        # v_p(d) odd (all that a row or u(E^d) reads of d) exactly one row
+        # matches d and names the volume argmax
         keys = set(product(*(b.rows for b in self.blocks)))
         if set(self.decisions) != keys:
             raise TableMissError(f"{self.kind}: decision keys differ from the block "
@@ -181,13 +181,13 @@ class GraphType:
 
     def u(self, keys: tuple, d: int) -> UVectors:
         """([u(E)], [u(E^d)]) on the branch with these block keys: the product
-        of the blocks' powers of p.  d, read only as p | d, is not checked."""
+        of the blocks' powers of p.  d, read only as v_p(d) odd, is not checked."""
         uE = uEd = (1,) * len(self.vertices)
         for block, key in zip(self.blocks, keys):
             uE_exp, uEd_exp = block.rows[key]
             if uE_exp is not None:
                 uE = tuple([u * block.p**e for u, e in zip(uE, uE_exp)])
-            if uEd_exp is not None and d % block.p == 0:
+            if uEd_exp is not None and vp(d, block.p) & 1:
                 uEd = tuple([u * block.p**e for u, e in zip(uEd, uEd_exp)])
         return UVectors(uE, uEd)
 
@@ -474,14 +474,14 @@ def branch_key(kind: str, t: Optional[RatLike]) -> tuple:
 
 
 def u_vectors(kind: str, t: Optional[RatLike], d: int) -> UVectors:
-    """Table pair ([u(E)], [u(E^d)]) for the branch selected by (t, d)."""
-    check_d(d)
+    """Table pair ([u(E)], [u(E^d)]) for the branch of t and the field Q(sqrt d)."""
+    check_field(d)
     return graph_type(kind).u(branch_key(kind, t), d)
 
 
 def faltings_by_theorem(kind: str, t: Optional[RatLike], d: int) -> FaltingsResult:
-    """The decision row matching (type, t, d)."""
-    check_d(d)
+    """The decision row matching (type, t, d), for any nonzero int d."""
+    check_field(d)
     # the registry checked at import that exactly one row of each branch
     # matches d, and that it names the volume argmax
     return next(r for r in prob_table(kind, t) if r.matches(d))

@@ -119,7 +119,25 @@ class TestGoldenExamples:
 
 class TestValidation:
     def test_non_squarefree_d(self, capsys):
-        refused("faltings", "--type", "L3_9", "--t", "45", "--d", "12", capsys=capsys)
+        # faltings reads d as the field Q(sqrt d): a d answers as its
+        # square-free part, and prints the d typed; 10^24 + 7 is prime,
+        # past the 10^18 that twist and verify take
+        argv = ["faltings", "--type=L3_9", "--t=45"]
+        for d, core in ((12, 3), (-18, -2), (9, 1), (-4 * 10**24, -1),
+                        (25 * (10**24 + 7), 10**24 + 7)):
+            assert ok(*argv, f"--d={d}", capsys=capsys) == {
+                **ok(*argv, f"--d={core}", capsys=capsys), "d": d}, d
+        out = ok(*argv, f"--d={10**24 + 7}", capsys=capsys)
+        assert (out["vertex"], out["d_condition"], out["probability"]) == ("E_3", "d!=0(3)", "3/4")
+
+    @pytest.mark.parametrize("argv", [["twist", "--ainvs=1,1,1,-30,-76"],
+                                      ["verify", "--type=L3_9", "--t=45"]],
+                             ids=["twist", "verify"])
+    def test_model_builders_keep_squarefree_d(self, argv, capsys):
+        # twist and verify build models of a square-free twist, so check_d
+        # still refuses a d that is not square-free, in its own words
+        assert refused(*argv, "--d=12", capsys=capsys) == (
+            "d = 12 is not a nonzero square-free integer")
 
     @pytest.mark.parametrize("argv", [
         ["empirical", "--type", "L3_9", "--t", "3", "--n", "10"],
@@ -132,7 +150,8 @@ class TestValidation:
           for bits in ("-5", "0", "16", "5000")),
         ["density", "--p", "3", "--n", "10000000000000"],
         ["empirical", "--type", "L3_9", "--t", "3", "--n", "10000000000000"],
-        ["faltings", "--type", "L3_9", "--t", "45", "--d", str(10**24 + 7)],
+        # faltings takes any nonzero int d up to the input digit limit
+        ["faltings", "--type", "L3_9", "--t", "45", "--d", "7" * 4301],
         # the curve 11a1 scaled by u = 1/n, n a product of two 23-digit
         # primes: global_minimal must split n, beyond the factoring budget
         ["minimal", "--sig", ",".join(str(c * N_HARD**k) for c, k in
@@ -232,8 +251,15 @@ class TestValidation:
         ["verify", "--type", "L3_9", "--t", "45"],
     ], ids=["faltings", "twist", "verify"])
     def test_bad_d_exit_2(self, argv, d, capsys):
-        # the library checks d; the CLI passes it through unchecked
-        assert f"d = {d} " in refused(*argv, "--d", str(d), capsys=capsys)
+        # the library checks d; the CLI passes it through unchecked.  twist
+        # and verify refuse all three; faltings reads d as the field
+        # Q(sqrt d) and refuses only 0: 12 answers as 3, and the prime
+        # 10^24 + 7 as any d prime to 3 does
+        if argv[0] == "faltings" and d:
+            assert ok(*argv, "--d", str(d), capsys=capsys) == {
+                **ok(*argv, "--d", str(3 if d == 12 else 1), capsys=capsys), "d": d}
+        else:
+            assert f"d = {d} " in refused(*argv, "--d", str(d), capsys=capsys)
 
     @pytest.mark.parametrize("argv", [
         ["classify", "--ainvs", "1,1,1,-30,-76", "--p", str(M4423)],

@@ -27,7 +27,7 @@ from qtwist.exactnum import (
 )
 from qtwist.families import class_signatures
 from qtwist.graphs import check_t, faltings_by_theorem, graph_type
-from qtwist.localdata import classify
+from qtwist.localdata import classify, global_pal
 from qtwist.oracle import lattice_volume, verify_class
 from qtwist.sieve import squarefree_density
 from qtwist.weierstrass import Signature, twist_sig
@@ -434,6 +434,19 @@ def test_d_not_an_int_refused(read, x):
     read(int(x))
     with pytest.raises(ValueError, match=f"^d = {re.escape(repr(x))} is not an integer$"):
         read(x)
+
+
+# the readers that build or read a model of the twist keep the square-free
+# contract, in check_d's words, where the Faltings decision reads Q(sqrt d)
+@pytest.mark.parametrize("d, core", [(12, 3), (-18, -2)], ids=["12", "-18"])
+@pytest.mark.parametrize("read", [check_d, lambda d: twist_sig(S11, d),
+                                  lambda d: global_pal(S11, d),
+                                  lambda d: verify_class("L3_9", 45, d, 64)],
+                         ids=["check_d", "twist_sig", "global_pal", "verify_class"])
+def test_model_readers_refuse_non_squarefree_d(read, d, core):
+    with pytest.raises(ValueError, match=f"^d = {d} is not a nonzero square-free integer$"):
+        read(d)
+    read(core)
 
 
 @pytest.mark.parametrize("x", [2.0, 1009.0, Fraction(2), "2"],

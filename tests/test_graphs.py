@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import re
@@ -188,8 +189,14 @@ class TestCusps:
             prob_table("L2_11", 45)
 
     def test_bad_d(self):
-        with pytest.raises(ValueError):
-            faltings_by_theorem("L3_9", 3, 12)
+        # d names the field Q(sqrt d): 12 = 3 * 2^2 answers as 3, and only
+        # d = 0 and a d that is no int are refused
+        for read in (faltings_by_theorem, faltings_by_volumes, u_vectors):
+            assert read("L3_9", 3, 12) == read("L3_9", 3, 3), read
+            with pytest.raises(ValueError, match="^d = 0 is not a nonzero square-free integer$"):
+                read("L3_9", 3, 0)
+            with pytest.raises(ValueError, match="^d = 12.0 is not an integer$"):
+                read("L3_9", 3, 12.0)
 
     def test_fraction_t_as_is(self):
         t = Fraction(45)
@@ -490,24 +497,27 @@ class TestDecisions:
         uv = u_vectors("L3_9", 9, 1)
         assert uv.uE == (1, 3, 3)
 
-    def test_query_factors_d_once(self, monkeypatch):
-        # a query (faltings) checks d once, through the lookup; a caller that
-        # also runs the volume argmax on the same d, as the oracle tests and
-        # the two-path benchmark do, factors it once, as the d check
-        # remembers the last d
-        calls = []
-        real = exactnum.prime_factors
+    def test_decision_factors_nothing(self, monkeypatch):
+        # the decision reads d only as v_p(d) odd at the block primes, so it
+        # answers with the factorer broken: for the hardest d below 10^18,
+        # and for a product of two 30-digit primes, past 10^18 and past the
+        # rho budget.  Neither has a block prime, so d p answers as p.
+        def refuse(n):
+            raise AssertionError(f"factored {n}")
 
-        def counting(n):
-            calls.append(n)
-            return real(n)
-
-        monkeypatch.setattr(exactnum, "prime_factors", counting)
-        exactnum._squarefree_primes.cache_clear()  # an earlier test may have checked d
-        d = -999999937 * 1000000007
-        r = faltings_by_theorem("L3_9", 45, d)
-        assert faltings_by_volumes("L3_9", 45, d) == r.vertex
-        assert calls == [d]
+        monkeypatch.setattr(exactnum, "prime_factors", refuse)
+        exactnum._squarefree_primes.cache_clear()  # a check_d call would factor
+        big = 100000000000000000000000000319 * 300000000000000000000000000007
+        assert big > exactnum.D_MAX and all(map(is_prime, (100000000000000000000000000319,
+                                                           300000000000000000000000000007)))
+        for d in (-999999937 * 1000000007, big):
+            for kind in ALL_TYPES:
+                t = SAMPLE_T[kind]
+                for p in (1, *graph_type(kind).primes):
+                    r = faltings_by_theorem(kind, t, d * p)
+                    assert r == faltings_by_theorem(kind, t, p), (kind, d, p)
+                    assert faltings_by_volumes(kind, t, d * p) == r.vertex, (kind, d, p)
+                    assert u_vectors(kind, t, d * p) == u_vectors(kind, t, p), (kind, d, p)
 
     def test_theorem_matches_volumes_sampled(self):
         for kind in ALL_TYPES:
@@ -515,6 +525,31 @@ class TestDecisions:
             for d in (1, -1, 2, 3, 5, -6, 7, 11, -13, 30):
                 r = faltings_by_theorem(kind, t, d)
                 assert faltings_by_volumes(kind, t, d) == r.vertex, (kind, d)
+
+
+# the primes below 200, every isogeny prime among them, and two past 10^9
+D_PRIMES = [p for p in range(2, 200) if is_prime(p)] + [999999937, 1000000007]
+
+
+@functools.cache
+def branch_ts(kind):
+    """One t in each decision branch of kind; [None] for a genus >= 1 type."""
+    return [None] if kind in GENUS_GE1 else [ts[0] for ts in pooled_ts(kind, 1).values()]
+
+
+class TestSquareClasses:
+    """A decision answers for the field Q(sqrt d): d m^2 answers as d."""
+
+    @given(st.sampled_from(ALL_TYPES), st.data(), st.sets(st.sampled_from(D_PRIMES), max_size=4),
+           st.sampled_from((1, -1)), st.integers(1, 10**6))
+    @settings(max_examples=400, deadline=None)
+    def test_d_times_a_square(self, kind, data, primes, sign, m):
+        t = data.draw(st.sampled_from(branch_ts(kind)), label="t")
+        d = sign * math.prod(primes)  # square-free
+        for read in (faltings_by_theorem, faltings_by_volumes, u_vectors):
+            assert read(kind, t, d * m * m) == read(kind, t, d), (read, kind, t, d, m)
+            # a square d is the trivial twist
+            assert read(kind, t, m * m) == read(kind, t, 1), (read, kind, t, m)
 
 
 class TestIntegerScores:

@@ -20,11 +20,14 @@
 * No module calls ``graphs.faltings_by_volumes``: each ``GraphType``
   checks its decision rows against the volume argmax at import, so a query
   runs the lookup alone; the re-derivation is for callers outside.
+* ``graphs.py`` names none of ``check_d``, ``_squarefree_primes``,
+  ``prime_factors`` and ``D_MAX``: the decision answers for the field
+  Q(sqrt d), reads v_p(d) mod 2 at the block primes and factors nothing.
 * The one memo is ``exactnum.check_d``'s, of the last d alone
   (``functools.lru_cache(maxsize=1)`` on ``_squarefree_primes``, which
-  ``check_d`` calls once it has refused a non-int): one query checks its d
-  in a row.  A memo anywhere else would let the benchmark's repeated
-  inputs pass for speed.
+  ``check_d`` calls once it has refused a non-int): ``verify`` checks its
+  d in a row, once per vertex.  A memo anywhere else would let the
+  benchmark's repeated inputs pass for speed.
 * The package defines one exception class, ``TableMissError`` (not a
   ``ValueError``: the one internal error), at module level; every ``raise``
   in the package raises ``ValueError(...)`` (bad input) or
@@ -204,6 +207,28 @@ def test_no_module_calls_faltings_by_volumes():
     assert _offending(lambda node: isinstance(node, ast.Call) and (
         getattr(node.func, "id", None) == "faltings_by_volumes"
         or getattr(node.func, "attr", None) == "faltings_by_volumes")) == []
+
+
+# what takes d apart, or bounds it for that: the decision needs none of it
+FACTORING_NAMES = {"check_d", "_squarefree_primes", "prime_factors", "D_MAX"}
+
+
+def _names(tree):
+    """Every name a tree reads, imports or takes as an attribute."""
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            | {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)})
+
+
+def test_names_rule_flags_import_call_and_attribute():
+    assert _names(ast.parse("from .exactnum import check_d as c\n"
+                            "exactnum.prime_factors(D_MAX)\n")) >= {
+        "check_d", "prime_factors", "D_MAX"}
+
+
+def test_graphs_does_not_factor_d():
+    assert _names(TREES["graphs.py"]) & FACTORING_NAMES == set()
+    assert "vp" in _names(TREES["graphs.py"])
 
 
 MEMOS = {"lru_cache", "cache", "cached_property"}
